@@ -8,7 +8,9 @@ Dijkstra, and the PR 5 memoized-full-SPF cache — so the bars mean the
 same thing on any hardware:
 
 * event loop dispatch:      >= 3x the naive loop,
-* per-packet resolution:    >= 3x the naive walk,
+* per-packet resolution:    >= 2x the uncached LPM walk per packet
+  (lower floor: the reference calls the live ``Fib.matches``, so the
+  hash FIB sped the *naive* side up by a third — see ``RATIO_FLOORS``),
 * memoized SPF oracle:      >= 3x recomputing Dijkstra,
 * incremental SPF churn:    >= 3x the memoized-full-SPF cache,
 * same-timestamp batching:  >= 1.8x the naive loop (lower floor by
@@ -45,6 +47,13 @@ RATIO_FLOOR = 3.0
 #: per-section overrides of the default floor
 RATIO_FLOORS = {
     "event_batch": 1.8,
+    # the naive reference walks the live Fib.matches per packet while
+    # the optimized side runs on the caches, so a faster FIB lowers the
+    # ratio for a good reason: the length-indexed hash FIB took naive
+    # 84k -> 111k pps with optimized unmoved (268k -> 262k pps), ratio
+    # 3.17 -> 2.35 on one box, interleaved runs.  The floor guards the
+    # resolve/chain caches, not the table behind them.
+    "forwarding": 2.0,
     "fairshare_vector": 5.0,
     "flow_backend": 10.0,
 }
@@ -106,7 +115,8 @@ def test_bench_hotpath(emit):
         f"{flow['projected_packet_s']:.0f}s projected packet "
         f"-> {flow['ratio']:.1f}x "
         f"(events^{flow['fit_exponent']:.2f} fit, "
-        f"budget {flow['budget_s']:.0f}s)\n"
+        f"budget {flow['budget_s']:.0f}s, "
+        f"{flow['peak_rss_mb']:.0f} MiB peak RSS)\n"
         f"  recorded in {BENCH_FILE.name}"
     )
 

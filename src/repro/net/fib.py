@@ -1,4 +1,5 @@
-"""Forwarding Information Base: a binary trie with longest-prefix matching.
+"""Forwarding Information Base: a length-indexed hash table with
+longest-prefix matching.
 
 The FIB is the heart of the reproduction: F²Tree's fast reroute is *nothing
 but* longest-prefix-match fall-through.  The backup static routes use
@@ -9,21 +10,26 @@ next-shorter match.  :meth:`Fib.matches` therefore yields matching entries
 from longest to shortest and lets the data plane prune dead next hops at
 each step.
 
-The trie is a straightforward binary (bit-at-a-time) trie.  At the scales of
-the paper's experiments (tens of routes per switch) anything would do; the
-trie keeps lookups O(32) regardless of route count and is the natural thing
-to test with hypothesis against a brute-force reference.
+The table is one dict per prefix length present, ``{length: {network:
+entry}}``, and a lookup probes those lengths longest first with the
+address masked to each.  A fabric uses four lengths (/32, /24 learned;
+/16, /15 static), so a lookup is at most four dict probes however many
+routes are installed, a bulk load is one dict store per entry, and a
+switch's table costs one dict slot per route.  Entries are immutable, so
+control planes may install the *same* :class:`FibEntry` object on many
+switches (warm start does: switches of one pod and role hold
+near-identical tables).
 
 Steady-state forwarding never changes the FIB, so the per-destination
 **match chain** (every covering entry, longest first) is cached by
 destination address and invalidated wholesale by a :attr:`Fib.generation`
 counter that every install/withdraw/clear bumps.  :meth:`Fib.chain` is the
 cached entry point the data plane uses; :meth:`Fib.matches` remains the
-uncached trie walk and is the reference the differential tests compare
-against.  The cache only memoizes the pure address→entries function — all
-liveness pruning stays in the data plane — so cached and uncached lookups
-are byte-identical by construction, and the hypothesis differential test
-in ``tests/test_fastpath.py`` pins it.
+uncached probe sequence and is the reference the differential tests
+compare against.  The cache only memoizes the pure address→entries
+function — all liveness pruning stays in the data plane — so cached and
+uncached lookups are byte-identical by construction, and the hypothesis
+differential test in ``tests/test_fastpath.py`` pins it.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ class FibDelta:
     ``withdrawals`` are applied before ``installs``; an entry appearing in
     both positions (replace) therefore ends installed.  Both tuples are
     expected in deterministic (sorted) order — the order is observable
-    through trace ``changes`` lists, not through the resulting trie.
+    through trace ``changes`` lists, not through the resulting table.
     """
 
     installs: Tuple[FibEntry, ...] = ()
@@ -88,20 +94,15 @@ class FibDelta:
         return len(self.installs) + len(self.withdrawals)
 
 
-class _TrieNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_TrieNode"]] = [None, None]
-        self.entry: Optional[FibEntry] = None
-
-
 class Fib:
     """A longest-prefix-match forwarding table."""
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._count = 0
+        #: prefix length -> {network -> entry}; only non-empty lengths
+        self._tables: dict[int, dict[int, FibEntry]] = {}
+        #: ``(netmask, table)`` per length present, longest first: the
+        #: LPM probe sequence, rebuilt when a length appears or vanishes
+        self._probes: Tuple[Tuple[int, dict[int, FibEntry]], ...] = ()
         #: lifetime churn counters (observability: FIB update audit trails)
         self.installs = 0
         self.withdrawals = 0
@@ -120,48 +121,31 @@ class Fib:
         self.chain_misses = 0
 
     def __len__(self) -> int:
-        return self._count
+        return sum(map(len, self._tables.values()))
+
+    def _reindex(self) -> None:
+        self._probes = tuple(
+            (Prefix(0, length).mask, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        )
 
     def _insert(self, entry: FibEntry) -> None:
-        """Trie insertion only — no counter or generation accounting."""
-        node = self._root
-        for bit_index in range(entry.prefix.length):
-            bit = (entry.prefix.network >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        if node.entry is None:
-            self._count += 1
-        node.entry = entry
+        """Table store only — no counter or generation accounting."""
+        prefix = entry.prefix
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        table[prefix.network] = entry
 
     def _remove(self, prefix: Prefix) -> bool:
-        """Trie removal only — no counter or generation accounting.
-
-        Empty trie branches are pruned so that long-running simulations with
-        failure churn do not leak nodes.
-        """
-        path: list[tuple[_TrieNode, int]] = []
-        node = self._root
-        for bit_index in range(prefix.length):
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if node.entry is None:
+        """Table removal only — no counter or generation accounting."""
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.network, None) is None:
             return False
-        node.entry = None
-        self._count -= 1
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.entry is None and child.children[0] is None and child.children[1] is None:
-                parent.children[bit] = None
-            else:
-                break
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def _changed(self) -> None:
@@ -211,61 +195,22 @@ class Fib:
         """Install a whole entry batch under one generation bump.
 
         Observably equivalent to ``apply_delta(FibDelta(entries, ()))``
-        — same resulting trie, same churn counters, same single
-        generation bump and listener fan-out — but built for the
-        warm-start path, where every switch loads thousands of entries
-        at once: instead of walking the trie from the root per entry,
-        the walk keeps the node path of the previous insertion and
-        descends only below the longest common bit prefix.  Entries
-        sorted by prefix (warm start's canonical order) share most of
-        their high bits with their neighbours, so the amortized walk is
-        a few bits per entry instead of ``prefix.length``.
+        and to the per-call :meth:`install` sequence, whatever the batch
+        order and with a later duplicate of a prefix replacing an
+        earlier one: same resulting table, same churn counters, one
+        generation bump and listener fan-out.  An empty batch is a no-op.
         """
         if not entries:
             return
-        # stack[d] is the node at depth d along the previous entry's path
-        stack: list[Optional[_TrieNode]] = [None] * 33
-        stack[0] = self._root
-        prev_network = 0
-        prev_depth = 0
-        count_gained = 0
         for entry in entries:
-            prefix = entry.prefix
-            network = prefix.network
-            length = prefix.length
-            diff = (network ^ prev_network) >> (32 - prev_depth) if prev_depth else 0
-            common = prev_depth - diff.bit_length()
-            if common > length:
-                common = length
-            node = stack[common]
-            assert node is not None
-            for bit_index in range(common, length):
-                bit = (network >> (31 - bit_index)) & 1
-                child = node.children[bit]
-                if child is None:
-                    child = _TrieNode()
-                    node.children[bit] = child
-                node = child
-                stack[bit_index + 1] = node
-            if node.entry is None:
-                count_gained += 1
-            node.entry = entry
-            prev_network = network
-            prev_depth = length
-        self._count += count_gained
+            self._insert(entry)
         self.installs += len(entries)
         self._changed()
 
     def exact(self, prefix: Prefix) -> Optional[FibEntry]:
         """The entry installed for exactly ``prefix``, if any."""
-        node = self._root
-        for bit_index in range(prefix.length):
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                return None
-            node = child
-        return node.entry
+        table = self._tables.get(prefix.length)
+        return None if table is None else table.get(prefix.network)
 
     def matches(self, address: IPv4Address) -> Iterator[FibEntry]:
         """Yield every entry covering ``address``, longest prefix first.
@@ -274,26 +219,17 @@ class Fib:
         walks the chain and stops at the first entry with a *live* next hop.
         """
         value = address.value
-        chain: list[FibEntry] = []
-        node = self._root
-        if node.entry is not None:
-            chain.append(node.entry)
-        for bit_index in range(32):
-            bit = (value >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.entry is not None:
-                chain.append(node.entry)
-        yield from reversed(chain)
+        for mask, table in self._probes:
+            entry = table.get(value & mask)
+            if entry is not None:
+                yield entry
 
     def chain(self, address: IPv4Address) -> Tuple[FibEntry, ...]:
         """The cached match chain for ``address`` (longest prefix first).
 
-        Semantically ``tuple(self.matches(address))``; the trie walk runs
-        once per (destination, generation) and every later lookup is a
-        dict hit.  The steady-state forwarding path goes through here.
+        Semantically ``tuple(self.matches(address))``; the probe sequence
+        runs once per (destination, generation) and every later lookup is
+        a dict hit.  The steady-state forwarding path goes through here.
         """
         if self._cache_generation != self.generation:
             self._chain_cache.clear()
@@ -314,19 +250,14 @@ class Fib:
         return chain[0] if chain else None
 
     def entries(self) -> Iterator[FibEntry]:
-        """Iterate all installed entries (no defined order guarantees beyond
-        a deterministic depth-first walk)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.entry is not None:
-                yield node.entry
-            for child in (node.children[1], node.children[0]):
-                if child is not None:
-                    stack.append(child)
+        """Iterate all installed entries in ``(network, length)`` order
+        (replay bundles and FIB snapshots inherit it)."""
+        found = [e for table in self._tables.values() for e in table.values()]
+        found.sort(key=lambda e: (e.prefix.network, e.prefix.length))
+        return iter(found)
 
     def clear(self) -> None:
         """Remove every entry."""
-        self._root = _TrieNode()
-        self._count = 0
+        self._tables = {}
+        self._probes = ()
         self._changed()

@@ -108,7 +108,7 @@ class Prefix:
         mask = _mask(length)
         self.network = addr.value & mask
         self.length = length
-        # precomputed: prefixes key route tables, FIB tries, and the
+        # precomputed: prefixes key route tables, FIB downloads, and the
         # LSDB fingerprints the SPF caches hash on every lookup — the
         # tuple-build-per-call hash dominated those lookups in profiles
         self._hash = hash(("Prefix", self.network, length))

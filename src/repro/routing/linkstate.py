@@ -148,14 +148,18 @@ class LinkStateProtocol:
     # ------------------------------------------------------------- flooding
 
     def _flood(self, lsas: List[Lsa], exclude: Optional[str]) -> None:
+        payload = tuple(lsas)
+        size_bytes = self.params.lsa_size_bytes
+        peers_sent = 0
         for peer in self._live_protocol_neighbors():
             if peer == exclude:
                 continue
-            self.stats.lsas_flooded += len(lsas)
-            self._obs.metrics.counter("lsa.flooded").inc(len(lsas))
-            self.switch.send_control(
-                peer, payload=tuple(lsas), size_bytes=self.params.lsa_size_bytes
-            )
+            peers_sent += 1
+            self.switch.send_control(peer, payload=payload, size_bytes=size_bytes)
+        if peers_sent:
+            flooded = peers_sent * len(payload)
+            self.stats.lsas_flooded += flooded
+            self._obs.metrics.counter("lsa.flooded").inc(flooded)
 
     def on_control_packet(self, packet: Packet, sender: str) -> None:
         """Receive a batch of flooded LSAs (after a processing delay)."""
@@ -280,24 +284,27 @@ class LinkStateProtocol:
         self.stats.fib_installs += 1
         obs = self._obs
         fib = self.switch.fib
+        previous = self._installed
         withdrawals = tuple(sorted(
-            prefix for prefix in self._installed if prefix not in routes
+            prefix for prefix in previous if prefix not in routes
         ))
-        replaced: Set[Prefix] = set()
-        installs: List[FibEntry] = []
-        for prefix in sorted(routes):
-            next_hops = routes[prefix]
-            current = self._installed.get(prefix)
-            if current is not None:
-                if current.next_hops == next_hops:
-                    continue
-                replaced.add(prefix)
-            installs.append(FibEntry(prefix, next_hops, source=SOURCE))
+        # diff first, sort only what changed: a download after one link
+        # event touches a handful of prefixes out of the whole table
+        changed = sorted(
+            prefix
+            for prefix, next_hops in routes.items()
+            if (old := previous.get(prefix)) is None
+            or old.next_hops != next_hops
+        )
+        replaced = {prefix for prefix in changed if prefix in previous}
+        installs = [
+            FibEntry(prefix, routes[prefix], source=SOURCE) for prefix in changed
+        ]
         fib.apply_delta(FibDelta(tuple(installs), withdrawals))
         for prefix in withdrawals:
-            del self._installed[prefix]
+            del previous[prefix]
         for entry in installs:
-            self._installed[entry.prefix] = entry
+            previous[entry.prefix] = entry
         withdrawn = len(withdrawals)
         installed = len(installs)
         # per-prefix change names feed the trace's fib_delta spans; only

@@ -168,6 +168,10 @@ def warm_start_linkstate(
         for prefix in routes_by_origin[origin]
     })
 
+    # switches of one pod and role route most prefixes over the same next
+    # hops, so each distinct (prefix, next_hops) entry is built once and
+    # the immutable object shared by every FIB that holds it
+    shared: Dict[Tuple[Prefix, Tuple[str, ...]], FibEntry] = {}
     for name in sorted(instances):
         protocol = instances[name]
         protocol.lsdb.load(reference)
@@ -175,12 +179,17 @@ def warm_start_linkstate(
         protocol.stats.lsas_originated += 1
         protocol._spf_engine = OracleSpfEngine(name, oracle)
         routes = routes_by_origin.get(name, {})
-        installs = tuple(
-            FibEntry(prefix, routes[prefix], source=SOURCE)
-            for prefix in prefix_order
-            if prefix in routes
-        )
-        protocol.switch.fib.bulk_load(installs)
+        installs: List[FibEntry] = []
+        for prefix in prefix_order:
+            next_hops = routes.get(prefix)
+            if next_hops is None:
+                continue
+            key = (prefix, next_hops)
+            entry = shared.get(key)
+            if entry is None:
+                entry = shared[key] = FibEntry(prefix, next_hops, source=SOURCE)
+            installs.append(entry)
+        protocol.switch.fib.bulk_load(tuple(installs))
         protocol._installed = {entry.prefix: entry for entry in installs}
         protocol.stats.fib_installs += 1
     return instances

@@ -1,4 +1,4 @@
-"""Unit tests for the longest-prefix-match FIB trie."""
+"""Unit tests for the longest-prefix-match FIB."""
 
 from __future__ import annotations
 
@@ -94,6 +94,20 @@ class TestFibBasics:
             fib.install(entry(cidr))
         assert {str(e.prefix) for e in fib.entries()} == cidrs
 
+    def test_entries_order_is_network_then_length(self):
+        """Replay bundles and FIB snapshots inherit this order."""
+        fib = Fib()
+        cidrs = [
+            "10.11.0.0/24", "10.10.0.0/15", "10.11.0.7/32", "0.0.0.0/0",
+            "10.11.0.0/16", "10.2.0.0/24", "10.11.0.0/32", "10.10.0.0/16",
+        ]
+        for cidr in cidrs:
+            fib.install(entry(cidr))
+        assert [str(e.prefix) for e in fib.entries()] == [
+            "0.0.0.0/0", "10.2.0.0/24", "10.10.0.0/15", "10.10.0.0/16",
+            "10.11.0.0/16", "10.11.0.0/24", "10.11.0.0/32", "10.11.0.7/32",
+        ]
+
     def test_clear(self):
         fib = Fib()
         fib.install(entry("10.0.0.0/8"))
@@ -128,8 +142,9 @@ def prefix_strategy(draw):
     st.lists(prefix_strategy(), min_size=1, max_size=40),
     st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), min_size=1, max_size=20),
 )
-def test_trie_agrees_with_brute_force(prefixes, addresses):
-    """The trie's match chain must equal a brute-force scan, always."""
+def test_matches_agree_with_brute_force(prefixes, addresses):
+    """The match chain must equal a brute-force scan, always, and
+    ``entries()`` must come out sorted by ``(network, length)``."""
     fib = Fib()
     reference = {}
     for index, prefix in enumerate(prefixes):
@@ -142,6 +157,10 @@ def test_trie_agrees_with_brute_force(prefixes, addresses):
         expected = _brute_force_matches(reference, address)
         actual = list(fib.matches(address))
         assert [e.prefix for e in actual] == [e.prefix for e in expected]
+    assert list(fib.entries()) == [
+        reference[prefix]
+        for prefix in sorted(reference, key=lambda p: (p.network, p.length))
+    ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,11 @@ These tests pin the contract:
    for an empty delta;
 3. per-entry churn counters advance exactly as the equivalent sequence
    of ``install``/``withdraw`` calls would (batching-independent audit
-   trail), with absent withdrawals ignored.
+   trail), with absent withdrawals ignored;
+4. ``bulk_load`` of a batch in any order, duplicate prefixes included,
+   equals the per-call ``install`` sequence but for its single bump;
+5. withdrawing the last entry of a prefix length (the length-indexed
+   table drops that length) leaves every other match chain intact.
 """
 
 from __future__ import annotations
@@ -110,6 +114,60 @@ def test_delta_counters_match_percall_sequence(old, new):
     assert batched.installs == percall.installs
     assert batched.withdrawals == percall.withdrawals
     assert len(batched) == len(percall)
+
+
+_batch = st.lists(
+    st.tuples(st.sampled_from(_PREFIXES), st.sampled_from(["n1", "n2", "n3"])),
+    max_size=3 * len(_PREFIXES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(old=_table, batch=_batch)
+def test_bulk_load_equals_percall_installs(old, batch):
+    """Unsorted batches and repeated prefixes (last one wins) included."""
+    entries = tuple(
+        FibEntry(prefix, (hop,), source="test") for prefix, hop in batch
+    )
+    bulk = _build(old)
+    generation_before = bulk.generation
+    bulk.bulk_load(entries)
+
+    percall = _build(old)
+    for entry in entries:
+        percall.install(entry)
+
+    assert list(bulk.entries()) == list(percall.entries())
+    assert len(bulk) == len(percall)
+    assert bulk.installs == percall.installs
+    assert bulk.withdrawals == percall.withdrawals
+    assert bulk.generation == generation_before + (1 if entries else 0)
+    for address in _probes():
+        assert bulk.chain(address) == tuple(percall.matches(address))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_table, data=st.data())
+def test_withdrawing_a_whole_length_leaves_other_chains_intact(table, data):
+    length = data.draw(st.sampled_from(_LENGTHS))
+    fib = _build(table)
+    victims = [prefix for prefix in sorted(table) if prefix.length == length]
+    expected = {
+        address: [e for e in fib.matches(address) if e.prefix.length != length]
+        for address in _probes()
+    }
+    fib.apply_delta(FibDelta(withdrawals=tuple(victims)))
+    assert len(fib) == len(table) - len(victims)
+    for address, chain in expected.items():
+        assert list(fib.matches(address)) == chain
+        assert list(fib.chain(address)) == chain
+    # the length comes back as if it had never left
+    restored = tuple(FibEntry(p, table[p], source="test") for p in victims)
+    fib.bulk_load(restored)
+    rebuilt = _build(table)
+    assert list(fib.entries()) == list(rebuilt.entries())
+    for address in _probes():
+        assert list(fib.matches(address)) == list(rebuilt.matches(address))
 
 
 def test_empty_delta_is_a_noop():

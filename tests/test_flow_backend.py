@@ -40,6 +40,7 @@ from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
 from repro.experiments.common import build_bundle
 from repro.failures.injector import FailureEvent, schedule_failures
+from repro.net.fib import FibDelta, FibEntry
 from repro.sim.engine import Simulator
 from repro.sim.flow.warmstart import warm_start_linkstate
 from repro.sim.units import milliseconds, seconds
@@ -192,6 +193,41 @@ def test_warm_start_reconverges_like_event_driven_after_failure():
         return snapshot_fibs(network)
 
     assert run(warm=True) == run(warm=False)
+
+
+def test_warm_start_shares_fib_entries_across_switches():
+    """Each distinct (prefix, next hops) entry is built once per warm
+    start and the immutable object installed on every switch that routes
+    that way; the tables themselves stay per switch."""
+    topology = fat_tree(8)
+    network = Network(topology, Simulator(), NetworkParams())
+    warm_start_linkstate(network)
+    tor_a, tor_b = network.switch("tor-0-0"), network.switch("tor-0-1")
+    remote = topology.node("tor-7-3").subnet
+    probe = remote.address(1)
+    shared = tor_a.fib.exact(remote)
+    assert shared is not None and shared is tor_b.fib.exact(remote)
+
+    held = [e for switch in network.switches() for e in switch.fib.entries()]
+    assert len(held) == sum(len(switch.fib) for switch in network.switches())
+    assert len({id(e) for e in held}) * 4 < len(held)
+    # sharing is by value only: one object per distinct route
+    assert len({id(e) for e in held}) == len({(e.prefix, e.next_hops) for e in held})
+
+    # a download on one switch swaps its own table slot, nothing else
+    generation_b = tor_b.fib.generation
+    tor_a.fib.apply_delta(FibDelta(
+        (FibEntry(remote, shared.next_hops[:1], source="test"),),
+    ))
+    assert tor_a.fib.lookup(probe).next_hops == shared.next_hops[:1]
+    assert tor_b.fib.lookup(probe) is shared
+    assert tor_b.fib.generation == generation_b
+
+    # the intern table dies with the call: a second fabric gets its own
+    other = Network(fat_tree(8), Simulator(), NetworkParams())
+    warm_start_linkstate(other)
+    again = other.switch("tor-0-0").fib.exact(remote)
+    assert again == shared and again is not shared
 
 
 # --------------------------------------------------------- seeded mutant

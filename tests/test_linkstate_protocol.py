@@ -7,8 +7,12 @@ import pytest
 
 from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
+from repro.net.fib import FibDelta, FibEntry
 from repro.net.ip import Prefix
-from repro.routing.linkstate import deploy_linkstate
+from repro.obs import Observability
+from repro.obs.trace import EV_FIB_INSTALL
+from repro.routing.linkstate import SOURCE, LinkStateProtocol, deploy_linkstate
+from repro.sim.engine import Simulator
 from repro.sim.units import milliseconds, seconds
 from repro.topology.fattree import fat_tree
 from repro.topology.graph import NodeKind
@@ -178,6 +182,66 @@ class TestFibUpdateDelay:
         assert proto.stats.fib_installs == installs_before
         net.sim.run(until=t0 + milliseconds(340))
         assert proto.stats.fib_installs == installs_before + 1
+
+
+def _sort_everything_download(installed, routes):
+    """The pre-"diff first" download: walk ``sorted(routes)`` in full."""
+    withdrawals = tuple(sorted(p for p in installed if p not in routes))
+    installs, changes = [], [f"-{p}" for p in withdrawals]
+    for prefix in sorted(routes):
+        current = installed.get(prefix)
+        if current is not None and current.next_hops == routes[prefix]:
+            continue
+        installs.append(FibEntry(prefix, routes[prefix], source=SOURCE))
+        changes.append(f"{'+' if current is None else '~'}{prefix}")
+    return FibDelta(tuple(installs), withdrawals), changes
+
+
+class TestFibDownloadOrder:
+    def test_delta_and_trace_are_prefix_sorted_whatever_the_dict_order(self):
+        sim = Simulator(Observability(enabled=True))
+        net = Network(fat_tree(4), sim, NetworkParams())
+        switch = net.switch("tor-0-0")
+        proto = LinkStateProtocol(sim, switch, net.params, switch_neighbors=())
+        rack = [Prefix(f"10.{i}.0.0/24") for i in range(6)]
+        loopback = Prefix("10.3.0.7/32")
+        # previous download and new table both in anti-prefix dict order
+        previous = {
+            p: FibEntry(p, ("a", "b"), source=SOURCE) for p in reversed(rack[:5])
+        }
+        proto._installed = dict(previous)
+        routes = {
+            rack[5]: ("a",),          # new
+            loopback: ("b",),         # new, sorts between rack[3] and rack[4]
+            rack[3]: ("b",),          # replaced
+            rack[1]: ("a",),          # replaced
+            rack[0]: ("a", "b"),      # unchanged; rack[2], rack[4] withdrawn
+        }
+        assert list(routes) != sorted(routes)
+        applied = []
+        apply_delta = switch.fib.apply_delta
+
+        def recording_apply_delta(delta):
+            applied.append(delta)
+            apply_delta(delta)
+
+        switch.fib.apply_delta = recording_apply_delta
+
+        proto._pending_routes = dict(routes)
+        proto._install_pending()
+
+        want_delta, want_changes = _sort_everything_download(previous, routes)
+        assert applied == [want_delta]
+        assert list(want_delta.installs) == sorted(
+            want_delta.installs, key=lambda e: e.prefix
+        )
+        (event,) = sim.obs.trace.events(kind=EV_FIB_INSTALL)
+        assert event.data["changes"] == want_changes == [
+            "-10.2.0.0/24", "-10.4.0.0/24",
+            "~10.1.0.0/24", "~10.3.0.0/24", "+10.3.0.7/32", "+10.5.0.0/24",
+        ]
+        assert (event.data["installed"], event.data["withdrawn"]) == (4, 2)
+        assert proto.routes == {p: FibEntry(p, h, source=SOURCE) for p, h in routes.items()}
 
 
 class TestStats:
