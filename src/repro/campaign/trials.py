@@ -256,6 +256,9 @@ def run_flow_fig6_trial(
         "average_concurrency": result.average_concurrency,
         "background_completed": result.background_completed,
         "background_total": result.background_total,
+        # recomputes / solves / path-cache hits per cell, so a report can
+        # show them without rerunning
+        "backend_stats": dict(sorted(result.backend_stats.items())),
     }
     for q in QUANTILES:
         payload[f"fct_p{q}_ms"] = to_milliseconds(result.stats.percentile(q))

@@ -296,12 +296,12 @@ def _corrupt_fair_share(bundle: Any) -> None:
     original = model.solver
 
     def starved(
-        paths: Any,
+        incidence: Any,
         capacity: Any,
-        demand: Any = None,
+        demand: Any,
         _original: Callable[..., Dict[object, float]] = original,
     ) -> Dict[object, float]:
-        return {name: 0.0 for name in _original(paths, capacity, demand)}
+        return {name: 0.0 for name in _original(incidence, capacity, demand)}
 
     model.solver = starved
 
@@ -337,11 +337,11 @@ def _corrupt_vector_engine(bundle: Any) -> None:
     from ..sim.flow.fairshare import max_min_rates as _solve
 
     def drifted(
-        paths: Any,
+        incidence: Any,
         capacity: Any,
-        demand: Any = None,
+        demand: Any,
     ) -> Dict[object, float]:
-        rates = _solve(paths, capacity, demand, engine="numpy")
+        rates = _solve(incidence, capacity, demand, engine="numpy")
         return {name: rate * 0.5 for name, rate in sorted(rates.items())}
 
     model.solver = drifted

@@ -12,8 +12,8 @@ stays fast — set ``REPRO_FULL_SCALE=1`` for the paper-scale run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from ..dataplane.params import NetworkParams
 from ..failures.injector import (
@@ -70,6 +70,10 @@ class PartitionAggregateResult:
     average_concurrency: float
     background_completed: int
     background_total: int
+    #: the traffic backend's own counters — the fluid model's
+    #: :meth:`~repro.sim.flow.model.FluidTrafficModel.stats` (recomputes,
+    #: solves, path resolutions / cache hits); empty for the packet run
+    backend_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def deadline_miss_ratio(self) -> float:
@@ -187,6 +191,7 @@ def run_flow_partition_aggregate(
         average_concurrency=avg_concurrency,
         background_completed=background.completed,
         background_total=len(background.flows),
+        backend_stats=model.stats(),
     )
 
 

@@ -52,6 +52,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    overload,
 )
 
 try:  # numpy is an optional accelerator, never a requirement
@@ -78,7 +79,8 @@ SHARE_EPS = 1e-12
 
 
 class FairShareError(ValueError):
-    """A flow crosses a link with no declared capacity."""
+    """A flow crosses a link with no declared capacity (or a prebuilt
+    incidence does not match its capacity / demand vectors)."""
 
 
 def have_numpy() -> bool:
@@ -109,9 +111,14 @@ class FlowIncidence:
     dict-based solver counted it).  Flows crossing no links are excluded:
     their rate is demand-only and never touches the water-filling.
 
-    Built once per solve by :func:`build_incidence` and shared by both
-    engines *and* the :func:`link_loads` test helper, so every consumer
-    agrees on link identity by construction.
+    :func:`build_incidence` derives one from path dicts (columns are
+    then the sorted crossed links); a caller that keeps its rows between
+    solves — the fluid model interns each flow's row at path resolution —
+    assembles one directly and hands it to :func:`max_min_rates`.  Any
+    column numbering gives the same rates (only row order and in-row
+    order reach the float trajectory), and uncrossed columns are inert.
+    Both engines *and* the :func:`link_loads` test helper read this one
+    structure, so every consumer agrees on link identity by construction.
     """
 
     flow_ids: Tuple[FlowId, ...]
@@ -276,7 +283,7 @@ def _solve_numpy(
     n_flows = len(inc.flow_ids)
     n_links = len(inc.link_ids)
     indptr, indices = inc.arrays
-    remaining = _np.asarray(caps, dtype=_np.float64)
+    remaining = _np.array(caps, dtype=_np.float64)  # a copy: mutated below
     counts = _np.bincount(indices, minlength=n_links)
     rates = _np.zeros(n_flows, dtype=_np.float64)
 
@@ -345,10 +352,28 @@ def _solve_numpy(
 # ---------------------------------------------------------------- public
 
 
+@overload
 def max_min_rates(
     paths: Mapping[FlowId, Sequence[LinkId]],
     capacity: Mapping[LinkId, float],
     demand: Optional[Mapping[FlowId, float]] = None,
+    engine: str = "auto",
+) -> Dict[FlowId, float]: ...
+
+
+@overload
+def max_min_rates(
+    paths: FlowIncidence,
+    capacity: Sequence[float],
+    demand: Optional[Sequence[float]] = None,
+    engine: str = "auto",
+) -> Dict[FlowId, float]: ...
+
+
+def max_min_rates(
+    paths: Any,
+    capacity: Any,
+    demand: Any = None,
     engine: str = "auto",
 ) -> Dict[FlowId, float]:
     """Max-min fair rates for ``paths`` over per-link ``capacity``.
@@ -361,28 +386,41 @@ def max_min_rates(
     (``"auto"`` prefers numpy when importable); both engines return
     bitwise-identical rates.
 
+    Alternatively ``paths`` is a prebuilt :class:`FlowIncidence`;
+    ``capacity`` is then a sequence aligned with its columns and
+    ``demand`` one aligned with its rows (``inf`` for elastic flows),
+    and no incidence is built here.
+
     Returns a rate per flow in the same unit as ``capacity``.  The result
     is a pure function of the three mappings: iteration order of the
     inputs never matters.
     """
-    demands: Mapping[FlowId, float] = demand or {}
     resolved = _resolve_engine(engine)
-    inc = build_incidence(paths, capacity)
-    routed = set(inc.flow_ids)
     rates: Dict[FlowId, float] = {}
-    for fid in sorted(paths):  # type: ignore[type-var]
-        if fid not in routed:
-            cap = demands.get(fid)
-            rates[fid] = float(cap) if cap is not None else math.inf
-    caps = [float(capacity[link]) for link in inc.link_ids]
-    dems = [
-        float(demands[fid]) if fid in demands else math.inf
-        for fid in inc.flow_ids
-    ]
+    if isinstance(paths, FlowIncidence):
+        inc = paths
+        caps = capacity
+        dems = demand if demand is not None else [math.inf] * len(inc)
+        if len(caps) != len(inc.link_ids) or len(dems) != len(inc):
+            raise FairShareError(
+                f"incidence is {len(inc)} flows x {len(inc.link_ids)} links, "
+                f"got {len(dems)} demands and {len(caps)} capacities"
+            )
+    else:
+        demands: Mapping[FlowId, float] = demand or {}
+        inc = build_incidence(paths, capacity)
+        routed = set(inc.flow_ids)
+        for fid in sorted(paths):
+            if fid not in routed:
+                cap = demands.get(fid)
+                rates[fid] = float(cap) if cap is not None else math.inf
+        caps = [float(capacity[link]) for link in inc.link_ids]
+        dems = [
+            float(demands[fid]) if fid in demands else math.inf
+            for fid in inc.flow_ids
+        ]
     solve = _solve_numpy if resolved == "numpy" else _solve_python
-    solved = solve(inc, caps, dems)
-    for row, fid in enumerate(inc.flow_ids):
-        rates[fid] = solved[row]
+    rates.update(zip(inc.flow_ids, solve(inc, caps, dems)))
     return rates
 
 

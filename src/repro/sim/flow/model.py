@@ -31,19 +31,27 @@ notifications within one simulated instant into a single recompute
 event at :data:`PRIORITY_FLOW` — after control-plane and delivery
 events of the same instant, before the checker's probes.
 
-A recompute is itself **incremental** (DESIGN §13).  Listeners record
-*which node* changed, and a per-flow path cache remembers the set of
-nodes each resolution consulted — ``trace_route`` appends a node to the
-path before reading any of its state, so the path's node set *is* the
-consulted-state set, and a cached path stays provably valid while none
-of its nodes change.  Only flows whose solver input actually moved —
-path or demand — are re-solved, together with every flow sharing their
-(old or new) bottleneck component; max-min allocations decompose
-exactly over connected components of the flow/link sharing graph, so
-rates of untouched components are reused verbatim.  When the affected
-set is a large fraction of the active flows (or the flow population is
-small) the model falls back to one full solve, whose float trajectory
-matches the non-incremental reference bit for bit.
+A recompute does work **proportional to what changed** (DESIGN §13),
+on solver state that persists between recomputes:
+
+* Listeners record *which node* changed, and a per-flow path cache
+  remembers the set of nodes each resolution consulted — ``trace_route``
+  appends a node to the path before reading any of its state, so the
+  path's node set *is* the consulted-state set, and a cached path stays
+  provably valid while none of its nodes change.  A resolution also
+  interns the path's links as solver columns, once, so a flow's
+  incidence row is built per *path resolution*, not per solve.
+* Active flows are kept in sorted-name order (the solver's canonical
+  row order), and one pass per recompute integrates each reliable flow
+  to ``now`` and derives the demand cap the solver would see.
+* If no solver input moved — no live path changed, no cap flipped
+  between paced and draining, no solved flow departed — the recompute
+  ends there without a solve.  Otherwise it runs **one full solve**
+  over the persistent rows; there is no partial re-solve.  (Max-min
+  does decompose over connected components of the flow/link sharing
+  graph, but a loaded fat tree is one giant component: the
+  component-scoped solve this model once had ran on 4 of 880 solves of
+  the Fig 6 cell while its bookkeeping cost 17 % of the wall time.)
 
 What the fluid view *cannot* observe (documented in DESIGN §11):
 per-packet ECMP spraying (a flow follows one hashed path), transient
@@ -55,13 +63,15 @@ store-and-forward latency).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import accumulate, chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...net.packet import PROTO_UDP
 from ..engine import Simulator
 from ..units import Time, transmission_delay
-from .fairshare import max_min_rates
+from .fairshare import FlowId, FlowIncidence, max_min_rates
 
 #: Priority for fluid-model recompute events: after control events
 #: (failures, timers, FIB installs at 0) and packet deliveries (10) of
@@ -75,11 +85,6 @@ _CREDIT_EPS = 1e-9
 
 #: A directed link as the solver identifies it: (from node, to node).
 _Link = Tuple[str, str]
-
-#: One flow's solver-visible state: (links crossed, demand cap or None
-#: for elastic).  ``None`` as a whole means "not in the solve" (no live
-#: path).  Rates must be recomputed exactly when this value moves.
-_SolverInput = Optional[Tuple[Tuple[_Link, ...], Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,11 @@ class FlowSpec:
     start: Time = 0
     stop: Time = 0
     reliable: bool = False
+    #: offered rate in bytes/ns (derived; read on every recompute)
+    demand: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def demand(self) -> float:
-        """Offered rate in bytes/ns."""
-        return self.packet_bytes / self.interval
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "demand", self.packet_bytes / self.interval)
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,15 @@ class _ResolvedPath:
     reading its FIB, its detected adjacencies, or the actual state of a
     link it terminates — so while none of these nodes is reported
     changed, re-resolving is guaranteed to reproduce this exact result.
+    ``columns`` is the flow's incidence row: the model's solver column
+    of each link, in path order (empty while there is no live path).
     """
 
     links: Optional[Tuple[_Link, ...]]
     delay: Time
     hops: int
     visited: Tuple[str, ...]
+    columns: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -154,8 +162,16 @@ class FluidFlow:
     delivered: float = 0.0
     #: simulated time up to which ``delivered`` is accurate
     advanced_to: Time = 0
+    #: offered minus delivered bytes at ``advanced_to`` (reliable flows)
+    backlog: float = 0.0
+    #: demand cap last handed to the solver: the paced offer rate, or
+    #: ``inf`` while a reliable flow drains its backlog elastically
+    cap: float = field(init=False)
     active: bool = False
     closed_at: Optional[Time] = None
+
+    def __post_init__(self) -> None:
+        self.cap = self.spec.demand
 
     # ------------------------------------------------------------ queries
 
@@ -298,16 +314,6 @@ class FluidTrafficModel:
     attaches one automatically when ``params.backend == "flow"``.
     """
 
-    #: Incremental re-solving engages only above this many active flows;
-    #: below it a full solve is cheap and keeps small scenarios bit-
-    #: identical to the non-incremental reference the engine tests pin.
-    INCREMENTAL_MIN_ACTIVE = 64
-    #: Fall back to a full solve when the affected flows reach this
-    #: fraction of the active population (the subset solve would not be
-    #: meaningfully cheaper, and the full path is simpler to reason
-    #: about under churn).
-    FULL_SOLVE_FRACTION = 0.5
-
     def __init__(self, network: "object") -> None:
         # typed loosely to avoid a dataplane import cycle; the attribute
         # uses below define the real interface (Network)
@@ -317,13 +323,16 @@ class FluidTrafficModel:
         #: fair-share engine for the default solver ("auto" | "numpy" |
         #: "python"); both engines are bitwise-identical, so this is a
         #: speed knob only
-        self.engine: str = getattr(self.params, "flow_engine", "auto")
+        self.engine: str = self.params.flow_engine
         #: the fair-share solver — an instance seam so seeded mutants can
         #: corrupt it (mirroring the incremental-SPF corruption mutant)
-        self.solver: Callable[..., Dict[str, float]] = self._default_solver
+        self.solver: Callable[..., Dict[FlowId, float]] = self._default_solver
         self.flows: Dict[str, FluidFlow] = {}
         self._active: Dict[str, FluidFlow] = {}
-        self._reliable_active: Set[str] = set()
+        #: active flow names in sorted order — the solver's row order —
+        #: and the reliable ones among them
+        self._order: List[str] = []
+        self._reliable: List[str] = []
         self._pending_at: Optional[Time] = None
         self._drain_handles: Dict[str, object] = {}
         #: reliable flows whose drain prediction may have moved since the
@@ -335,33 +344,36 @@ class FluidTrafficModel:
         self._flows_by_node: Dict[str, Set[str]] = {}
         self._changed_nodes: Set[str] = set()
         self._needs_resolve: Set[str] = set()
-        # --- incremental solve state (last solve's frozen outputs) ---
-        self._last_inputs: Dict[str, _SolverInput] = {}
-        self._last_rates: Dict[str, float] = {}
-        self._departed: Set[str] = set()
-        self._link_comp: Dict[_Link, int] = {}
-        self._comp_members: Dict[int, Set[str]] = {}
-        self._comp_links: Dict[int, Set[_Link]] = {}
-        self._comp_counter = 0
+        # --- persistent solver state ---
+        #: solver column of every link a resolved path has crossed, in
+        #: first-seen order, and the matching ids / capacities (rebuilt
+        #: only when a solve finds new columns)
+        self._link_column: Dict[_Link, int] = {}
+        self._link_ids: Tuple[_Link, ...] = ()
+        self._capacity: List[float] = []
+        #: a solved flow left since the last solve
+        self._solved_departed = False
+        #: the last solve's rates, by flow (what the segments in force
+        #: were cut from; the from-scratch oracle test compares these)
+        self._last_rates: Dict[FlowId, float] = {}
         #: lifetime counters (surfaced through trial stats)
         self.recomputes = 0
         self.notifications = 0
         self.path_resolutions = 0
         self.path_cache_hits = 0
         self.full_solves = 0
-        self.incremental_solves = 0
         self._subscribe()
 
     def _default_solver(
         self,
-        paths: Dict[str, Tuple[_Link, ...]],
-        capacity: Dict[_Link, float],
-        demand: Optional[Dict[str, float]] = None,
-    ) -> Dict[str, float]:
+        incidence: FlowIncidence,
+        capacity: Sequence[float],
+        demand: Sequence[float],
+    ) -> Dict[FlowId, float]:
         """Solve with the configured engine (``self.solver`` stays an
-        instance attribute so mutants can wrap it)."""
-        rates = max_min_rates(paths, capacity, demand, engine=self.engine)
-        return {str(name): rate for name, rate in sorted(rates.items())}
+        instance attribute so mutants can wrap it).  Goes through the
+        module-level name on every call: host-side tracing rebinds it."""
+        return max_min_rates(incidence, capacity, demand, engine=self.engine)
 
     # -------------------------------------------------------- subscriptions
 
@@ -447,18 +459,34 @@ class FluidTrafficModel:
         self.sim.schedule_at(stop, self._on_stop, flow, priority=PRIORITY_FLOW)
         return flow
 
-    def add_paced_flow(self, *args: object, **kwargs: object) -> FluidFlow:
+    def add_paced_flow(
+        self,
+        name: str,
+        src: str,
+        dst: str,
+        dport: int,
+        sport: int,
+        protocol: int = PROTO_UDP,
+        packet_bytes: int = 1448,
+        interval: Time = 100_000,
+        start: Time = 0,
+        stop: Time = 0,
+    ) -> FluidFlow:
         """A reliable (paced-TCP-like) flow: same knobs as
         :meth:`add_cbr_flow` with backlog-and-drain semantics."""
-        kwargs["reliable"] = True
-        return self.add_cbr_flow(*args, **kwargs)  # type: ignore[arg-type]
+        return self.add_cbr_flow(
+            name, src, dst, dport, sport, protocol=protocol,
+            packet_bytes=packet_bytes, interval=interval, start=start,
+            stop=stop, reliable=True,
+        )
 
     def _activate(self, flow: FluidFlow) -> None:
         flow.active = True
         name = flow.spec.name
         self._active[name] = flow
+        insort(self._order, name)
         if flow.spec.reliable:
-            self._reliable_active.add(name)
+            insort(self._reliable, name)
         self._needs_resolve.add(name)
         self._recompute()
 
@@ -469,7 +497,7 @@ class FluidTrafficModel:
             return
         if flow.spec.reliable:
             self._advance(flow, self.sim.now)
-            if flow.offered_bytes(self.sim.now) - flow.delivered > 0.5:
+            if flow.backlog > 0.5:
                 # the offer rate drops to 0 here, so the drain
                 # prediction (if any) must be redone even if the
                 # fair-share rate does not move
@@ -484,36 +512,45 @@ class FluidTrafficModel:
         self._advance(flow, self.sim.now)
         flow.active = False
         name = flow.spec.name
-        self._active.pop(name, None)
-        self._reliable_active.discard(name)
+        del self._active[name]
+        del self._order[bisect_left(self._order, name)]
+        if flow.spec.reliable:
+            del self._reliable[bisect_left(self._reliable, name)]
         self._needs_resolve.discard(name)
         self._drain_dirty.discard(name)
         cached = self._path_cache.pop(name, None)
         if cached is not None:
             self._unregister(name, cached.visited)
+            if cached.links is not None:
+                self._solved_departed = True
         handle = self._drain_handles.pop(name, None)
         if handle is not None:
             handle.cancel()  # type: ignore[attr-defined]
-        self._departed.add(name)
         self._recompute()
 
     # ----------------------------------------------------------- recompute
 
     def _advance(self, flow: FluidFlow, to: Time) -> None:
-        """Integrate the flow's delivered bytes up to ``to``."""
-        if to <= flow.advanced_to:
+        """Integrate the flow's delivered bytes up to ``to`` (and a
+        reliable flow's backlog there)."""
+        elapsed = to - flow.advanced_to
+        if elapsed <= 0:
             return
-        rate = flow.segments[-1].rate if flow.segments else 0.0
-        flow.delivered += rate * (to - flow.advanced_to)
+        segments = flow.segments
+        if segments:
+            flow.delivered += segments[-1].rate * elapsed
+        flow.advanced_to = to
         if flow.spec.reliable:
             # delivery can never outrun the offer (drain events split
             # segments at the catch-up instant; this caps float drift)
-            flow.delivered = min(flow.delivered, flow.offered_bytes(to))
-        flow.advanced_to = to
+            offered = flow.offered_bytes(to)
+            if flow.delivered > offered:
+                flow.delivered = offered
+            flow.backlog = offered - flow.delivered
 
     def _resolve(self, spec: FlowSpec) -> _ResolvedPath:
         """The flow's path right now, with the node set the resolution
-        consulted (the cache invalidation key)."""
+        consulted (the cache invalidation key) and its incidence row."""
         path, complete = self.network.trace_route(  # type: ignore[attr-defined]
             spec.src, spec.dst, spec.protocol, spec.sport, spec.dport,
             check_actual=True,
@@ -526,7 +563,9 @@ class FluidTrafficModel:
         per_hop = tx + self.params.propagation_delay
         switches = max(0, len(path) - 2)
         delay = len(links) * per_hop + switches * self.params.switch_processing_delay
-        return _ResolvedPath(links, delay, switches, visited)
+        column = self._link_column
+        columns = tuple(column.setdefault(link, len(column)) for link in links)
+        return _ResolvedPath(links, delay, switches, visited, columns)
 
     def _unregister(self, name: str, visited: Iterable[str]) -> None:
         for node in visited:
@@ -536,24 +575,20 @@ class FluidTrafficModel:
                 if not members:
                     del self._flows_by_node[node]
 
-    def _refresh_paths(self, now: Time) -> Set[str]:
+    def _refresh_paths(self, now: Time) -> bool:
         """Re-resolve every flow whose cached path may be stale (it
-        consulted a changed node, or it was never resolved); returns the
-        flows whose resolved links actually changed."""
+        consulted a changed node, or it was never resolved); returns
+        whether any flow's resolved links actually changed."""
         active = self._active
-        stale: Set[str] = set()
+        resolve = self._needs_resolve
+        self._needs_resolve = set()
         if self._changed_nodes:
             by_node = self._flows_by_node
             for node in sorted(self._changed_nodes):
-                members = by_node.get(node)
-                if members:
-                    stale |= members
+                resolve.update(by_node.get(node, ()))
             self._changed_nodes = set()
-        resolve = {name for name in stale if name in active}
-        resolve |= self._needs_resolve
-        self._needs_resolve = set()
         self.path_cache_hits += len(active) - len(resolve)
-        input_changed: Set[str] = set()
+        links_changed = False
         for name in sorted(resolve):
             flow = active[name]
             old = self._path_cache.get(name)
@@ -565,205 +600,74 @@ class FluidTrafficModel:
                 for node in resolved.visited:
                     self._flows_by_node.setdefault(node, set()).add(name)
             self._path_cache[name] = resolved
-            if old is None or old.links != resolved.links:
-                input_changed.add(name)
+            if resolved.links != (old.links if old is not None else None):
+                links_changed = True
             if resolved.links is None:
                 self._advance(flow, now)
                 self._append_segment(flow, now, 0.0, 0, 0)
                 if flow.spec.reliable:
                     # a pending drain prediction is void on a dead path
                     self._drain_dirty.add(name)
-        return input_changed
-
-    def _solver_input(self, flow: FluidFlow, now: Time) -> _SolverInput:
-        """What the solver would see for this flow right now (requires
-        reliable flows advanced to ``now``); None = no live path."""
-        cached = self._path_cache.get(flow.spec.name)
-        if cached is None or cached.links is None:
-            return None
-        spec = flow.spec
-        if spec.reliable and (
-            flow.offered_bytes(now) - flow.delivered > 0.5 or now >= spec.stop
-        ):
-            # backlogged: drain elastically at the fair-share rate
-            return (cached.links, None)
-        return (cached.links, spec.demand)
+        return links_changed
 
     def _recompute(self) -> None:
-        """Re-resolve stale paths, then re-solve fair shares for the
-        affected flows only (module docstring / DESIGN §13)."""
+        """Re-resolve stale paths, bring reliable flows up to ``now``,
+        and re-solve fair shares if any solver input moved (module
+        docstring / DESIGN §13)."""
         now = self.sim.now
         self.recomputes += 1
+        moved = self._refresh_paths(now) or self._solved_departed
+        self._solved_departed = False
+        # reliable flows' demand caps depend on their backlog at `now`:
+        # backlogged (or past their stop) they drain elastically
         active = self._active
-
-        # reliable flows' demands depend on their backlog at `now`
-        for name in sorted(self._reliable_active):
-            self._advance(active[name], now)
-
-        input_changed = self._refresh_paths(now)
-
-        changed: Set[str] = set()
-        for name in sorted(input_changed | self._reliable_active):
-            flow = active.get(name)
-            if flow is None:
-                continue
-            fresh_input = self._solver_input(flow, now)
-            if self._last_inputs.get(name) != fresh_input:
-                changed.add(name)
-        departed = {n for n in self._departed if n in self._last_inputs}
-        self._departed = set()
-        moved = changed | departed
-        if not moved:
-            self._schedule_drains(now)
-            return
-
-        # links whose sharing changed: every link a moved flow used to
-        # cross, plus every link a changed flow now crosses
-        touched: Set[_Link] = set()
-        for name in moved:
-            old = self._last_inputs.get(name)
-            if old is not None:
-                touched.update(old[0])
-        for name in changed:
-            cached = self._path_cache.get(name)
-            if cached is not None and cached.links is not None:
-                touched.update(cached.links)
-        comps = {self._link_comp[link] for link in touched if link in self._link_comp}
-        scope: Set[str] = set(changed)
-        for comp in sorted(comps):
-            scope |= self._comp_members.get(comp, set())
-        solvable: List[str] = []
-        for name in sorted(scope):
-            flow = active.get(name)
-            if flow is None:
-                continue
-            cached = self._path_cache.get(name)
-            if cached is not None and cached.links is not None:
-                solvable.append(name)
-        # moved flows that left the solve (departed, or path died) drop
-        # out of the frozen state
-        keep = set(solvable)
-        for name in sorted(moved):
-            if name not in keep:
-                self._last_inputs.pop(name, None)
-                self._last_rates.pop(name, None)
-
-        n_active = len(active)
-        if (
-            n_active < self.INCREMENTAL_MIN_ACTIVE
-            or len(solvable) >= self.FULL_SOLVE_FRACTION * n_active
-        ):
-            self._solve(now, sorted(active), full=True)
-        else:
-            self._invalidate_components(comps)
-            self._solve(now, solvable, full=False)
+        cache = self._path_cache
+        for name in self._reliable:
+            flow = active[name]
+            self._advance(flow, now)
+            spec = flow.spec
+            cap = (
+                math.inf if flow.backlog > 0.5 or now >= spec.stop
+                else spec.demand
+            )
+            if cap != flow.cap:
+                flow.cap = cap
+                if cache[name].links is not None:
+                    moved = True
+        if moved:
+            self._solve(now)
         self._schedule_drains(now)
 
-    def _solve(self, now: Time, names: List[str], full: bool) -> None:
-        """Run the fair-share solver over ``names`` (dead-path flows are
-        skipped) and emit the resulting segments.
-
-        ``full=True`` replaces the entire frozen state; ``full=False``
-        assumes the caller already invalidated every component the
-        solved flows can touch, and splices the subset's rates into the
-        frozen state — exact because no flow outside the subset shares a
-        link with it (max-min decomposes over sharing components).
-        """
+    def _solve(self, now: Time) -> None:
+        """One full fair-share solve over every active flow with a live
+        path, from the rows interned at path resolution, and the
+        resulting segments."""
         active = self._active
-        bytes_per_ns = self.params.link_rate_gbps / 8.0
-        paths: Dict[str, Tuple[_Link, ...]] = {}
-        demand: Dict[str, float] = {}
-        capacity: Dict[_Link, float] = {}
-        inputs: Dict[str, _SolverInput] = {} if full else self._last_inputs
-        for name in names:
-            flow = active[name]
-            cached = self._path_cache.get(name)
-            if cached is None or cached.links is None:
-                continue
-            new_input = self._solver_input(flow, now)
-            assert new_input is not None
-            inputs[name] = new_input
-            links, dem = new_input
-            paths[name] = links
-            if dem is not None:
-                demand[name] = dem
-            for link in links:
-                capacity[link] = bytes_per_ns
-        rates = self.solver(paths, capacity, demand)
-        if full:
-            self.full_solves += 1
-            self._last_inputs = inputs
-            self._last_rates = {}
-            self._link_comp = {}
-            self._comp_members = {}
-            self._comp_links = {}
-        else:
-            self.incremental_solves += 1
-        self._assign_components(paths)
-        for name in sorted(paths):
-            flow = active[name]
-            cached = self._path_cache[name]
-            rate = float(rates[name])
-            self._last_rates[name] = rate
-            self._advance(flow, now)
-            self._append_segment(flow, now, rate, cached.delay, cached.hops)
+        cache = self._path_cache
+        names = [name for name in self._order if cache[name].links is not None]
+        paths = [cache[name] for name in names]
+        flows = [active[name] for name in names]
+        if len(self._link_ids) != len(self._link_column):
+            # a resolution since the last solve crossed a new link
+            self._link_ids = tuple(self._link_column)
+            bytes_per_ns = self.params.link_rate_gbps / 8.0
+            self._capacity = [bytes_per_ns] * len(self._link_ids)
+        incidence = FlowIncidence(
+            flow_ids=tuple(names),
+            link_ids=self._link_ids,
+            indptr=(0, *accumulate(len(path.columns) for path in paths)),
+            indices=tuple(chain.from_iterable(path.columns for path in paths)),
+        )
+        rates = self.solver(incidence, self._capacity, [flow.cap for flow in flows])
+        self.full_solves += 1
+        self._last_rates = rates
+        dirty = self._drain_dirty
+        for name, flow, path in zip(names, flows, paths):
             if flow.spec.reliable:
-                self._drain_dirty.add(name)
-
-    # ----------------------------------------------- sharing components
-
-    def _invalidate_components(self, comps: Iterable[int]) -> None:
-        for comp in sorted(comps):
-            for link in self._comp_links.pop(comp, ()):
-                self._link_comp.pop(link, None)
-            self._comp_members.pop(comp, None)
-
-    def _assign_components(self, paths: Dict[str, Tuple[_Link, ...]]) -> None:
-        """Group the solved flows into connected components of the
-        link-sharing graph (union-find over their links) and record the
-        membership under fresh component ids.  Every link here is
-        unassigned by construction: a full solve cleared the maps, an
-        incremental one invalidated every component it can touch."""
-        if not paths:
-            return
-        parent: Dict[_Link, _Link] = {}
-
-        def find(link: _Link) -> _Link:
-            root = link
-            while parent[root] != root:
-                root = parent[root]
-            while parent[link] != root:
-                parent[link], link = root, parent[link]
-            return root
-
-        for name in sorted(paths):
-            links = paths[name]
-            first = links[0]
-            if first not in parent:
-                parent[first] = first
-            anchor = find(first)
-            for link in links[1:]:
-                if link not in parent:
-                    parent[link] = anchor
-                else:
-                    root = find(link)
-                    if root != anchor:
-                        parent[root] = anchor
-        comp_of_root: Dict[_Link, int] = {}
-        for name in sorted(paths):
-            root = find(paths[name][0])
-            cid = comp_of_root.get(root)
-            if cid is None:
-                self._comp_counter += 1
-                cid = self._comp_counter
-                comp_of_root[root] = cid
-                self._comp_members[cid] = set()
-                self._comp_links[cid] = set()
-            self._comp_members[cid].add(name)
-        for link in sorted(parent):
-            cid = comp_of_root[find(link)]
-            self._link_comp[link] = cid
-            self._comp_links[cid].add(link)
+                dirty.add(name)  # already at `now`: the recompute's pass
+            else:
+                self._advance(flow, now)
+            self._append_segment(flow, now, rates[name], path.delay, path.hops)
 
     # -------------------------------------------------------------- output
 
@@ -784,23 +688,22 @@ class FluidTrafficModel:
         its backlog empties — the rate changes there (drain -> paced)
         without any network event to trigger a recompute.  Flows whose
         rate and offer rate did not move keep their scheduled drain: the
-        prediction is linear, so it stays correct."""
+        prediction is linear, so it stays correct.  (Every dirty flow is
+        reliable and was advanced to ``now`` by the recompute.)"""
         if not self._drain_dirty:
             return
         dirty = self._drain_dirty
         self._drain_dirty = set()
         for name in sorted(dirty):
-            flow = self._active.get(name)
-            if flow is None:
-                continue
+            flow = self._active[name]
             spec = flow.spec
             old = self._drain_handles.pop(name, None)
             if old is not None:
                 old.cancel()  # type: ignore[attr-defined]
-            if not spec.reliable or not flow.segments:
+            if not flow.segments:
                 continue
             rate = flow.segments[-1].rate
-            backlog = flow.offered_bytes(now) - flow.delivered
+            backlog = flow.backlog
             if rate <= 0.0 or backlog <= 0.5:
                 continue
             offer_rate = spec.demand if now < spec.stop else 0.0
@@ -837,7 +740,9 @@ class FluidTrafficModel:
                 flow.closed_at = now
 
     def stats(self) -> Dict[str, int]:
-        """JSON-safe model counters for trial stats / flight recorder."""
+        """JSON-safe model counters for trial stats / flight recorder.
+        ``incremental_solves`` is kept for readers of earlier artifacts:
+        every solve is a full one (module docstring)."""
         return {
             "flows": len(self.flows),
             "recomputes": self.recomputes,
@@ -845,5 +750,5 @@ class FluidTrafficModel:
             "path_resolutions": self.path_resolutions,
             "path_cache_hits": self.path_cache_hits,
             "full_solves": self.full_solves,
-            "incremental_solves": self.incremental_solves,
+            "incremental_solves": 0,
         }

@@ -63,6 +63,8 @@ class TestFigureSixSmoke:
     def test_all_requests_issued(self, results):
         fat, f2 = results
         assert fat.stats.total == 60 and f2.stats.total == 60
+        # the packet run has no fluid model to report on
+        assert fat.backend_stats == {} and f2.backend_stats == {}
 
     def test_f2tree_misses_no_more_deadlines(self, results):
         fat, f2 = results

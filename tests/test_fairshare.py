@@ -19,6 +19,7 @@ regression is attributable, not just "a property failed".
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -28,6 +29,7 @@ import repro.sim.flow.fairshare as fairshare
 from repro.sim.flow.fairshare import (
     ENGINES,
     FairShareError,
+    FlowIncidence,
     build_incidence,
     have_numpy,
     link_loads,
@@ -306,6 +308,50 @@ def test_incidence_is_canonical_and_counts_repeats():
 def test_incidence_validation_names_the_flow_and_link():
     with pytest.raises(FairShareError, match=r"'bad'.*'nope'"):
         build_incidence({"bad": ["nope"]}, {"L0": 1.0})
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@settings(max_examples=100, deadline=None)
+@given(instance=instances, seed=st.randoms(use_true_random=False))
+def test_prebuilt_incidence_with_any_column_numbering_is_bitwise_equal(
+    engine, instance, seed
+):
+    """The fluid model hands the solver its own incidence: rows in sorted
+    flow order, columns in whatever order it interned the links, some of
+    them crossed by no flow.  Rates must not notice."""
+    if engine == "numpy" and not have_numpy():
+        pytest.skip("numpy not installed")
+    caps, paths, demand = instance
+    want = max_min_rates(paths, caps, demand, engine=engine)
+    routed = sorted(fid for fid, links in paths.items() if links)
+    columns = sorted(caps) + ["idle"]  # a column nothing crosses
+    seed.shuffle(columns)
+    index = {link: i for i, link in enumerate(columns)}
+    rows = [[index[link] for link in paths[fid]] for fid in routed]
+    inc = FlowIncidence(
+        flow_ids=tuple(routed),
+        link_ids=tuple(columns),
+        indptr=(0, *itertools.accumulate(len(row) for row in rows)),
+        indices=tuple(itertools.chain.from_iterable(rows)),
+    )
+    capacity = [caps.get(link, 1.0) for link in columns]
+    got = max_min_rates(
+        inc, capacity, [demand.get(fid, math.inf) for fid in routed], engine=engine
+    )
+    assert list(got) == routed
+    assert {fid: rate.hex() for fid, rate in got.items()} == {
+        fid: want[fid].hex() for fid in routed
+    }
+    assert capacity == [caps.get(link, 1.0) for link in columns]  # not consumed
+
+
+def test_prebuilt_incidence_must_match_its_vectors():
+    inc = build_incidence({"a": ["L0"], "b": ["L0", "L1"]})
+    assert max_min_rates(inc, [1.0, 1.0]) == {"a": 0.5, "b": 0.5}
+    with pytest.raises(FairShareError, match="2 flows x 2 links"):
+        max_min_rates(inc, [1.0])
+    with pytest.raises(FairShareError, match="2 flows x 2 links"):
+        max_min_rates(inc, [1.0, 1.0], [0.25])
 
 
 # ------------------------------------------------- known instances

@@ -112,6 +112,7 @@ def test_flow_fig6_experiment_cell():
     assert result.stats.total == 10
     assert result.stats.censored_at is not None
     assert result.background_total == 5
+    assert result.backend_stats["flows"] == 10 * 8 + 5
     assert 0.0 <= result.deadline_miss_ratio <= 1.0
     p50, p95, p99 = (result.stats.percentile(q) for q in QUANTILES)
     assert p50 <= p95 <= p99
@@ -133,3 +134,10 @@ def test_flow_fig6_trial_kind():
     assert all(k in payload for k in quantile_keys)
     p50, p95, p99 = (payload[k] for k in quantile_keys)
     assert p50 <= p95 <= p99
+    # the model's own counters ride along, keys sorted, so a report can
+    # show recomputes / solves / cache hit ratio per cell
+    stats = payload["backend_stats"]
+    assert list(stats) == sorted(stats)
+    assert stats["flows"] == 8 * 8 + 4
+    assert 0 < stats["full_solves"] <= stats["recomputes"]
+    assert stats["path_cache_hits"] > stats["path_resolutions"] > 0
