@@ -9,19 +9,23 @@ fat-tree ~270 ms only under C7.
 from __future__ import annotations
 
 from repro.experiments.conditions import (
-    plan_scenario,
     conditions_topology,
     render_figure_four,
+    run_condition,
     run_figure_four,
 )
 from repro.failures.scenarios import render_table_four, all_scenarios
+from repro.sim.units import milliseconds
 
 
 def test_bench_fig4_conditions(benchmark, emit):
     rows = benchmark.pedantic(run_figure_four, rounds=1, iterations=1)
 
     topo = conditions_topology("f2tree")
-    _scenario, path = plan_scenario(topo, "C1")
+    # the path every F2Tree UDP cell planned its scenario against
+    path = run_condition(
+        "f2tree", "C1", flow_duration=milliseconds(500), drain=milliseconds(100)
+    ).result.path_before
     table_four = render_table_four(all_scenarios(topo, path))
     emit(
         "Table IV (instantiated against the measured flow path):\n"

@@ -53,7 +53,6 @@ from .conditions import (
     DelayProfile,
     FigureFourRow,
     conditions_topology,
-    plan_scenario,
     render_figure_five,
     render_figure_four,
     run_condition,
@@ -122,7 +121,6 @@ __all__ = [
     "DelayProfile",
     "FigureFourRow",
     "conditions_topology",
-    "plan_scenario",
     "render_figure_five",
     "render_figure_four",
     "run_condition",

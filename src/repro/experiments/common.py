@@ -1,7 +1,8 @@
 """Shared experiment machinery.
 
 Builds a ready-to-run bundle from a topology description: simulator,
-runtime network, a link-state protocol instance per switch, and — when the
+runtime network, a link-state protocol instance per switch (cold-started
+on the packet backend, warm-started on the fluid one), and — when the
 topology has across links — the F²Tree backup-route configuration.  Also
 provides the paper's host-selection convention ("from the leftmost end
 host to the rightmost one").
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.backup_routes import configure_backup_routes
 from ..dataplane.network import Network
@@ -29,6 +30,9 @@ from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from ..sim.units import Time, seconds
 from ..topology.graph import LinkKind, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.flow.warmstart import BatchRouteOracle
 
 #: default settling time before traffic starts: initial flooding + SPF +
 #: FIB install finish well within a second; 3 s also lets the SPF hold
@@ -58,6 +62,10 @@ class Bundle:
     #: the fluid data plane when ``params.backend == 'flow'``
     #: (a :class:`repro.sim.flow.FluidTrafficModel`)
     flow_model: Optional[object] = None
+    #: the shared batch-SPF oracle behind a warm-started link-state
+    #: control plane (read-only provenance: its run / hit counters);
+    #: ``None`` for cold-started bundles
+    route_oracle: Optional[BatchRouteOracle] = None
 
     def converge(self, until: Time = DEFAULT_WARMUP) -> None:
         """Run the control plane until the network has settled."""
@@ -88,6 +96,15 @@ def build_bundle(
     ``routing_options`` is a :class:`~repro.routing.pathvector.PathVectorParams`),
     or ``centralized`` (the §V SDN setting; ``routing_options`` is a
     :class:`~repro.routing.centralized.ControllerParams`).
+    The backend selects the start as well as the data plane: a
+    link-state bundle with ``params.backend == "flow"`` is **warm
+    started** (:func:`~repro.sim.flow.warmstart.warm_start_linkstate`,
+    loopbacks advertised) — converged at construction with no simulator
+    event, its SPF backed by the shared oracle kept on
+    :attr:`Bundle.route_oracle` — while a packet bundle floods its way
+    to convergence event by event and is the reference the fluid one is
+    compared against.  From ``DEFAULT_WARMUP`` on the two hold identical
+    FIBs and LSDBs and throttle SPF identically.
     ``obs`` attaches an :class:`~repro.obs.Observability` facade to the
     simulator (pass ``Observability(enabled=True)`` to record a trace);
     omitted, the bundle gets the disabled no-op default.
@@ -105,8 +122,20 @@ def build_bundle(
     if backend not in ("packet", "flow"):
         raise ValueError(f"unknown backend {backend!r} (use 'packet' or 'flow')")
     controller: Optional[CentralizedController] = None
-    if routing == "linkstate":
-        protocols: Dict[str, object] = dict(deploy_linkstate(network))
+    route_oracle: Optional[BatchRouteOracle] = None
+    if routing == "linkstate" and backend == "flow":
+        # local import: the fluid backend is optional machinery layered
+        # on top of the dataplane, not a dependency of every experiment
+        from ..sim.flow import warmstart
+
+        route_oracle = warmstart.BatchRouteOracle()
+        protocols: Dict[str, object] = dict(
+            warmstart.warm_start_linkstate(
+                network, advertise_loopbacks=True, oracle=route_oracle
+            )
+        )
+    elif routing == "linkstate":
+        protocols = dict(deploy_linkstate(network))
     elif routing == "pathvector":
         options = routing_options
         if options is not None and not isinstance(options, PathVectorParams):
@@ -132,8 +161,8 @@ def build_bundle(
     )
     flow_model = None
     if backend == "flow":
-        # local import: the fluid backend is optional machinery layered
-        # on top of the dataplane, not a dependency of every experiment
+        # attached only after the bulk FIB load and the backup statics:
+        # neither install batch should fan out route notifications
         from ..sim.flow import FluidTrafficModel
 
         flow_model = FluidTrafficModel(network)
@@ -147,6 +176,7 @@ def build_bundle(
         routing=routing,
         controller=controller,
         flow_model=flow_model,
+        route_oracle=route_oracle,
     )
 
 

@@ -22,18 +22,10 @@ from ..failures.scenarios import (
     ConditionScenario,
     build_scenario,
 )
-from ..net.packet import PROTO_UDP
 from ..sim.units import to_milliseconds
 from ..topology.fattree import fat_tree
 from ..topology.graph import Topology
-from .common import leftmost_host, rightmost_host
-from .recovery import (
-    RecoveryResult,
-    UDP_PORT,
-    UDP_SPORT,
-    reroute_delay_microseconds,
-    run_recovery,
-)
+from .recovery import RecoveryResult, reroute_delay_microseconds, run_recovery
 
 
 def conditions_topology(kind: str, ports: int = 8, across_ports: int = 2) -> Topology:
@@ -72,34 +64,6 @@ class ConditionRun:
         return loss <= milliseconds(100)
 
 
-def plan_scenario(
-    topology: Topology, label: str, transport: str = "udp"
-) -> Tuple[ConditionScenario, List[str]]:
-    """Instantiate scenario ``label`` against the converged flow path.
-
-    Uses a throwaway bundle to trace the path the experiment's flow will
-    hash onto (tracing is deterministic for a given topology and seed).
-    ECMP hashes the five-tuple, so the UDP probe flow and the TCP flow
-    take different paths — the scenario must target the path of the flow
-    actually being measured.
-    """
-    from ..net.packet import PROTO_TCP
-    from .common import build_bundle
-    from .recovery import TCP_PORT
-
-    bundle = build_bundle(topology)
-    bundle.converge()
-    src, dst = leftmost_host(topology), rightmost_host(topology)
-    if transport == "udp":
-        proto, sport, dport = PROTO_UDP, UDP_SPORT, UDP_PORT
-    else:
-        proto, sport, dport = PROTO_TCP, 33000, TCP_PORT
-    path, complete = bundle.network.trace_route(src, dst, proto, sport, dport)
-    if not complete:
-        raise RuntimeError(f"no converged path for scenario planning: {path}")
-    return build_scenario(label, topology, path), path
-
-
 def run_condition(
     kind: str,
     label: str,
@@ -112,17 +76,24 @@ def run_condition(
 ) -> ConditionRun:
     """Run one Table IV condition on one topology.
 
-    Extra keyword arguments (``flow_duration``, ``drain``, ...) pass
-    through to :func:`repro.experiments.recovery.run_recovery`.
+    The scenario is instantiated inside the run, against the path the
+    measured flow takes on the trial's own converged network (ECMP
+    hashes the five-tuple, so the UDP probe and the TCP flow take
+    different paths) — one network per trial, planned under the caller's
+    ``params`` and ``seed``.  Extra keyword arguments (``flow_duration``,
+    ``drain``, ...) pass through to
+    :func:`repro.experiments.recovery.run_recovery`.
     """
     if kind == "fat-tree" and label not in FAT_TREE_LABELS:
         raise ValueError(f"{label} involves across links; fat tree has none")
     topology = conditions_topology(kind, ports, across_ports)
-    scenario, _path = plan_scenario(topology, label, transport)
     result = run_recovery(
-        topology, transport, scenario=scenario, params=params, seed=seed,
+        topology, transport, scenario_label=label, params=params, seed=seed,
         **recovery_kwargs,
     )
+    # the run planned the scenario on its own converged network, against
+    # the path its measured flow hashed onto; rebuild it for the analysis
+    scenario = build_scenario(label, topology, result.path_before)
     analysis = None
     if kind == "f2tree":
         analysis = analyze_scenario(

@@ -72,7 +72,8 @@ class PartitionAggregateResult:
     background_total: int
     #: the traffic backend's own counters — the fluid model's
     #: :meth:`~repro.sim.flow.model.FluidTrafficModel.stats` (recomputes,
-    #: solves, path resolutions / cache hits); empty for the packet run
+    #: solves, path resolutions / cache hits) plus the warm start's
+    #: ``batch_spf_runs`` / ``batch_spf_hits``; empty for the packet run
     backend_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -153,8 +154,8 @@ def run_flow_partition_aggregate(
     flow_params = (params or NetworkParams()).with_overrides(backend="flow")
     bundle = build_bundle(topology, params=flow_params, seed=config.seed)
     bundle.converge(DEFAULT_WARMUP)
-    model = bundle.flow_model
-    assert isinstance(model, FluidTrafficModel)
+    model, oracle = bundle.flow_model, bundle.route_oracle
+    assert isinstance(model, FluidTrafficModel) and oracle is not None
 
     workload = FlowPartitionAggregateWorkload(
         bundle.network, model, bundle.streams, n_requests=config.n_requests
@@ -191,7 +192,13 @@ def run_flow_partition_aggregate(
         average_concurrency=avg_concurrency,
         background_completed=background.completed,
         background_total=len(background.flows),
-        backend_stats=model.stats(),
+        # the oracle's hit ratio rides with the model's counters, so a
+        # report shows how often post-failure SPF shared a batch run
+        backend_stats={
+            **model.stats(),
+            "batch_spf_runs": oracle.batch_runs,
+            "batch_spf_hits": oracle.hits,
+        },
     )
 
 

@@ -4,7 +4,7 @@ The event-driven protocol computes each router's SPF separately — the
 right model for convergence dynamics, but a k=32 fat tree needs 1280
 route tables just to *start* converged, and 1280 sequential Dijkstras in
 Python is what caps the packet backend at k≈8.  This module computes
-every origin's ``(dist, first_hops, routes)`` in one shot:
+every origin's route table in one shot:
 
 * the two-way graph comes from the LSDB fingerprint (indexed once via
   :func:`repro.routing.spf_incremental.graph_info`) and is flattened to
@@ -33,7 +33,7 @@ from ..net.ip import Prefix
 from ..topology.compact import CompactGraph
 from .lsdb import Lsdb
 from .spf import RouteTable, compute_routes
-from .spf_incremental import SpfState, graph_info
+from .spf_incremental import graph_info
 
 try:  # numpy is an optional accelerator, never a requirement
     import numpy as _np
@@ -207,59 +207,3 @@ def batch_compute_routes(
             s, origin, nbr_names, dist_row, bits_row, own, adv_by_prefix, memo
         )
     return result
-
-
-def batch_spf_states(
-    lsdb: Lsdb, engine: str = "auto"
-) -> Dict[str, SpfState]:
-    """Complete :class:`SpfState` per origin — the warm-start payload.
-
-    Seeding each protocol instance's incremental engine with its state
-    makes the *next* SPF run after a failure a single-edge patch instead
-    of a from-scratch Dijkstra, which is what keeps post-warm-start
-    failure handling fast on large fabrics.
-    """
-    resolved = _resolve_engine(engine)
-    fingerprint = lsdb.fingerprint()
-    info = graph_info(fingerprint)
-    if resolved == "python":
-        from .spf_incremental import full_state
-
-        return {
-            origin: full_state(origin, lsdb)
-            for origin in sorted(info.adjacency)
-        }
-    graph = CompactGraph.from_adjacency(info.adjacency)
-    dist = _distance_matrix(graph)
-    adv_by_prefix = _advertisers(graph, info.prefixes)
-    states: Dict[str, SpfState] = {}
-    for s, nbr_names, dist_row, bits_row in _origin_rows(graph, dist):
-        origin = graph.names[s]
-        own = frozenset(info.prefixes.get(origin, ()))
-        tuple_memo: Dict[int, Tuple[str, ...]] = {}
-        set_memo: Dict[int, frozenset] = {}
-        dist_map: Dict[str, int] = {}
-        hop_map: Dict[str, frozenset] = {}
-        for t, d in enumerate(dist_row):
-            if d < 0:
-                continue
-            bits = bits_row[t]
-            hops = set_memo.get(bits)
-            if hops is None:
-                hops = frozenset(_unpack(bits, nbr_names, tuple_memo))
-                set_memo[bits] = hops
-            name = graph.names[t]
-            dist_map[name] = d
-            hop_map[name] = hops
-        routes = _aggregate(
-            s, origin, nbr_names, dist_row, bits_row, own,
-            adv_by_prefix, tuple_memo,
-        )
-        states[origin] = SpfState(
-            origin=origin,
-            fingerprint=fingerprint,
-            dist=dist_map,
-            first_hops=hop_map,
-            routes=routes,
-        )
-    return states

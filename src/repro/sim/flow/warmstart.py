@@ -27,6 +27,18 @@ a conventionally-converged network.  ``tests/test_flow_backend.py``
 pins that equivalence: on small fabrics the warm-started FIBs are
 identical to event-driven convergence.
 
+Two callers: :func:`repro.experiments.common.build_bundle` warm-starts
+every ``backend="flow"`` link-state bundle (loopbacks advertised, so the
+fluid bundle and its cold-started packet twin hold identical FIBs — the
+packet cold start is the reference the cross-backend differential
+compares against), and :func:`repro.experiments.flowscale.
+run_flow_scale_trial` warm-starts its k=24..48 fabrics without
+loopbacks.  A warm instance has never run SPF, so its throttle sits in
+the quiet state a cold instance returns to once its hold window has
+expired — the two behave identically from ``spf_initial_delay +
+spf_hold`` after the cold start's last SPF run, which
+``DEFAULT_WARMUP`` exceeds.
+
 The module reaches into ``LinkStateProtocol``'s private warm state
 (``_seq``, ``_installed``, ``_spf_engine``) deliberately — it is the
 protocol's second constructor, not an external consumer.

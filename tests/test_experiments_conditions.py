@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.conditions import run_condition
+from repro.dataplane.network import Network
+from repro.dataplane.params import NetworkParams
+from repro.experiments.conditions import conditions_topology, run_condition
 from repro.experiments.recovery import reroute_delay_microseconds
+from repro.failures.scenarios import build_scenario
 from repro.sim.units import milliseconds, seconds
 
 FAST = dict(flow_duration=seconds(1.5), drain=milliseconds(500))
@@ -94,3 +97,47 @@ class TestFatTreeConditions:
     def test_across_scenarios_rejected_on_fat_tree(self):
         with pytest.raises(ValueError):
             run_condition("fat-tree", "C6", "udp")
+
+
+class TestScenarioPlanning:
+    """The scenario is planned on the trial's own network: against the
+    path the measured flow takes there, under the caller's parameters —
+    not on a throwaway default-parameter network converged beforehand."""
+
+    @pytest.mark.parametrize(
+        "kind,label,transport",
+        [("f2tree", "C1", "udp"), ("f2tree", "C4", "tcp"), ("fat-tree", "C1", "udp")],
+    )
+    def test_one_network_per_run(self, monkeypatch, kind, label, transport):
+        built = []
+        init = Network.__init__
+
+        def counting_init(self, topology, sim=None, params=None, plan=None):
+            built.append(params)
+            init(self, topology, sim, params, plan)
+
+        monkeypatch.setattr(Network, "__init__", counting_init)
+        params = NetworkParams(lsa_size_bytes=128)
+        run = run_condition(
+            kind, label, transport, params=params, seed=5,
+            flow_duration=milliseconds(500), drain=milliseconds(100),
+        )
+        assert built == [params]
+        assert run.result.transport == transport
+        assert set(run.result.failed_links) == set(run.scenario.failed)
+
+    @pytest.mark.parametrize("label", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+    def test_f2tree_scenario_follows_the_measured_path(self, f2_runs, label):
+        self._check(f2_runs[label], "f2tree", label)
+
+    @pytest.mark.parametrize("label", ["C1", "C4", "C5"])
+    def test_fat_tree_scenario_follows_the_measured_path(self, fat_runs, label):
+        self._check(fat_runs[label], "fat-tree", label)
+
+    @staticmethod
+    def _check(run, kind, label):
+        planned = build_scenario(
+            label, conditions_topology(kind), run.result.path_before
+        )
+        assert run.scenario == planned
+        assert run.result.failed_links == tuple(planned.failed)

@@ -13,7 +13,10 @@ FIBs.  This suite pins that along three axes:
   convergence on fat tree — the discrimination the paper is about);
 * warm-start equivalence: the batch-constructed control plane is
   FIB-identical to event-driven convergence, before and after a
-  failure;
+  failure — for bare networks, and for whole bundles: a fluid bundle
+  (warm) against its packet twin (cold, the reference) on all four
+  fuzz families, and a fluid Fig 6 cell against the same cell on a
+  cold-started fluid network;
 * the seeded ``flow-fairshare-corrupted`` mutant proves the harness
   would actually notice a broken fluid solver.
 """
@@ -35,16 +38,31 @@ from repro.check.differential import (
     run_flow_selftest,
 )
 from repro.check.execute import execute_check, snapshot_fibs
+from repro.core.backup_routes import configure_backup_routes
 from repro.core.f2tree import f2tree
 from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
-from repro.experiments.common import build_bundle
+from repro.experiments import partition_aggregate as fig6
+from repro.experiments.common import (
+    DEFAULT_WARMUP,
+    Bundle,
+    build_bundle,
+    leftmost_host,
+    rightmost_host,
+)
+from repro.experiments.recovery import default_failed_links
 from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.fib import FibDelta, FibEntry
+from repro.net.packet import PROTO_UDP
+from repro.obs import EV_FIB_INSTALL, EV_SPF_SCHEDULE, Observability
+from repro.routing.linkstate import deploy_linkstate
 from repro.sim.engine import Simulator
-from repro.sim.flow.warmstart import warm_start_linkstate
+from repro.sim.flow import FluidTrafficModel
+from repro.sim.flow.warmstart import BatchRouteOracle, warm_start_linkstate
+from repro.sim.randomness import RandomStreams
 from repro.sim.units import milliseconds, seconds
 from repro.topology.fattree import fat_tree
+from repro.topology.graph import LinkKind
 from repro.topology.leafspine import leaf_spine
 from repro.topology.vl2 import vl2
 
@@ -228,6 +246,178 @@ def test_warm_start_shares_fib_entries_across_switches():
     warm_start_linkstate(other)
     again = other.switch("tor-0-0").fib.exact(remote)
     assert again == shared and again is not shared
+
+
+# ----------------------------------- warm = cold at the bundle level
+#
+# A ``backend="flow"`` bundle starts converged (warm start, zero
+# events); its ``backend="packet"`` twin floods its way there and is the
+# reference.  The two must be indistinguishable from the warm-up on.
+
+BUNDLE_FAMILIES = [
+    pytest.param(lambda: fat_tree(4), id="fat-tree-4"),
+    pytest.param(lambda: f2tree(6, across_ports=2), id="f2tree-6"),
+    pytest.param(lambda: leaf_spine(4, 2), id="leaf-spine-4"),
+    pytest.param(lambda: vl2(4, 4), id="vl2-4"),
+]
+
+
+def _warm_and_cold(build):
+    """The same topology as a converged fluid and a converged packet
+    bundle, tracing switched on once both have settled."""
+    bundles = []
+    for backend in ("flow", "packet"):
+        bundle = build_bundle(
+            build(), params=NetworkParams(backend=backend), obs=Observability()
+        )
+        bundle.converge()
+        bundle.obs.enable()
+        bundles.append(bundle)
+    return bundles
+
+
+def _fib_sources(network):
+    return {
+        switch.name: sorted(
+            (str(entry.prefix), entry.source) for entry in switch.fib.entries()
+        )
+        for switch in network.switches()
+    }
+
+
+@pytest.mark.parametrize("build", BUNDLE_FAMILIES)
+def test_fluid_bundle_starts_where_packet_bundle_converges(build):
+    warm, cold = _warm_and_cold(build)
+    assert warm.route_oracle is not None and cold.route_oracle is None
+    assert warm.flow_model is not None and cold.flow_model is None
+    # the warm-up costs the fluid bundle nothing: no event was simulated
+    assert warm.sim.now == cold.sim.now == DEFAULT_WARMUP
+    assert warm.sim.events_processed == 0 < cold.sim.events_processed
+    assert warm.flow_model.notifications == 0
+
+    assert snapshot_fibs(warm.network) == snapshot_fibs(cold.network)
+    # backup statics (installed after the bulk load) included
+    sources = _fib_sources(warm.network)
+    assert sources == _fib_sources(cold.network)
+    has_statics = any(
+        source == "static" for table in sources.values() for _, source in table
+    )
+    assert has_statics == (warm.backup_config is not None)
+    assert sorted(warm.protocols) == sorted(cold.protocols)
+    for name in sorted(cold.protocols):
+        assert (
+            warm.protocols[name].lsdb.fingerprint()
+            == cold.protocols[name].lsdb.fingerprint()
+        ), name
+
+
+@pytest.mark.parametrize("build", BUNDLE_FAMILIES)
+def test_fluid_bundle_reconverges_like_packet_bundle(build):
+    """One link failure after the warm-up: both control planes throttle
+    SPF identically (the cold start's hold window has expired, so both
+    see the initial delay) and hold equal FIBs at every FIB-download
+    instant on the way to the new converged state."""
+    warm, cold = _warm_and_cold(build)
+    params = cold.network.params
+    topology = cold.topology
+    path, complete = cold.network.trace_route(
+        leftmost_host(topology), rightmost_host(topology), PROTO_UDP, 10001, 7000
+    )
+    assert complete
+    fail_at = DEFAULT_WARMUP + milliseconds(100)
+    for bundle in (warm, cold):
+        schedule_failures(
+            bundle.network,
+            [FailureEvent(fail_at, a, b) for a, b in default_failed_links(path)],
+        )
+    settled = (
+        fail_at + params.detection_delay + params.spf_initial_delay
+        + 4 * params.fib_update_delay
+    )
+    for now in range(fail_at, settled + 1, params.fib_update_delay):
+        warm.sim.run(until=now)
+        cold.sim.run(until=now)
+        assert snapshot_fibs(warm.network) == snapshot_fibs(cold.network), now
+
+    def spf_schedules(bundle):
+        return [
+            (event.time, event.node, event.data["delay"], event.data["hold"])
+            for event in bundle.obs.trace.events(EV_SPF_SCHEDULE)
+        ]
+
+    def fib_downloads(bundle):
+        return [
+            (event.time, event.node, event.data["changes"])
+            for event in bundle.obs.trace.events(EV_FIB_INSTALL)
+        ]
+
+    schedules = spf_schedules(cold)
+    assert schedules and spf_schedules(warm) == schedules
+    assert {(delay, hold) for _, _, delay, hold in schedules} == {
+        (params.spf_initial_delay, params.spf_hold)
+    }
+    downloads = fib_downloads(cold)
+    assert fib_downloads(warm) == downloads
+    assert any(changes for _, _, changes in downloads)
+    # the failure was answered by shared batch runs, not per-origin SPF
+    oracle = warm.route_oracle
+    assert oracle.batch_runs + oracle.hits == 1 + len(schedules)
+
+
+def _cold_fluid_bundle(topology, params=None, seed=1):
+    """A fluid bundle built the way every one was before fluid bundles
+    warm-started: event-driven link-state deployment, fluid model
+    attached before the initial flood."""
+    sim = Simulator()
+    network = Network(topology, sim, params)
+    protocols = dict(deploy_linkstate(network))
+    has_across = any(
+        link.kind is LinkKind.ACROSS for link in topology.links.values()
+    )
+    backup_config = configure_backup_routes(network) if has_across else None
+    return Bundle(
+        topology=topology, sim=sim, network=network, protocols=protocols,
+        backup_config=backup_config, streams=RandomStreams(seed),
+        flow_model=FluidTrafficModel(network),
+        # nothing computes through it: its counters stay 0
+        route_oracle=BatchRouteOracle(),
+    )
+
+
+# the smallest fabric of each kind (a 4-port F²Tree cannot form its rings)
+@pytest.mark.parametrize("kind, ports", [("fat-tree", 4), ("f2tree", 6)])
+def test_fig6_cell_is_the_same_from_a_cold_started_fluid_network(
+    kind, ports, monkeypatch
+):
+    """A seeded Fig 6 cell on the fluid backend: every request and every
+    background transfer starts and completes at the same instant whether
+    the network warm-started or flooded its way to convergence, and the
+    model did the same work — minus the V cold-start FIB downloads it no
+    longer hears about."""
+    config = fig6.PartitionAggregateConfig(
+        duration=seconds(4), n_requests=10, n_background_flows=5,
+        ports=ports, seed=3,
+    )
+    warm = fig6.run_flow_partition_aggregate(kind, config)
+    monkeypatch.setattr(fig6, "build_bundle", _cold_fluid_bundle)
+    cold = fig6.run_flow_partition_aggregate(kind, config)
+
+    assert warm.stats.records == cold.stats.records
+    assert any(r.completed_at is not None for r in warm.stats.records)
+    assert warm.n_failures == cold.n_failures > 0
+    assert warm.background_completed == cold.background_completed
+    switches = len(fig6.conditions_topology(kind, ports).switches())
+    moved = {
+        key: cold.backend_stats[key] - value
+        for key, value in warm.backend_stats.items()
+        if cold.backend_stats[key] != value
+    }
+    assert moved == {
+        "notifications": switches,
+        "batch_spf_runs": -warm.backend_stats["batch_spf_runs"],
+        "batch_spf_hits": -warm.backend_stats["batch_spf_hits"],
+    }
+    assert 0 < warm.backend_stats["batch_spf_runs"] < warm.backend_stats["batch_spf_hits"]
 
 
 # --------------------------------------------------------- seeded mutant

@@ -14,7 +14,8 @@ not disturb:
    and path cache, solve them with the python engine, and require the
    model's rates to be *bitwise* equal.
 2. **Schedule pin** — a seeded Fig 6 cell's recompute / resolution /
-   solve / event counts, recorded before the recompute was rebuilt.
+   solve counts, recorded before the recompute was rebuilt, and its
+   event count on a warm-started bundle.
 3. **No input moved, no solve** — a recompute that changes nothing the
    solver sees performs zero ``max_min_rates`` calls.
 4. **Cache accounting** — a change re-resolves only the flows whose
@@ -157,10 +158,16 @@ def test_rates_equal_from_scratch_oracle_after_every_recompute(flaps):
 
 
 def test_fig6_cell_schedule_is_pinned(monkeypatch):
-    """The recompute *schedule* of a seeded Fig 6 cell, verbatim from
-    before the recompute was rebuilt on persistent state (commit
-    e9fd776): the rebuild may change what a recompute costs, never when
-    one happens, how many paths it re-resolves or how many solves run."""
+    """The recompute *schedule* of a seeded Fig 6 cell.  ``flows``,
+    ``recomputes``, ``path_resolutions``, ``path_cache_hits``, the solve
+    count and ``n_failures`` are verbatim from before the recompute was
+    rebuilt on persistent state (commit e9fd776): a rebuild may change
+    what a recompute costs, never when one happens, how many paths it
+    re-resolves or how many solves run.  ``notifications`` and
+    ``events_processed`` moved once, when fluid bundles began to start
+    warm (the change after b29bb40): 240 -> 220 is the V = 20 cold-start
+    FIB downloads that no longer notify the model, 15 474 -> 12 734 the
+    initial LSA flood that is no longer simulated."""
     models: list[FluidTrafficModel] = []
     init = FluidTrafficModel.__init__
 
@@ -176,14 +183,14 @@ def test_fig6_cell_schedule_is_pinned(monkeypatch):
     result = run_flow_partition_aggregate("fat-tree", config)
     (model,) = models
     stats = result.backend_stats
-    assert stats == model.stats()
+    assert {key: stats[key] for key in model.stats()} == model.stats()
     assert stats["flows"] == 85
-    assert stats["notifications"] == 240
+    assert stats["notifications"] == 220
     assert stats["recomputes"] == 332
     assert stats["path_resolutions"] == 2179
     assert stats["path_cache_hits"] == 10618
     assert stats["full_solves"] + stats["incremental_solves"] == 202
-    assert model.sim.events_processed == 15474
+    assert model.sim.events_processed == 12734
     assert result.n_failures == 40
 
 

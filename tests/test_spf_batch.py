@@ -5,8 +5,11 @@ equality with ``{origin: compute_routes(origin, lsdb)}`` — that promise
 is what lets :func:`repro.sim.flow.warmstart.warm_start_linkstate` feed
 every protocol instance from one shared computation.  This suite pins
 it across the four topology families the checker fuzzes, for both the
-numpy and pure-python engines, and the same for the packed
-:class:`~repro.routing.spf_incremental.SpfState` warm-start payloads.
+numpy and pure-python engines, and the same one level up: the shared
+:class:`~repro.sim.flow.warmstart.OracleSpfEngine` a warm-started
+protocol instance computes with answers exactly what the
+:class:`~repro.routing.spf_incremental.IncrementalSpfEngine` of a
+cold-started one does.
 """
 
 from __future__ import annotations
@@ -16,13 +19,9 @@ import pytest
 from repro.core.f2tree import f2tree
 from repro.experiments.common import build_bundle
 from repro.routing.spf import compute_routes
-from repro.routing.spf_batch import (
-    ENGINES,
-    batch_compute_routes,
-    batch_spf_states,
-    have_numpy,
-)
-from repro.routing.spf_incremental import full_state
+from repro.routing.spf_batch import ENGINES, batch_compute_routes, have_numpy
+from repro.routing.spf_incremental import IncrementalSpfEngine, full_state
+from repro.sim.flow.warmstart import BatchRouteOracle, OracleSpfEngine
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
 from repro.topology.vl2 import vl2
@@ -70,19 +69,19 @@ def test_batch_routes_equal_per_origin_oracle(build, engine):
 @pytest.mark.parametrize("build", TOPOLOGIES)
 @pytest.mark.parametrize("engine", ENGINE_PARAMS)
 def test_batch_states_equal_full_state(build, engine):
-    """The warm-start payload — distances, ECMP first-hop sets *and*
-    route tables — matches the incremental engine's from-scratch state
-    for every origin."""
+    """The SPF engine of a warm-started instance is a drop-in for the
+    cold-started one: for every origin, the oracle engine's route table
+    equals the incremental engine's from-scratch state, reported as a
+    full (non-incremental) run — at one batch computation per fabric."""
     lsdb = converged_lsdb(build)
-    states = batch_spf_states(lsdb, engine=engine)
-    for origin in sorted(states):
-        expected = full_state(origin, lsdb)
-        got = states[origin]
-        assert got.origin == expected.origin
-        assert got.fingerprint == expected.fingerprint
-        assert got.dist == expected.dist, origin
-        assert got.first_hops == expected.first_hops, origin
-        assert got.routes == expected.routes, origin
+    oracle = BatchRouteOracle(engine=engine)
+    origins = sorted(lsa.origin for lsa in lsdb.all())
+    for origin in origins:
+        routes, report = OracleSpfEngine(origin, oracle).compute(lsdb)
+        assert routes == full_state(origin, lsdb).routes, origin
+        assert routes == IncrementalSpfEngine(origin).compute(lsdb)[0], origin
+        assert not report.incremental
+    assert (oracle.batch_runs, oracle.hits) == (1, len(origins) - 1)
 
 
 @pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
