@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..net.ip import Prefix
 
@@ -28,6 +28,32 @@ class Lsa:
     def newer_than(self, other: Optional["Lsa"]) -> bool:
         """Freshness comparison (higher sequence wins)."""
         return other is None or self.seq > other.seq
+
+
+class _HashOnceTuple(tuple[Any, ...]):
+    """The tuple :meth:`Lsdb.fingerprint` returns, hashing its content at
+    most once.
+
+    Equality and hash value are the plain tuple's, so it meets a
+    hand-built tuple of the same content in any dict or set.  Tuples do
+    not cache their hash, and every SPF run keys several lookups on the
+    whole database — V entries, a Python-level ``Prefix.__hash__`` under
+    each — so the value is kept after the first request.
+    """
+
+    _hash: int
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # content only: str hashes differ between interpreter processes,
+        # so a pickled cache would poison lookups in the one that loads it
+        return (type(self), (tuple(self),))
 
 
 class Lsdb:
@@ -61,14 +87,15 @@ class Lsdb:
         fp = self._fingerprint
         if fp is not None:
             entry = (lsa.origin, lsa.neighbors, lsa.prefixes)
-            if old is not None:
-                stale = (old.origin, old.neighbors, old.prefixes)
-                if stale == entry:
-                    return True
-                i = bisect_left(fp, stale)
-                fp = fp[:i] + fp[i + 1:]
-            j = bisect_left(fp, entry)
-            self._fingerprint = fp[:j] + (entry,) + fp[j:]
+            if old is not None and (old.neighbors, old.prefixes) == entry[1:]:
+                return True
+            # origins are unique, so ``(origin,)`` bisects to where this
+            # origin's entry sits (or belongs): a replacement keeps its
+            # position, and one splice both drops the stale entry and
+            # pays for re-wrapping the result
+            i = bisect_left(fp, (lsa.origin,))
+            rest = fp[i:] if old is None else fp[i + 1:]
+            self._fingerprint = _HashOnceTuple(fp[:i] + (entry,) + rest)
         return True
 
     def load(self, reference: "Lsdb") -> None:
@@ -103,7 +130,7 @@ class Lsdb:
         """
         fp = self._fingerprint
         if fp is None:
-            fp = tuple(sorted(
+            fp = _HashOnceTuple(sorted(
                 (lsa.origin, lsa.neighbors, lsa.prefixes)
                 for lsa in self._by_origin.values()
             ))

@@ -4,30 +4,39 @@ The event-driven protocol computes each router's SPF separately — the
 right model for convergence dynamics, but a k=32 fat tree needs 1280
 route tables just to *start* converged, and 1280 sequential Dijkstras in
 Python is what caps the packet backend at k≈8.  This module computes
-every origin's route table in one shot:
+every origin's route table in one shot, with no interpreted step per
+(origin, prefix):
 
 * the two-way graph comes from the LSDB fingerprint (indexed once via
   :func:`repro.routing.spf_incremental.graph_info`) and is flattened to
   a :class:`~repro.topology.compact.CompactGraph`;
-* all-pairs unit-cost distances are computed by synchronized frontier
-  expansion — one boolean matrix product per BFS level — so the whole
-  fabric's reachability costs a handful of BLAS calls;
-* ECMP first-hop sets fall out of the distance matrix
-  (``n ∈ hops(s, v)  ⇔  dist(n, v) + 1 == dist(s, v)`` for neighbors
-  ``n`` of ``s``) and are packed as per-origin neighbor bitmasks, so
-  equal sets share one tuple.
+* one synchronized BFS runs from every advertised *prefix* at once —
+  all advertisers of a prefix start at distance 0 — over frontiers
+  bit-packed into 64-bit words on the CSR arrays: a level is one gather
+  of the neighbor rows and one ``bitwise_or.reduceat``, E·P/64 words of
+  work.  The result is each node's distance to the nearest advertiser,
+  which is the whole of prefix aggregation (nearest advertiser wins,
+  ties merge, an own prefix sits at distance 0 and gets no route);
+* ECMP first-hop sets fall out of the distances
+  (``n ∈ hops(s, p)  ⇔  dist(n, p) + 1 == dist(s, p)`` for neighbors
+  ``n`` of ``s``) and are packed as per-origin neighbor bitmasks, one
+  array pass per neighbor position, so equal sets share one tuple.
+
+A bitmask is one int64, so an origin with more than 63 two-way neighbors
+(a spine over 64+ leaves) is answered by the per-origin oracle instead.
 
 Every result is **provably equal** to the from-scratch oracle
 :func:`repro.routing.spf.compute_routes` per origin — the differential
 suite in ``tests/test_spf_batch.py`` pins that equality across all four
-topology families, with and without numpy.  Without numpy the module
-degrades to the per-origin oracle (correct, just not fast), so nothing
-here makes numpy a hard dependency.
+topology families and over randomly damaged LSDBs, with and without
+numpy.  Without numpy the module degrades to the per-origin oracle
+(correct, just not fast), so nothing here makes numpy a hard dependency.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, List, Tuple
 
 from ..net.ip import Prefix
 from ..topology.compact import CompactGraph
@@ -42,6 +51,9 @@ except ImportError:  # pragma: no cover - exercised via engine="python"
 
 #: engine choices for the public entry points
 ENGINES = ("auto", "numpy", "python")
+
+#: neighbor positions one int64 first-hop bitmask can hold
+_MASK_BITS = 63
 
 
 def have_numpy() -> bool:
@@ -59,123 +71,77 @@ def _resolve_engine(engine: str) -> str:
     return engine
 
 
-def _distance_matrix(graph: CompactGraph) -> Any:
-    """All-pairs unit-cost distances (-1 = unreachable), shape (V, V).
+def _nearest_distances(graph: CompactGraph, advertised: Any) -> Any:
+    """``dist[v, p]``: hops from node ``v`` to the nearest node with
+    ``advertised[:, p]`` set (-1 = none reachable), shape (V, P).
 
-    Synchronized BFS: the level-``d`` frontier of every source advances
-    in one boolean matrix product per level, so the loop runs
-    ``diameter`` times regardless of fabric size.
+    Row ``v`` of the level-``d`` frontier is the bitset of prefixes at
+    distance ``d`` from ``v``, packed into 64-bit words; the graph is
+    undirected, so the next level is the OR of each node's neighbor
+    rows.  Degree-0 rows stay out of the ``reduceat`` (it mis-reads
+    empty segments) and never advance.
     """
     assert _np is not None
-    n = len(graph)
-    adjacency = _np.zeros((n, n), dtype=_np.float32)
-    indptr = _np.asarray(graph.indptr, dtype=_np.int64)
-    indices = _np.asarray(graph.indices, dtype=_np.int64)
-    rows = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(indptr))
-    adjacency[rows, indices] = 1.0
-    dist = _np.full((n, n), -1, dtype=_np.int32)
-    reached = _np.eye(n, dtype=bool)
-    frontier = _np.eye(n, dtype=_np.float32)
-    dist[_np.arange(n), _np.arange(n)] = 0
+    indptr = _np.asarray(graph.indptr)
+    indices = _np.asarray(graph.indices)
+    linked = _np.flatnonzero(_np.diff(indptr))
+    starts = indptr[linked]
+    n_prefixes = advertised.shape[1]
+    dist = advertised.astype(_np.int32) - 1
+    whole_words = _np.pad(advertised, ((0, 0), (0, -n_prefixes % 64)))
+    frontier = _np.packbits(whole_words, axis=1).view(_np.uint64)
+    reached = frontier.copy()
     level = 0
-    while True:
-        advanced = (frontier @ adjacency) > 0
-        advanced &= ~reached
-        if not advanced.any():
-            return dist
+    while linked.size and frontier.any():
         level += 1
-        dist[advanced] = level
+        advanced = _np.zeros_like(frontier)
+        advanced[linked] = _np.bitwise_or.reduceat(
+            frontier[indices], starts, axis=0
+        )
+        advanced &= ~reached
         reached |= advanced
-        frontier = advanced.astype(_np.float32)
+        fresh = _np.unpackbits(
+            advanced.view(_np.uint8), axis=1, count=n_prefixes
+        )
+        dist[fresh.view(bool)] = level
+        frontier = advanced
+    return dist
 
 
-def _origin_rows(
-    graph: CompactGraph, dist: Any
-) -> Iterator[Tuple[int, Tuple[str, ...], List[int], List[int]]]:
-    """Per-origin ``(index, neighbor names, dist row, first-hop bitmasks)``.
-
-    ``bits[t]`` has bit ``i`` set when the origin's ``i``-th (sorted)
-    neighbor lies on a shortest path to node ``t`` — the packed form of
-    the ECMP first-hop set.
+def _first_hop_bits(graph: CompactGraph, dist: Any) -> Any:
+    """``bits[s, p]`` has bit ``i`` set when origin ``s``'s ``i``-th
+    (sorted) neighbor lies on a shortest path toward prefix ``p`` — the
+    packed ECMP first-hop set; 0 where ``s`` has no route (unreachable,
+    or its own prefix).  Positions past :data:`_MASK_BITS` are dropped.
     """
     assert _np is not None
-    n = len(graph)
-    for s in range(n):
-        nbrs = _np.asarray(graph.neighbors(s), dtype=_np.int64)
-        row = dist[s]
-        if nbrs.size:
-            mask = dist[nbrs] + 1 == row[None, :]
-            shifts = _np.arange(nbrs.size, dtype=_np.int64)
-            bits = (
-                mask.astype(_np.int64) << shifts[:, None]
-            ).sum(axis=0, dtype=_np.int64)
-            bits_list = [int(b) for b in bits.tolist()]
-        else:
-            bits_list = [0] * n
-        nbr_names = tuple(graph.names[int(i)] for i in nbrs.tolist())
-        yield s, nbr_names, [int(d) for d in row.tolist()], bits_list
+    indptr = _np.asarray(graph.indptr)
+    indices = _np.asarray(graph.indices)
+    degree = _np.diff(indptr)
+    one_closer = dist - 1
+    bits = _np.zeros(dist.shape, dtype=_np.int64)
+    for i in range(min(int(degree.max(initial=0)), _MASK_BITS)):
+        origins = _np.flatnonzero(degree > i)
+        on_path = dist[indices[indptr[origins] + i]] == one_closer[origins]
+        bits[origins] |= _np.left_shift(on_path, i, dtype=_np.int64)
+    return bits
 
 
-def _unpack(
-    bits: int, nbr_names: Tuple[str, ...], memo: Dict[int, Tuple[str, ...]]
-) -> Tuple[str, ...]:
-    """Bitmask -> sorted next-hop name tuple (memoized per origin)."""
-    hops = memo.get(bits)
-    if hops is None:
-        # neighbor indices ascend with names, so index order is sorted
-        hops = tuple(
-            name for i, name in enumerate(nbr_names) if bits >> i & 1
-        )
-        memo[bits] = hops
-    return hops
-
-
-def _aggregate(
-    origin_index: int,
-    origin_name: str,
-    nbr_names: Tuple[str, ...],
-    dist_row: List[int],
-    bits_row: List[int],
-    own_prefixes: frozenset,
-    adv_by_prefix: Dict[Prefix, List[int]],
-    memo: Dict[int, Tuple[str, ...]],
+def _route_table(
+    bits_row: Any, prefixes: List[Prefix], nbr_names: Tuple[str, ...]
 ) -> RouteTable:
-    """Prefix aggregation over one origin's packed reachability — the
-    exact fold of :func:`repro.routing.spf.aggregate_routes`: nearest
-    advertiser wins, ties union their hop sets, own prefixes excluded."""
-    table: RouteTable = {}
-    for prefix, advertisers in adv_by_prefix.items():
-        if prefix in own_prefixes:
-            continue
-        best_d: Optional[int] = None
-        best_bits = 0
-        for adv in advertisers:
-            if adv == origin_index:
-                continue
-            d = dist_row[adv]
-            if d < 0:
-                continue
-            bits = bits_row[adv]
-            if not bits:
-                continue
-            if best_d is None or d < best_d:
-                best_d, best_bits = d, bits
-            elif d == best_d:
-                best_bits |= bits
-        if best_d is None:
-            continue
-        table[prefix] = _unpack(best_bits, nbr_names, memo)
-    return table
-
-
-def _advertisers(
-    graph: CompactGraph, prefixes: Dict[str, Tuple[Prefix, ...]]
-) -> Dict[Prefix, List[int]]:
-    adv_by_prefix: Dict[Prefix, List[int]] = {}
-    for index, name in enumerate(graph.names):
-        for prefix in prefixes.get(name, ()):
-            adv_by_prefix.setdefault(prefix, []).append(index)
-    return adv_by_prefix
+    """One origin's table from its bitmask row: the hop tuple of each
+    distinct mask is built once and shared by every prefix that has it."""
+    row = bits_row.tolist()
+    # neighbor indices ascend with names, so index order is sorted
+    hops = {
+        mask: tuple(name for i, name in enumerate(nbr_names) if mask >> i & 1)
+        for mask in sorted(set(row))
+    }
+    # a zero mask is "no route": compress/filter drop those prefixes
+    return dict(zip(
+        compress(prefixes, row), map(hops.__getitem__, filter(None, row))
+    ))
 
 
 def batch_compute_routes(
@@ -188,22 +154,29 @@ def batch_compute_routes(
     few vectorized passes instead of one Dijkstra per origin.
     """
     resolved = _resolve_engine(engine)
-    fingerprint = lsdb.fingerprint()
-    info = graph_info(fingerprint)
+    info = graph_info(lsdb.fingerprint())
     if resolved == "python":
         return {
             origin: compute_routes(origin, lsdb)
             for origin in sorted(info.adjacency)
         }
     graph = CompactGraph.from_adjacency(info.adjacency)
-    dist = _distance_matrix(graph)
-    adv_by_prefix = _advertisers(graph, info.prefixes)
+    column: Dict[Prefix, int] = {}
+    nodes: List[int] = []
+    columns: List[int] = []
+    for node, name in enumerate(graph.names):
+        for prefix in info.prefixes[name]:
+            nodes.append(node)
+            columns.append(column.setdefault(prefix, len(column)))
+    advertised = _np.zeros((len(graph), len(column)), dtype=bool)
+    advertised[nodes, columns] = True
+    bits = _first_hop_bits(graph, _nearest_distances(graph, advertised))
+    prefixes = list(column)
     result: Dict[str, RouteTable] = {}
-    for s, nbr_names, dist_row, bits_row in _origin_rows(graph, dist):
-        origin = graph.names[s]
-        own = frozenset(info.prefixes.get(origin, ()))
-        memo: Dict[int, Tuple[str, ...]] = {}
-        result[origin] = _aggregate(
-            s, origin, nbr_names, dist_row, bits_row, own, adv_by_prefix, memo
-        )
+    for s, origin in enumerate(graph.names):
+        if graph.degree(s) > _MASK_BITS:
+            result[origin] = compute_routes(origin, lsdb)
+            continue
+        nbr_names = tuple(graph.names[i] for i in graph.neighbors(s))
+        result[origin] = _route_table(bits[s], prefixes, nbr_names)
     return result

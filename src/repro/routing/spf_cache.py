@@ -86,10 +86,12 @@ class SpfCacheStats:
 
     def note(self, key: _Key) -> bool:
         """Record one request; True iff it was a (logical) repeat."""
-        if key in self._seen:
+        seen = self._seen
+        before = len(seen)
+        seen.add(key)  # one lookup: a repeat leaves the set's size alone
+        if len(seen) == before:
             self.hits += 1
             return True
-        self._seen.add(key)
         self.misses += 1
         return False
 

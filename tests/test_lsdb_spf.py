@@ -7,12 +7,22 @@ exactly the first hops of all shortest paths.
 
 from __future__ import annotations
 
+import pickle
+
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
+from repro.dataplane.network import Network
+from repro.dataplane.params import NetworkParams
+from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
+from repro.routing.spf_cache import SpfCacheStats
+from repro.sim.engine import Simulator
+from repro.sim.flow.warmstart import warm_start_linkstate
+from repro.sim.units import milliseconds, seconds
+from repro.topology.fattree import fat_tree
 
 
 def lsa(origin, neighbors, prefixes=(), seq=1):
@@ -22,6 +32,23 @@ def lsa(origin, neighbors, prefixes=(), seq=1):
         neighbors=tuple(neighbors),
         prefixes=tuple(Prefix(p) for p in prefixes),
     )
+
+
+def assert_meets_plain_tuple(db, rebuilt):
+    """A fingerprint caches its hash, but stays interchangeable with a
+    plain tuple of the same content — ``graph_info`` / ``SpfCache`` keys
+    built either way must still meet."""
+    patched, fresh = db.fingerprint(), rebuilt.fingerprint()
+    plain = tuple(fresh)
+    assert type(plain) is tuple and patched == plain and plain == patched
+    assert hash(patched) == hash(fresh) == hash(plain)
+    assert hash(patched) == hash(plain)  # the cached value, asked twice
+    assert {plain: "by-plain"}[patched] == "by-plain"
+    assert {patched: "by-fingerprint"}[plain] == "by-fingerprint"
+    # str hashes are per-process: a pickle carries content, never the cache
+    clone = pickle.loads(pickle.dumps(patched))
+    assert clone == patched and type(clone) is type(patched)
+    assert "_hash" in vars(patched) and "_hash" not in vars(clone)
 
 
 class TestLsdb:
@@ -72,6 +99,7 @@ class TestLsdb:
             rebuilt.insert(entry)
         assert db.fingerprint() == rebuilt.fingerprint()
         assert db.fingerprint() != before
+        assert_meets_plain_tuple(db, rebuilt)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,6 +126,60 @@ def test_fingerprint_incremental_matches_recompute(inserts, read_at):
     for entry in db.all():
         rebuilt.insert(entry)
     assert db.fingerprint() == rebuilt.fingerprint()
+    assert_meets_plain_tuple(db, rebuilt)
+
+
+def test_spf_wave_hashes_each_fingerprint_at_most_once(monkeypatch):
+    """After a flood every switch holds its own patched fingerprint and
+    keys several lookups per SPF run on it (stats set, route oracle):
+    each object's content may be hashed once, the rest must reuse it."""
+    fingerprint_type = type(Lsdb().fingerprint())
+    cached_hash = fingerprint_type.__hash__
+    content_hashes, requests, alive = {}, [], []
+
+    def counting_hash(self):
+        requests.append(id(self))
+        if "_hash" not in vars(self):
+            alive.append(self)  # pins the id for the whole test
+            content_hashes[id(self)] = content_hashes.get(id(self), 0) + 1
+        return cached_hash(self)
+
+    sim = Simulator()
+    network = Network(fat_tree(4), sim, NetworkParams())
+    protocols = warm_start_linkstate(network, advertise_loopbacks=True)
+    monkeypatch.setattr(fingerprint_type, "__hash__", counting_hash)
+    schedule_failures(
+        network,
+        [FailureEvent(sim.now + milliseconds(100), "agg-0-0", "tor-0-0")],
+    )
+    sim.run(until=sim.now + seconds(2))
+
+    assert sum(p.stats.spf_runs for p in protocols.values()) >= len(protocols)
+    assert len(content_hashes) >= len(protocols)  # one patched tuple each
+    assert set(content_hashes.values()) == {1}
+    assert len(requests) > 2 * len(content_hashes)  # ... and it was reused
+    assert hash(alive[0]) == hash(tuple(alive[0]))
+
+
+def test_spf_cache_stats_note_sequence():
+    """``note`` answers "has this consumer asked for this key before" —
+    pinned on a scripted sequence, with fingerprint-keyed and plain-tuple
+    keys of equal content counting as one key."""
+    db = Lsdb()
+    db.insert(lsa("a", ["b"], ["10.11.0.0/24"]))
+    db.insert(lsa("b", ["a"]))
+    first = db.fingerprint()
+    db.insert(lsa("c", ["a"]))
+    second = db.fingerprint()
+    keys = [
+        ("a", first), ("b", first), ("a", first), ("a", tuple(first)),
+        ("a", second), ("b", tuple(first)), ("a", second), ("c", second),
+    ]
+    stats = SpfCacheStats()
+    assert [stats.note(key) for key in keys] == [
+        False, False, True, True, False, True, True, False,
+    ]
+    assert (stats.hits, stats.misses) == (4, 4)
 
 
 class TestComputeRoutes:

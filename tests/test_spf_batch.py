@@ -9,15 +9,22 @@ numpy and pure-python engines, and the same one level up: the shared
 :class:`~repro.sim.flow.warmstart.OracleSpfEngine` a warm-started
 protocol instance computes with answers exactly what the
 :class:`~repro.routing.spf_incremental.IncrementalSpfEngine` of a
-cold-started one does.
+cold-started one does.  Converged fabrics only exercise the kernel's easy
+half, so a seeded differential also feeds it *damaged* databases —
+partitions, isolated switches, missing LSAs, half-declared adjacencies,
+anycast prefixes — and a spine wider than one first-hop bitmask.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.core.f2tree import f2tree
 from repro.experiments.common import build_bundle
+from repro.net.ip import Prefix
+from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
 from repro.routing.spf_batch import ENGINES, batch_compute_routes, have_numpy
 from repro.routing.spf_incremental import IncrementalSpfEngine, full_state
@@ -31,6 +38,13 @@ TOPOLOGIES = [
     pytest.param(lambda: f2tree(6, across_ports=2), id="f2tree-6"),
     pytest.param(lambda: leaf_spine(4, 2), id="leaf-spine-4"),
     pytest.param(lambda: vl2(4, 4), id="vl2-4"),
+]
+
+#: spines with 63 / 64 / 65 two-way neighbors: the last degree one int64
+#: first-hop bitmask holds, and the first two the per-origin oracle answers
+WIDE_TOPOLOGIES = [
+    pytest.param(lambda n=n: leaf_spine(n, 2), id=f"leaf-spine-{n}")
+    for n in (63, 64, 65)
 ]
 
 ENGINE_PARAMS = [
@@ -57,13 +71,64 @@ def converged_lsdb(build):
     return bundle.protocols[protocols[0]].lsdb
 
 
-@pytest.mark.parametrize("build", TOPOLOGIES)
+@pytest.mark.parametrize("build", TOPOLOGIES + WIDE_TOPOLOGIES)
 @pytest.mark.parametrize("engine", ENGINE_PARAMS)
 def test_batch_routes_equal_per_origin_oracle(build, engine):
     lsdb = converged_lsdb(build)
     batch = batch_compute_routes(lsdb, engine=engine)
     for origin in sorted(batch):
         assert batch[origin] == compute_routes(origin, lsdb), origin
+
+
+def damaged_lsdb(topology, rng, p_remove, loopbacks):
+    """An LSDB no converged fabric would hold: each link removed with
+    probability ``p_remove`` (1.0 isolates every switch), ~5 % of the
+    surviving adjacencies declared by one endpoint only, ~5 % of the
+    LSAs missing (their neighbors still name them), and up to three
+    anycast prefixes advertised by a random fifth of the switches."""
+    switches = sorted(node.name for node in topology.switches())
+    declared = {name: [] for name in switches}
+    for link in topology.links.values():
+        a, b = link.key
+        if a in declared and b in declared and rng.random() >= p_remove:
+            for near, far in ((a, b), (b, a)):
+                if rng.random() >= 0.05:
+                    declared[near].append(far)
+    anycast = [Prefix(f"192.168.{i}.0/24") for i in range(rng.randrange(4))]
+    racks = {node.name for node in topology.tors()}
+    lsdb = Lsdb()
+    for index, name in enumerate(switches):
+        prefixes = [p for p in anycast if rng.random() < 0.2]
+        if name in racks:
+            prefixes.append(Prefix((10 << 24) | (index << 8), 24))
+        if loopbacks:
+            prefixes.append(Prefix((172 << 24) | index, 32))
+        if rng.random() >= 0.05:
+            lsdb.insert(
+                Lsa(name, 1, tuple(sorted(declared[name])), tuple(prefixes))
+            )
+    return lsdb
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+@pytest.mark.parametrize(
+    "build", TOPOLOGIES + [pytest.param(lambda: fat_tree(6), id="fat-tree-6")]
+)
+def test_batch_routes_equal_oracle_on_damaged_lsdbs(build):
+    """40 seeded damaged databases per family (200 in all): every
+    origin's batch table equals the oracle's, and the origin sets agree."""
+    topology = build()
+    rng = random.Random(f"damaged-lsdb:{topology.name}")
+    for p_remove in (0.0, 0.05, 0.3, 0.7, 1.0):
+        for loopbacks in (False, True):
+            for _ in range(4):
+                lsdb = damaged_lsdb(topology, rng, p_remove, loopbacks)
+                batch = batch_compute_routes(lsdb, engine="numpy")
+                assert sorted(batch) == sorted(lsa.origin for lsa in lsdb.all())
+                for origin in sorted(batch):
+                    assert batch[origin] == compute_routes(origin, lsdb), (
+                        origin, p_remove, loopbacks,
+                    )
 
 
 @pytest.mark.parametrize("build", TOPOLOGIES)
