@@ -104,6 +104,13 @@ class CheckedSimulator(Simulator):
             self.now + delay, callback, *args, priority=priority
         )
 
+    def call_at(
+        self, time: Time, callback: Callable[..., None], *args: Any
+    ) -> None:
+        # the handle-free path posts most of a trial's events (every
+        # link hop), so it is audited like the other two
+        self.schedule_at(time, callback, *args)
+
 
 def _describe(callback: Callable[..., None]) -> str:
     return getattr(callback, "__qualname__", repr(callback))

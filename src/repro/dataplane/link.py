@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, TYPE_CHECKING
 
 from ..net.packet import Packet
 from ..obs.trace import EV_LINK_DETECTED, EV_LINK_FAIL, EV_LINK_RESTORE
-from ..sim.engine import PRIORITY_NORMAL, Simulator, Timer
+from ..sim.engine import Simulator, Timer
 from ..sim.units import Time, transmission_delay
 from ..topology.graph import Link as LinkSpec
 from .params import NetworkParams
@@ -35,9 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import NetworkNode
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
-    """Counters per link direction."""
+    """Counters per link direction (slotted: one per channel, 20 k of
+    them on a 24-port fabric)."""
 
     sent: int = 0
     delivered: int = 0
@@ -66,10 +67,15 @@ class Channel:
         dst: "NetworkNode",
     ) -> None:
         self._sim = sim
-        self._params = params
         self._obs = sim.obs
         self.src = src
         self.dst = dst
+        # read once: ``NetworkParams`` is frozen and a node never changes
+        # its name, so ``enqueue``/``_deliver`` touch this object only
+        self._src_name = src.name
+        self._queue_capacity = params.queue_capacity
+        self._propagation_delay = params.propagation_delay
+        self._link_rate_gbps = params.link_rate_gbps
         self.up = True
         self.epoch = 0
         self._next_free: Time = 0
@@ -83,36 +89,44 @@ class Channel:
         the *sender does not know* unless its detection state says so, which
         is exactly how undetected failures black-hole traffic.
         """
-        self.stats.sent += 1
+        stats = self.stats
+        stats.sent += 1
         if not self.up:
-            self.stats.dropped_down += 1
+            stats.dropped_down += 1
             obs = self._obs
             if obs.enabled:
                 obs.metrics.counter("link.dropped", reason="down").inc()
             return False
-        if self._queued >= self._params.queue_capacity:
-            self.stats.dropped_queue += 1
+        queued = self._queued
+        if queued >= self._queue_capacity:
+            stats.dropped_queue += 1
             obs = self._obs
             if obs.enabled:
                 obs.metrics.counter("link.dropped", reason="queue_full").inc()
             return False
-        now = self._sim.now
-        start = max(now, self._next_free)
-        tx = transmission_delay(packet.size_bytes, self._params.link_rate_gbps)
-        finish = start + tx
+        sim = self._sim
+        tx = transmission_delay(packet.size_bytes, self._link_rate_gbps)
+        finish = self._next_free
+        now = sim.now
+        if finish < now:
+            finish = now
+        finish += tx
         self._next_free = finish
-        self._queued += 1
-        self.stats.busy_ns += tx
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, self._queued)
+        queued += 1
+        self._queued = queued
+        stats.busy_ns += tx
+        if queued > stats.max_queue_depth:
+            stats.max_queue_depth = queued
         obs = self._obs
         if obs.enabled:
             obs.metrics.histogram(
                 "link.queue_depth", buckets=QUEUE_DEPTH_BUCKETS
-            ).observe(self._queued)
-        arrival = finish + self._params.propagation_delay
-        self._sim.schedule_at(finish, self._serialized, priority=PRIORITY_NORMAL)
-        self._sim.schedule_at(
-            arrival, self._deliver, packet, self.epoch, priority=PRIORITY_NORMAL
+            ).observe(queued)
+        # neither event is ever cancelled (a failure invalidates in-flight
+        # packets through the epoch), so no handle is taken
+        sim.call_at(finish, self._serialized)
+        sim.call_at(
+            finish + self._propagation_delay, self._deliver, packet, self.epoch
         )
         return True
 
@@ -127,7 +141,7 @@ class Channel:
                 obs.metrics.counter("link.dropped", reason="down_in_flight").inc()
             return
         self.stats.delivered += 1
-        self.dst.receive(packet, sender=self.src.name)
+        self.dst.receive(packet, self._src_name)
 
     def set_up(self, up: bool) -> None:
         """Change the actual channel state; a transition to down (or a

@@ -32,10 +32,10 @@ from typing import Callable, Dict, List, Optional, Protocol, TYPE_CHECKING, Tupl
 from ..net.ecmp import fnv1a_64, select_next_hop
 from ..net.fib import Fib, FibEntry, LOCAL
 from ..net.ip import IPv4Address
-from ..net.packet import PROTO_ROUTING, Packet
+from ..net.packet import DEFAULT_TTL, PROTO_ROUTING, Packet
 from ..obs.trace import EV_FIB_FALLTHROUGH, EV_PKT_DELIVER, EV_PKT_DROP
 from ..sim.engine import Simulator
-from .link import RuntimeLink
+from .link import Channel, RuntimeLink
 from .params import NetworkParams
 
 #: Buckets for the FIB match-walk-length histogram: 1 = longest prefix won,
@@ -82,6 +82,9 @@ class NetworkNode:
         self._live_links_cache: Dict[str, List[RuntimeLink]] = {}
         #: peer -> liveness bool, valid for the current adjacency epoch
         self._alive_cache: Dict[str, bool] = {}
+        #: peer -> (out channel, peer ip) of :meth:`SwitchNode.send_control`,
+        #: valid for the current adjacency epoch (empty on hosts)
+        self._control_routes: Dict[str, tuple] = {}
         self.drops: Counter = Counter()
         #: observers of detected-adjacency changes (the fluid backend's
         #: recompute trigger); called synchronously on every epoch bump
@@ -104,6 +107,7 @@ class NetworkNode:
         self.adjacency_epoch += 1
         self._live_links_cache.clear()
         self._alive_cache.clear()
+        self._control_routes.clear()
         for listener in self.epoch_listeners:
             listener()
 
@@ -248,24 +252,37 @@ class SwitchNode(NetworkNode):
 
         Control traffic is addressed to the neighbor itself and never
         FIB-routed; it only crosses links this switch believes are up.
+        Which channel that is (:meth:`_control_route`) is memoised per
+        adjacency epoch: a flood asks for every neighbor once per LSA
+        batch.
         """
-        live = self.live_links_to(peer)
-        if not live:
+        route = self._control_routes.get(peer)
+        if route is None:
+            route = self._control_routes[peer] = self._control_route(peer)
+        channel, dst = route
+        if channel is None:
             return False
-        packet = Packet(
-            src=self.ip,
-            dst=live[0].other(self.name).ip,
-            protocol=PROTO_ROUTING,
-            size_bytes=size_bytes,
-            payload=payload,
-            created_at=self.sim.now,
-        )
-        return live[0].channel_from(self.name).enqueue(packet)
+        return channel.enqueue(Packet(
+            self.ip, dst, PROTO_ROUTING, size_bytes,
+            0, 0, DEFAULT_TTL, payload, self.sim.now,
+        ))
+
+    def _control_route(
+        self, peer: str
+    ) -> Tuple[Optional[Channel], Optional[IPv4Address]]:
+        """Uncached: the (out channel, peer address) control traffic to
+        ``peer`` takes — over the first link to it that is detected up —
+        or ``(None, None)`` while every link to it is detected down."""
+        name = self.name
+        for link in self.links_by_peer.get(peer, ()):
+            if link.detected_up_by(name):
+                return link.channel_from(name), link.other(name).ip
+        return None, None
 
     # ------------------------------------------------------------ data path
 
     def receive(self, packet: Packet, sender: str) -> None:
-        if packet.dst == self.ip:
+        if packet.dst.value == self.ip.value:
             if packet.protocol == PROTO_ROUTING:
                 if self.routing_agent is not None:
                     self.routing_agent.on_control_packet(packet, sender)

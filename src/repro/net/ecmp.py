@@ -14,6 +14,7 @@ FNV-1a over the packed five-tuple plus a per-switch salt:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, TypeVar
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -43,8 +44,23 @@ def _avalanche(value: int) -> int:
     return value ^ (value >> 31)
 
 
+#: ``flow_hash`` memo bound, in distinct (flow, switch salt) pairs (~300
+#: bytes each).  A single-flow recovery asks for under 10; a Fig 6 cell at
+#: 8 ports (32 requests x fan-out 8, 12 background flows) for ~1000 over its
+#: run, but a flow's packets come in bursts, so every miss there is a first
+#: touch at any bound from 512 up.  Beyond the bound the least recently
+#: used pair is recomputed on its next packet.
+FLOW_HASH_CACHE_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=FLOW_HASH_CACHE_SIZE)
 def flow_hash(flow_key: tuple, salt: int) -> int:
-    """Hash a five-tuple with a per-switch salt."""
+    """Hash a five-tuple with a per-switch salt.
+
+    Pure in ``(flow_key, salt)`` and asked once per packet per ECMP
+    choice, so it is memoised; ``flow_hash.__wrapped__`` is the uncached
+    function the differential tests run against.
+    """
     src, dst, proto, sport, dport = flow_key
     packed = (
         src.to_bytes(4, "big")

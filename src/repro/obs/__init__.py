@@ -21,9 +21,12 @@ is what a :class:`~repro.sim.engine.Simulator` carries (``sim.obs``).
 Every simulator gets a **disabled** facade by default: hot paths check one
 cached attribute (``obs.enabled``) and skip all instrumentation, so the
 untraced simulator costs what it did before this layer existed.  Cold
-paths (failures, LSA floods, SPF runs) emit unconditionally — the recorder
-no-ops while disabled, and registry counters are cheap enough to always
-keep.
+paths (failures, LSA origination, SPF runs) emit unconditionally — the
+recorder no-ops while disabled, and registry counters are cheap enough to
+always keep.  LSA *flooding* is not one of them: it is most of a trial's
+events, so it guards its ``lsa.accept`` emit like a hot path and keeps its
+two always-on counters resolved per protocol instance instead of looking
+them up by name per flood.
 
 Enable at construction time::
 
@@ -106,8 +109,8 @@ class Observability:
 
     ``enabled`` gates the *hot-path* instrumentation (per-packet, per-event
     work); it is kept in sync with ``trace.enabled``.  The registry is
-    always live — cold-path counters (SPF runs, LSA floods, link failures)
-    accumulate whether or not tracing is on.
+    always live — the control-plane counters (SPF runs, LSA floods, link
+    failures) accumulate whether or not tracing is on.
     """
 
     __slots__ = ("trace", "metrics", "enabled")

@@ -3,11 +3,11 @@
 The recorder is the write side of the observability layer.  Design goals,
 in order:
 
-1. **Zero cost when disabled.**  Hot paths (packet forwarding, the event
-   loop) check a single cached ``enabled`` attribute before building any
-   event; cold paths (link failures, LSA flooding, SPF runs) call
-   :meth:`TraceRecorder.emit` unconditionally and the recorder returns
-   immediately when disabled.
+1. **Zero cost when disabled.**  Hot paths (packet forwarding, LSA
+   flooding, the event loop) check a single cached ``enabled`` attribute
+   before building any event; cold paths (link failures, LSA origination,
+   SPF runs) call :meth:`TraceRecorder.emit` unconditionally and the
+   recorder returns immediately when disabled.
 2. **Bounded memory.**  Events live in a ``deque(maxlen=capacity)`` ring;
    long simulations evict the oldest events instead of growing without
    limit.  ``evicted`` counts what was lost so analyzers can tell a

@@ -156,8 +156,9 @@ class CentralizedController:
             agent = self._agents[name]
             if agent.would_change(table):
                 self.stats.pushes_sent += 1
-                self.sim.schedule(
-                    self.control.push_latency, agent.receive_table, table
+                self.sim.call_at(
+                    self.sim.now + self.control.push_latency,
+                    agent.receive_table, table,
                 )
 
 
@@ -192,8 +193,8 @@ class CentralizedAgent:
         if peer not in self._protocol_neighbors:
             return
         self.reports_sent += 1
-        self.sim.schedule(
-            self.controller.control.report_latency,
+        self.sim.call_at(
+            self.sim.now + self.controller.control.report_latency,
             self.controller.receive_report,
             self.name,
             peer,

@@ -23,6 +23,7 @@ F²Tree's point is precisely that its static backup routes bypass steps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular
@@ -31,6 +32,7 @@ if TYPE_CHECKING:  # runtime import would be circular
 from ..net.fib import FibDelta, FibEntry
 from ..net.ip import Prefix
 from ..net.packet import Packet
+from ..obs.registry import Counter
 from ..obs.trace import (
     EV_FIB_INSTALL,
     EV_LSA_ACCEPT,
@@ -93,6 +95,9 @@ class LinkStateProtocol:
         self.name = switch.name
         #: neighbors participating in the protocol (hosts never do)
         self._protocol_neighbors: Set[str] = set(switch_neighbors)
+        #: :meth:`_live_protocol_neighbors` at ``_live_neighbors_epoch``
+        self._live_neighbors: Tuple[str, ...] = ()
+        self._live_neighbors_epoch = -1
         self._advertised: Tuple[Prefix, ...] = tuple(advertised)
         self.lsdb = Lsdb()
         self.stats = ProtocolStats()
@@ -119,19 +124,32 @@ class LinkStateProtocol:
         """Originate the initial LSA and begin flooding."""
         self._originate()
 
-    def _live_protocol_neighbors(self) -> List[str]:
-        return sorted(
+    def _live_protocol_neighbors(self) -> Tuple[str, ...]:
+        """Protocol neighbors the switch detects alive, in sorted order.
+
+        Kept until the switch's adjacency epoch moves: every flood asks,
+        and detected liveness only changes with an epoch bump.
+        """
+        epoch = self.switch.adjacency_epoch
+        if epoch != self._live_neighbors_epoch:
+            self._live_neighbors = self._sorted_live_neighbors()
+            self._live_neighbors_epoch = epoch
+        return self._live_neighbors
+
+    def _sorted_live_neighbors(self) -> Tuple[str, ...]:
+        """Uncached :meth:`_live_protocol_neighbors`."""
+        return tuple(sorted(
             peer
             for peer in self._protocol_neighbors
             if self.switch.neighbor_alive(peer)
-        )
+        ))
 
     def _originate(self) -> None:
         self._seq += 1
         lsa = Lsa(
             origin=self.name,
             seq=self._seq,
-            neighbors=tuple(self._live_protocol_neighbors()),
+            neighbors=self._live_protocol_neighbors(),
             prefixes=self._advertised,
         )
         self.stats.lsas_originated += 1
@@ -155,17 +173,29 @@ class LinkStateProtocol:
             if peer == exclude:
                 continue
             peers_sent += 1
-            self.switch.send_control(peer, payload=payload, size_bytes=size_bytes)
+            self.switch.send_control(peer, payload, size_bytes)
         if peers_sent:
             flooded = peers_sent * len(payload)
             self.stats.lsas_flooded += flooded
-            self._obs.metrics.counter("lsa.flooded").inc(flooded)
+            self._flooded_counter.inc(flooded)
+
+    @cached_property
+    def _flooded_counter(self) -> Counter:
+        """Flooding is the bulk of a trial's events, so its two registry
+        counters are resolved once per instance — on first use, not in
+        ``__init__``: a metrics snapshot must not gain zero-valued series."""
+        return self._obs.metrics.counter("lsa.flooded")
+
+    @cached_property
+    def _accepted_counter(self) -> Counter:
+        return self._obs.metrics.counter("lsa.accepted")
 
     def on_control_packet(self, packet: Packet, sender: str) -> None:
         """Receive a batch of flooded LSAs (after a processing delay)."""
-        lsas = packet.payload
-        self.sim.schedule(
-            self.params.lsa_processing_delay, self._process_lsas, lsas, sender
+        sim = self.sim
+        sim.call_at(
+            sim.now + self.params.lsa_processing_delay,
+            self._process_lsas, packet.payload, sender,
         )
 
     def _process_lsas(self, lsas: Tuple[Lsa, ...], sender: str) -> None:
@@ -176,12 +206,13 @@ class LinkStateProtocol:
         if not accepted:
             return
         self.stats.lsas_accepted += len(accepted)
+        self._accepted_counter.inc(len(accepted))
         obs = self._obs
-        obs.metrics.counter("lsa.accepted").inc(len(accepted))
-        obs.trace.emit(
-            self.sim.now, EV_LSA_ACCEPT, self.name,
-            count=len(accepted), sender=sender,
-        )
+        if obs.enabled:
+            obs.trace.emit(
+                self.sim.now, EV_LSA_ACCEPT, self.name,
+                count=len(accepted), sender=sender,
+            )
         self._flood(accepted, exclude=sender)
         self._schedule_spf()
 

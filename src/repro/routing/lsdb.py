@@ -25,10 +25,6 @@ class Lsa:
     neighbors: Tuple[str, ...]
     prefixes: Tuple[Prefix, ...]
 
-    def newer_than(self, other: Optional["Lsa"]) -> bool:
-        """Freshness comparison (higher sequence wins)."""
-        return other is None or self.seq > other.seq
-
 
 class _HashOnceTuple(tuple[Any, ...]):
     """The tuple :meth:`Lsdb.fingerprint` returns, hashing its content at
@@ -81,8 +77,8 @@ class Lsdb:
         cache-hit behaviour the docstring of :meth:`fingerprint` pins.
         """
         old = self._by_origin.get(lsa.origin)
-        if not lsa.newer_than(old):
-            return False
+        if old is not None and lsa.seq <= old.seq:
+            return False  # freshness: only a higher sequence number wins
         self._by_origin[lsa.origin] = lsa
         fp = self._fingerprint
         if fp is not None:

@@ -138,9 +138,10 @@ class PathVectorProtocol:
     # ------------------------------------------------------------- receive
 
     def on_control_packet(self, packet: Packet, sender: str) -> None:
-        updates = packet.payload
-        self.sim.schedule(
-            self.proto.processing_delay, self._process_updates, updates, sender
+        sim = self.sim
+        sim.call_at(
+            sim.now + self.proto.processing_delay,
+            self._process_updates, packet.payload, sender,
         )
 
     def _process_updates(

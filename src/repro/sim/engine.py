@@ -182,7 +182,8 @@ class Simulator:
         Deliberately does **not** route through :meth:`schedule_at` —
         this is the hottest scheduling call and the extra frame shows up
         in every profile.  Subclasses that audit scheduling (e.g. the
-        checker's ``CheckedSimulator``) must override both methods.
+        checker's ``CheckedSimulator``) must override all three of
+        ``schedule``, ``schedule_at`` and :meth:`call_at`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -207,6 +208,27 @@ class Simulator:
         self._sequence += 1
         _heappush(self._queue, entry)
         return EventHandle(entry, self)
+
+    def call_at(
+        self, time: Time, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """:meth:`schedule_at` at ``PRIORITY_NORMAL`` for callers that
+        never cancel: no :class:`EventHandle`, no keyword parsing.
+
+        Same heap entry, same shared ``sequence`` counter, same error for
+        a past ``time`` — an event posted here is indistinguishable from
+        one posted through :meth:`schedule_at`, except that nothing can
+        cancel it.  Like the other two it is overridden by the checker's
+        ``CheckedSimulator``.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at {time} (now is {self._now})"
+            )
+        _heappush(
+            self._queue, [time, PRIORITY_NORMAL, self._sequence, callback, args]
+        )
+        self._sequence += 1
 
     def run(self, until: Optional[Time] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or

@@ -161,7 +161,7 @@ def warm_start_linkstate(
             Lsa(
                 origin=name,
                 seq=1,
-                neighbors=tuple(protocol._live_protocol_neighbors()),
+                neighbors=protocol._live_protocol_neighbors(),
                 prefixes=protocol.advertised,
             )
         )

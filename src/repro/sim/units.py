@@ -13,6 +13,8 @@ rounding error.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 #: Type alias for simulated time (integer nanoseconds).
 Time = int
 
@@ -62,11 +64,17 @@ def gbps(value: float) -> float:
     return value  # 1 Gbps == 1 bit/ns, conveniently.
 
 
+@lru_cache(maxsize=1024)
 def transmission_delay(size_bytes: int, rate_gbps: float) -> Time:
     """Serialization delay of ``size_bytes`` at ``rate_gbps``.
 
     With rates expressed in Gbps, one bit takes ``1/rate`` nanoseconds, so a
     packet of ``8 * size_bytes`` bits takes ``8 * size_bytes / rate`` ns.
+
+    Memoised (bounded): every packet hop asks, and a trial has a few
+    dozen distinct wire sizes at one rate.
+    ``transmission_delay.__wrapped__`` is the uncached function; an
+    invalid rate raises on every call (exceptions are not cached).
     """
     if rate_gbps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_gbps}")

@@ -92,7 +92,7 @@ class UdpSender:
         )
         self.host.send(packet)
         self.sent += 1
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.call_at(now + self.interval, self._tick)
 
 
 class UdpSink:

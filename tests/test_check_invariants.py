@@ -151,6 +151,22 @@ class TestCheckedSimulator:
         sim.run(until=20)
         assert seen == [(1, 2)]
 
+    def test_handle_free_events_are_audited(self):
+        """``call_at`` posts most of a trial's events (every link hop);
+        one that fires off-schedule must reach ``timing_violations``."""
+        sim = CheckedSimulator()
+        seen = []
+        sim.call_at(10, seen.append, "on time")
+        sim.call_at(20, seen.append, "late")
+        sim.run(until=15)
+        assert seen == ["on time"] and sim.timing_violations == []
+        (entry,) = sim._queue
+        entry[0] = 25  # an engine bug: the event's time moves under it
+        sim.run(until=30)
+        assert seen == ["on time", "late"]
+        ((scheduled, fired, what),) = sim.timing_violations
+        assert (scheduled, fired) == (20, 25) and "fired off-schedule" in what
+
 
 class TestExecuteCheck:
     def test_healthy_scenario_run_is_violation_free(self):

@@ -3,7 +3,7 @@
 The data-plane caches (FIB match chains keyed on :attr:`Fib.generation`,
 resolve/liveness caches keyed on the adjacency epoch) and the memoized
 SPF oracle are pure speedups: every cached answer must equal what the
-uncached code computes.  This file pins that equivalence three ways:
+uncached code computes.  This file pins that equivalence four ways:
 
 1. **FIB chains** — for arbitrary install/withdraw churn,
    :meth:`Fib.chain` equals a fresh :meth:`Fib.matches` trie walk for
@@ -12,7 +12,11 @@ uncached code computes.  This file pins that equivalence three ways:
    frozen-dataplane link flaps, :meth:`SwitchNode._resolve_indexed`
    equals an uncached reference that rebuilds the chain and the
    liveness sets per packet (hypothesis).
-3. **Whole-system traces** — a full recovery check trial executed with
+3. **Flood fan-out** — on fabrics with parallel links, under frozen
+   detection flips and real fail/restore, ``send_control`` takes the
+   channel and destination the uncached code picks and the protocol's
+   live-neighbour list equals a sorted recomputation (hypothesis).
+4. **Whole-system traces** — a full recovery check trial executed with
    *every* cache monkeypatched away produces a byte-identical event
    trace, identical stats, and identical violations.  This is the
    strongest form of the claim: no observable behaviour depends on any
@@ -23,14 +27,19 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.f2tree import f2tree
+from repro.dataplane.link import Channel
+from repro.dataplane.node import SwitchNode
 from repro.experiments.common import build_bundle
 from repro.net.ecmp import select_next_hop
 from repro.net.fib import Fib, FibEntry, LOCAL
 from repro.net.ip import IPv4Address, Prefix
-from repro.net.packet import PROTO_UDP, Packet
+from repro.net.packet import PROTO_ROUTING, PROTO_UDP, Packet
+from repro.sim.units import milliseconds
+from repro.topology.aspen import aspen_tree
 from repro.topology.graph import NodeKind
 
 # ----------------------------------------------------- 1. FIB match chains
@@ -184,15 +193,114 @@ def test_cached_resolve_equals_uncached_reference(data):
             _flip(network, a, b, up=True)
 
 
-# --------------------------------------- 3. whole-system trace byte-identity
+# ------------------------------------------------- 3. flood fan-out memos
+
+_FABRICS = {
+    # two parallel links between every agg and its cores
+    "aspen": lambda: aspen_tree(4, 1),
+    # rings everywhere; the two-member core rings are parallel pairs
+    "f2tree": lambda: f2tree(6, hosts_per_tor=1),
+}
+
+_step = st.one_of(
+    st.tuples(st.just("force"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.sampled_from(["fail", "restore"]), st.integers(0, 63)),
+)
+
+
+def _switch_links(network):
+    """Switch-to-switch links, members of parallel bundles first (so a
+    small index is one *member*, leaving its sibling alive)."""
+    links = [
+        link for link in network.links
+        if isinstance(link.node_a, SwitchNode)
+        and isinstance(link.node_b, SwitchNode)
+    ]
+    return sorted(
+        links,
+        key=lambda link: (
+            len(network.links_between(link.node_a.name, link.node_b.name)) < 2,
+            link.name,
+        ),
+    )
+
+
+def _assert_fan_out_matches_uncached(network, protocols):
+    """Every switch, every peer: ``send_control`` offers its packet to
+    the first detected-up member's channel, addressed to the peer (or
+    sends nothing when none is), and the live-neighbour list is the
+    sorted set of protocol neighbours with a detected-up member."""
+    offered = []
+    with pytest.MonkeyPatch.context() as patches:
+        patches.setattr(
+            Channel, "enqueue",
+            lambda self, packet: offered.append((self, packet)) or True,
+        )
+        for switch in network.switches():
+            name = switch.name
+            live_peers = []
+            for peer, members in switch.links_by_peer.items():
+                up = [link for link in members if link.detected_up_by(name)]
+                if up:
+                    live_peers.append(peer)
+                del offered[:]
+                sent = switch.send_control(peer, ("probe",), 120)
+                if not up:
+                    assert sent is False and not offered, (name, peer)
+                    continue
+                assert sent is True
+                ((channel, packet),) = offered
+                assert channel is up[0].channel_from(name), (name, peer)
+                assert packet.dst == network.nodes[peer].ip
+                assert (packet.src, packet.protocol, packet.size_bytes) == \
+                    (switch.ip, PROTO_ROUTING, 120)
+                assert packet.payload == ("probe",)
+            protocol = protocols[name]
+            assert list(protocol._live_protocol_neighbors()) == sorted(
+                peer for peer in live_peers
+                if peer in protocol.protocol_neighbors
+            ), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(_FABRICS)), steps=st.lists(_step, max_size=8))
+# first member of a parallel bundle detected dead, second alive — then
+# the second too, then the first back
+@example(kind="aspen", steps=[("force", 0, False)])
+@example(kind="f2tree", steps=[("fail", 0), ("fail", 1), ("restore", 0)])
+def test_flood_fan_out_memos_equal_uncached(kind, steps):
+    bundle = build_bundle(_FABRICS[kind]())
+    bundle.converge()
+    network, sim = bundle.network, bundle.sim
+    links = _switch_links(network)
+    assert len(network.links_between(
+        links[0].node_a.name, links[0].node_b.name
+    )) == 2
+    _assert_fan_out_matches_uncached(network, bundle.protocols)
+    for op, index, *up in steps:
+        link = links[index % len(links)]
+        if op == "force":
+            link.force_detection(*up)
+        else:
+            getattr(link, op)()
+            # past detection (60 ms): the detectors fire, adjacency
+            # epochs move and the re-flood runs over the memos
+            sim.run(until=sim.now + milliseconds(150))
+        _assert_fan_out_matches_uncached(network, bundle.protocols)
+
+
+# --------------------------------------- 4. whole-system trace byte-identity
 
 
 def _disable_all_caches(monkeypatch):
     """Monkeypatch every hot-path cache back to its uncached reference."""
     from repro.dataplane.node import NetworkNode, SwitchNode
+    from repro.routing.linkstate import LinkStateProtocol
     from repro.routing.spf import compute_routes
     from repro.routing.spf_incremental import IncrementalSpfEngine, full_state
     import repro.check.invariants
+    import repro.dataplane.link
+    import repro.net.ecmp
 
     def uncached_chain(self, address):
         # chain_hits/chain_misses are observable (telemetry cache tables),
@@ -232,9 +340,29 @@ def _disable_all_caches(monkeypatch):
             return None, None, depth
         return entry, select_next_hop(live, packet.flow_key, self.salt), depth
 
+    memoised_send_control = SwitchNode.send_control
+
+    def send_control(self, peer, payload, size_bytes):
+        self._control_routes.clear()  # every send re-derives its route
+        return memoised_send_control(self, peer, payload, size_bytes)
+
     monkeypatch.setattr(NetworkNode, "neighbor_alive", neighbor_alive)
     monkeypatch.setattr(NetworkNode, "live_links_to", live_links_to)
     monkeypatch.setattr(SwitchNode, "_resolve_indexed", resolve_indexed)
+    # the link hop's memos: control route and live-neighbour list per
+    # adjacency epoch, ECMP hash and serialization delay per argument
+    monkeypatch.setattr(SwitchNode, "send_control", send_control)
+    monkeypatch.setattr(
+        LinkStateProtocol, "_live_protocol_neighbors",
+        LinkStateProtocol._sorted_live_neighbors,
+    )
+    monkeypatch.setattr(
+        repro.net.ecmp, "flow_hash", repro.net.ecmp.flow_hash.__wrapped__
+    )
+    monkeypatch.setattr(
+        repro.dataplane.link, "transmission_delay",
+        repro.dataplane.link.transmission_delay.__wrapped__,
+    )
     # the protocol's SPF stack: force every run down the from-scratch
     # path (no incremental patching) and bypass the shared SpfCache
     # entirely (every computation is a fresh Dijkstra).  The engine's

@@ -165,6 +165,29 @@ def test_salts_decorrelate_switches(flow_key, salt):
     assert any(flow_hash(flow_key, s) != reference for s in other_salts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(flow_key=flow_keys, salt=salts)
+def test_memoised_flow_hash_equals_uncached(flow_key, salt):
+    """The memo may never change a hash — it decides every path."""
+    uncached = flow_hash.__wrapped__(flow_key, salt)
+    assert flow_hash(flow_key, salt) == uncached  # miss (or an old hit)
+    assert flow_hash(tuple(flow_key), salt) == uncached  # hit
+
+
+def test_flow_hash_memo_is_bounded_and_survives_eviction():
+    from repro.net.ecmp import FLOW_HASH_CACHE_SIZE
+
+    assert flow_hash.cache_info().maxsize == FLOW_HASH_CACHE_SIZE
+    first = (0x0A000102, 0x0A030102, 6, 33000, 7001)
+    # values recorded before the hash was memoised
+    assert flow_hash(first, 0xDEADBEEFCAFEF00D) == 0xAFE855772DC6CB37
+    assert flow_hash((1, 2, 17, 10, 20), 7) == 0x2EF8C83E9BB7A8BF
+    for sport in range(FLOW_HASH_CACHE_SIZE + 1):  # push ``first`` out
+        flow_hash((1, 2, 17, sport, 20), 7)
+    assert flow_hash.cache_info().currsize == FLOW_HASH_CACHE_SIZE
+    assert flow_hash(first, 0xDEADBEEFCAFEF00D) == 0xAFE855772DC6CB37
+
+
 @settings(max_examples=100, deadline=None)
 @given(flow_key=flow_keys, salt=salts)
 def test_single_candidate_shortcuts(flow_key, salt):

@@ -69,6 +69,25 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(5, lambda: None)
 
 
+def test_call_at_runs_like_schedule_at_and_returns_no_handle():
+    sim = Simulator()
+    seen = []
+    assert sim.call_at(100, lambda tag: seen.append((tag, sim.now)), "x") is None
+    sim.run()
+    assert seen == [("x", 100)]
+    assert sim.events_processed == 1
+
+
+def test_call_at_past_rejected():
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.call_at(5, lambda: None)
+    sim.call_at(10, lambda: None)  # "now" is not the past
+    assert sim.pending_events == 1
+
+
 def test_run_until_stops_before_boundary_event():
     sim = Simulator()
     seen = []
@@ -717,14 +736,18 @@ class TestBatchingDifferential:
     @given(st.data())
     def test_random_workload_equivalence(self, data):
         """Random schedules (heavy timestamp collisions, cancellations,
-        delay-0 cascades) fire in the identical order with identical
-        final state under both loops."""
+        delay-0 cascades) posted through all three scheduling calls fire
+        in the identical order with identical final state under both
+        loops — and in ``(time, priority, posting order)`` order: the
+        three calls draw from one sequence counter, so events sharing a
+        ``(time, priority)`` run FIFO whichever call posted them."""
         ops = data.draw(st.lists(
             st.tuples(
                 st.integers(0, 5),       # coarse delay -> many collisions
-                st.integers(0, 20),      # priority
-                st.booleans(),           # cancel this one later?
+                st.integers(0, 20),      # priority (call_at: always NORMAL)
+                st.booleans(),           # cancel this one later? (call_at: cannot)
                 st.booleans(),           # cascade: schedule another at now
+                st.sampled_from(["schedule", "schedule_at", "call_at"]),
             ),
             min_size=1, max_size=30,
         ), label="ops")
@@ -734,14 +757,21 @@ class TestBatchingDifferential:
             order = []
             cancellable = []
 
-            def fire(tag, cascade):
+            def fire(tag, cascade, how):
                 order.append((tag, sim.now))
                 if cascade:
-                    sim.schedule(0, order.append, (tag, "cascade", sim.now))
+                    mark = (tag, "cascade", sim.now)
+                    if how == "call_at":
+                        sim.call_at(sim.now, order.append, mark)
+                    else:
+                        sim.schedule(0, order.append, mark)
 
-            for tag, (delay, priority, cancel, cascade) in enumerate(ops):
-                handle = sim.schedule(
-                    delay, fire, tag, cascade, priority=priority
+            for tag, (delay, priority, cancel, cascade, how) in enumerate(ops):
+                if how == "call_at":
+                    sim.call_at(delay, fire, tag, cascade, how)
+                    continue
+                handle = getattr(sim, how)(
+                    delay, fire, tag, cascade, how, priority=priority
                 )
                 if cancel:
                     cancellable.append(handle)
@@ -753,6 +783,15 @@ class TestBatchingDifferential:
         batched = execute(lambda sim: sim.run())
         unbatched = execute(lambda sim: _unbatched_run(sim))
         assert batched == unbatched
+        # everything is posted at now = 0, so delay = absolute time and
+        # the op's index is its sequence number
+        expected = sorted(
+            (delay, PRIORITY_NORMAL if how == "call_at" else priority, tag)
+            for tag, (delay, priority, cancel, _cascade, how) in enumerate(ops)
+            if how == "call_at" or not cancel
+        )
+        fired = [entry for entry in batched[0] if len(entry) == 2]
+        assert fired == [(tag, delay) for delay, _priority, tag in expected]
 
     def test_recovery_trial_trace_identical_without_batching(self, monkeypatch):
         """A full traced recovery check produces byte-identical traces,

@@ -55,6 +55,22 @@ class TestUnits:
     def test_transmission_delay_monotone_in_size(self, size):
         assert transmission_delay(size + 1, 1.0) >= transmission_delay(size, 1.0)
 
+    @given(
+        st.integers(min_value=1, max_value=100_000),
+        st.sampled_from([0.1, 1.0, 2.5, 10.0, 40, 100]),
+    )
+    def test_memoised_transmission_delay_equals_uncached(self, size, rate):
+        uncached = transmission_delay.__wrapped__(size, rate)
+        assert transmission_delay(size, rate) == uncached
+        assert transmission_delay(size, rate) == uncached  # now a hit
+        assert type(transmission_delay(size, rate)) is int
+
+    def test_bad_rate_rejected_on_every_call(self):
+        # an exception is not memoised
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                transmission_delay(1500, -1.0)
+
 
 class TestRandomStreams:
     def test_same_seed_same_draws(self):
