@@ -503,10 +503,7 @@ class InvariantSuite:
             # fingerprint repeats between topology events, so quiescent
             # stretches of a fuzz trial are one SPF per switch total
             expected = compute_routes_cached(switch.name, oracle)
-            actual = {
-                prefix: entry.next_hops
-                for prefix, entry in protocol.routes.items()
-            }
+            actual = protocol.route_table
             if actual == expected:
                 continue
             diff = []

@@ -111,8 +111,8 @@ class LinkStateProtocol:
         self._spf_timer = Timer(sim, self._run_spf)
         self._hold_current: Time = params.spf_hold
         self._hold_expiry: Time = 0
-        # FIB state
-        self._installed: Dict[Prefix, FibEntry] = {}
+        # FIB state; the download is the SPF engine's own immutable table
+        self._table: RouteTable = {}
         self._pending_routes: Optional[RouteTable] = None
         self._install_timer = Timer(sim, self._install_pending)
         self._last_spf_at: Optional[Time] = None
@@ -300,13 +300,16 @@ class LinkStateProtocol:
     def _install_pending(self) -> None:
         """FIB download: apply the computed delta against the old download.
 
-        The new route table is diffed against the previous install and
+        The new route table is diffed against the previous download and
         only the difference touches the FIB — one
         :meth:`~repro.net.fib.Fib.apply_delta` batch, one generation
         bump.  The delta is built in sorted-prefix order so the trace's
         ``changes`` list (and therefore the whole obs trace) is a pure
         function of the route tables, independent of whichever code path
-        (full or incremental SPF) produced their dict ordering.
+        (full or incremental SPF) produced their dict ordering.  Tables
+        are immutable, so an engine handing back the object already
+        downloaded means "no change": the same (empty) delta, counters
+        and trace record as a diff would give, without scanning a table.
         """
         routes = self._pending_routes
         if routes is None:
@@ -315,27 +318,24 @@ class LinkStateProtocol:
         self.stats.fib_installs += 1
         obs = self._obs
         fib = self.switch.fib
-        previous = self._installed
-        withdrawals = tuple(sorted(
-            prefix for prefix in previous if prefix not in routes
-        ))
-        # diff first, sort only what changed: a download after one link
-        # event touches a handful of prefixes out of the whole table
-        changed = sorted(
-            prefix
-            for prefix, next_hops in routes.items()
-            if (old := previous.get(prefix)) is None
-            or old.next_hops != next_hops
-        )
-        replaced = {prefix for prefix in changed if prefix in previous}
+        previous, self._table = self._table, routes
+        withdrawals: Tuple[Prefix, ...] = ()
+        changed: List[Prefix] = []
+        if routes is not previous:
+            withdrawals = tuple(sorted(
+                prefix for prefix in previous if prefix not in routes
+            ))
+            # diff first, sort only what changed: a download after one link
+            # event touches a handful of prefixes out of the whole table
+            changed = sorted(
+                prefix
+                for prefix, next_hops in routes.items()
+                if previous.get(prefix) != next_hops
+            )
         installs = [
             FibEntry(prefix, routes[prefix], source=SOURCE) for prefix in changed
         ]
         fib.apply_delta(FibDelta(tuple(installs), withdrawals))
-        for prefix in withdrawals:
-            del previous[prefix]
-        for entry in installs:
-            previous[entry.prefix] = entry
         withdrawn = len(withdrawals)
         installed = len(installs)
         # per-prefix change names feed the trace's fib_delta spans; only
@@ -345,7 +345,7 @@ class LinkStateProtocol:
         if obs.enabled:
             changes = [f"-{prefix}" for prefix in withdrawals]
             changes.extend(
-                f"~{e.prefix}" if e.prefix in replaced else f"+{e.prefix}"
+                f"~{e.prefix}" if e.prefix in previous else f"+{e.prefix}"
                 for e in installs
             )
         obs.metrics.counter("fib.installs").inc()
@@ -368,9 +368,19 @@ class LinkStateProtocol:
     # ------------------------------------------------------------- queries
 
     @property
+    def route_table(self) -> RouteTable:
+        """The table last downloaded to the FIB: the SPF engine's own
+        object, shared with whoever else holds it — read-only."""
+        return self._table
+
+    @property
     def routes(self) -> Dict[Prefix, FibEntry]:
-        """Routes currently installed in the FIB by this protocol."""
-        return dict(self._installed)
+        """Routes currently installed in the FIB by this protocol: a new
+        dict per call, built from :attr:`route_table`."""
+        return {
+            prefix: FibEntry(prefix, next_hops, source=SOURCE)
+            for prefix, next_hops in self._table.items()
+        }
 
     @property
     def protocol_neighbors(self) -> frozenset:

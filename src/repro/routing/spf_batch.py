@@ -20,7 +20,13 @@ every origin's route table in one shot, with no interpreted step per
 * ECMP first-hop sets fall out of the distances
   (``n ∈ hops(s, p)  ⇔  dist(n, p) + 1 == dist(s, p)`` for neighbors
   ``n`` of ``s``) and are packed as per-origin neighbor bitmasks, one
-  array pass per neighbor position, so equal sets share one tuple.
+  array pass per neighbor position, so equal sets share one tuple;
+* prefix columns are numbered in sorted order, so a table is born in
+  FIB install order and is a pure function of (columns, neighbor names,
+  bitmask row): origins that agree on all three — the cores of one
+  group, one origin before and after a fault elsewhere (see
+  :data:`TableMemo`) — get the *same* object.  A table is immutable once
+  returned, here as from every SPF engine.
 
 A bitmask is one int64, so an origin with more than 63 two-way neighbors
 (a spine over 64+ leaves) is answered by the per-origin oracle instead.
@@ -36,7 +42,7 @@ numpy.  Without numpy the module degrades to the per-origin oracle
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.ip import Prefix
 from ..topology.compact import CompactGraph
@@ -54,6 +60,13 @@ ENGINES = ("auto", "numpy", "python")
 
 #: neighbor positions one int64 first-hop bitmask can hold
 _MASK_BITS = 63
+
+#: one run's tables by what determines them under one column list —
+#: ``(neighbor names, bitmask-row bytes)``: equal bytes under other
+#: neighbors are another table — and the memo a caller keeps between
+#: runs, ``{prefix columns: tables}`` of the last run only
+_Tables = Dict[Tuple[Tuple[str, ...], bytes], RouteTable]
+TableMemo = Dict[Tuple[Prefix, ...], _Tables]
 
 
 def have_numpy() -> bool:
@@ -128,7 +141,7 @@ def _first_hop_bits(graph: CompactGraph, dist: Any) -> Any:
 
 
 def _route_table(
-    bits_row: Any, prefixes: List[Prefix], nbr_names: Tuple[str, ...]
+    bits_row: Any, prefixes: Tuple[Prefix, ...], nbr_names: Tuple[str, ...]
 ) -> RouteTable:
     """One origin's table from its bitmask row: the hop tuple of each
     distinct mask is built once and shared by every prefix that has it."""
@@ -145,13 +158,15 @@ def _route_table(
 
 
 def batch_compute_routes(
-    lsdb: Lsdb, engine: str = "auto"
+    lsdb: Lsdb, engine: str = "auto", memo: Optional[TableMemo] = None
 ) -> Dict[str, RouteTable]:
     """Route tables for *every* origin of ``lsdb`` in one computation.
 
     Equal to ``{origin: compute_routes(origin, lsdb)}`` by construction
     (and by the differential suite); the numpy engine computes it in a
-    few vectorized passes instead of one Dijkstra per origin.
+    few vectorized passes instead of one Dijkstra per origin.  Given the
+    ``memo`` of the previous run, an origin whose table did not change
+    gets the same object back (the per-origin paths never share).
     """
     resolved = _resolve_engine(engine)
     info = graph_info(lsdb.fingerprint())
@@ -161,22 +176,31 @@ def batch_compute_routes(
             for origin in sorted(info.adjacency)
         }
     graph = CompactGraph.from_adjacency(info.adjacency)
-    column: Dict[Prefix, int] = {}
+    prefixes = tuple(sorted(info.advertisers))
+    column = {prefix: i for i, prefix in enumerate(prefixes)}
     nodes: List[int] = []
     columns: List[int] = []
     for node, name in enumerate(graph.names):
         for prefix in info.prefixes[name]:
             nodes.append(node)
-            columns.append(column.setdefault(prefix, len(column)))
+            columns.append(column[prefix])
     advertised = _np.zeros((len(graph), len(column)), dtype=bool)
     advertised[nodes, columns] = True
     bits = _first_hop_bits(graph, _nearest_distances(graph, advertised))
-    prefixes = list(column)
+    lent = {} if memo is None else memo.pop(prefixes, {})
+    tables: _Tables = {}
     result: Dict[str, RouteTable] = {}
     for s, origin in enumerate(graph.names):
         if graph.degree(s) > _MASK_BITS:
             result[origin] = compute_routes(origin, lsdb)
             continue
-        nbr_names = tuple(graph.names[i] for i in graph.neighbors(s))
-        result[origin] = _route_table(bits[s], prefixes, nbr_names)
+        # adjacency rows are sorted, like the neighbor positions
+        key = (info.adjacency[origin], bits[s].tobytes())
+        table = tables.get(key, lent.get(key))
+        if table is None:
+            table = _route_table(bits[s], prefixes, key[0])
+        result[origin] = tables[key] = table
+    if memo is not None:
+        memo.clear()
+        memo[prefixes] = tables
     return result

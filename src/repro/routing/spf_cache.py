@@ -30,14 +30,15 @@ Three subsystems repeat identical SPF work and share this cache:
   topology event.
 
 Determinism is unaffected by construction: a hit returns a dict *equal*
-to what :func:`compute_routes` would return (callers treat route tables
-as read-only — the protocol copies before exposing them), and an
-incremental patch is differentially pinned equal to the from-scratch
-result by ``tests/test_spf_incremental.py``.  Eviction is LRU over a
-deterministic access sequence, hence itself deterministic.  The cache is
-per-process; campaign workers warm it across the trials of their chunk,
-and the 1-vs-N-worker byte-identity tests pin that sharing changes
-nothing observable.
+to what :func:`compute_routes` would return (nobody mutates a route
+table an engine has returned, the engine included: the protocol holds
+this very object as its download), and an incremental patch is
+differentially pinned equal to the from-scratch result by
+``tests/test_spf_incremental.py``.  Eviction is LRU over a deterministic
+access sequence, hence itself deterministic.  The cache is per-process;
+campaign workers warm it across the trials of their chunk, and the
+1-vs-N-worker byte-identity tests pin that sharing changes nothing
+observable.
 """
 
 from __future__ import annotations

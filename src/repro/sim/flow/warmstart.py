@@ -40,13 +40,17 @@ spf_hold`` after the cold start's last SPF run, which
 ``DEFAULT_WARMUP`` exceeds.
 
 The module reaches into ``LinkStateProtocol``'s private warm state
-(``_seq``, ``_installed``, ``_spf_engine``) deliberately — it is the
-protocol's second constructor, not an external consumer.
+(``_seq``, ``_table``, ``_spf_engine``) deliberately — it is the
+protocol's second constructor, not an external consumer.  Nobody
+mutates a route table once an engine has returned it, so one object is
+what the oracle caches, what a switch (or several) holds as its
+download, and what the next batch run may hand out again.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ...net.fib import FibEntry
@@ -54,7 +58,7 @@ from ...net.ip import Prefix
 from ...routing.linkstate import SOURCE, LinkStateProtocol
 from ...routing.lsdb import Lsa, Lsdb
 from ...routing.spf import RouteTable
-from ...routing.spf_batch import batch_compute_routes
+from ...routing.spf_batch import TableMemo, batch_compute_routes
 from ...routing.spf_incremental import SpfRunReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,13 +71,15 @@ class BatchRouteOracle:
     All switches of a converged (or post-flood) fabric share one LSDB
     fingerprint, so one batch computation serves every origin.  A small
     LRU covers the transient where early SPF timers fire on a
-    still-flooding database.
+    still-flooding database; each run is lent the tables of the one
+    before, so an origin a fault left alone keeps its table object.
     """
 
     def __init__(self, engine: str = "auto", max_cached: int = 4) -> None:
         self.engine = engine
         self.max_cached = max_cached
         self._cache: "OrderedDict[object, Dict[str, RouteTable]]" = OrderedDict()
+        self._memo: TableMemo = {}
         #: lifetime counters (deterministic; surfaced by scale trials)
         self.batch_runs = 0
         self.hits = 0
@@ -87,16 +93,21 @@ class BatchRouteOracle:
             self.hits += 1
         else:
             self.batch_runs += 1
-            result = batch_compute_routes(lsdb, engine=self.engine)
+            result = batch_compute_routes(lsdb, self.engine, self._memo)
         self._cache[fingerprint] = result
         while len(self._cache) > self.max_cached:
             self._cache.popitem(last=False)
         return result
 
 
+#: the one table of every origin the oracle has none for
+_NO_ROUTES: RouteTable = {}
+
+
 class OracleSpfEngine:
     """Drop-in for ``IncrementalSpfEngine``: answers every ``compute``
-    from the shared batch oracle."""
+    with the shared batch oracle's own table — like every engine's, never
+    to be mutated."""
 
     def __init__(self, origin: str, oracle: BatchRouteOracle) -> None:
         self.origin = origin
@@ -107,8 +118,8 @@ class OracleSpfEngine:
         return None
 
     def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
-        routes = self.oracle.routes(lsdb).get(self.origin, {})
-        return dict(routes), SpfRunReport(delta="batch", incremental=False)
+        routes = self.oracle.routes(lsdb).get(self.origin, _NO_ROUTES)
+        return routes, SpfRunReport(delta="batch", incremental=False)
 
 
 def warm_start_linkstate(
@@ -170,39 +181,19 @@ def warm_start_linkstate(
         reference.insert(lsa)
     routes_by_origin = oracle.routes(reference)
 
-    # one fabric-wide canonical install order: every switch's route table
-    # is (nearly) the same prefix set, so sorting the union once replaces
-    # V per-switch sorts — Prefix comparisons dominate warm start at k=48
-    # otherwise.  A sorted subset is the filtered sorted union, so the
-    # per-switch install tuples are exactly what sorted(routes) produced.
-    prefix_order = sorted({
-        prefix
-        for origin in sorted(routes_by_origin)
-        for prefix in routes_by_origin[origin]
-    })
-
     # switches of one pod and role route most prefixes over the same next
     # hops, so each distinct (prefix, next_hops) entry is built once and
-    # the immutable object shared by every FIB that holds it
-    shared: Dict[Tuple[Prefix, Tuple[str, ...]], FibEntry] = {}
+    # the immutable object shared by every FIB that holds it; batch tables
+    # are born in sorted prefix order, so their items are the install batch
+    shared_entry = cache(lambda route: FibEntry(*route, source=SOURCE))
     for name in sorted(instances):
         protocol = instances[name]
         protocol.lsdb.load(reference)
         protocol._seq = 1
         protocol.stats.lsas_originated += 1
         protocol._spf_engine = OracleSpfEngine(name, oracle)
-        routes = routes_by_origin.get(name, {})
-        installs: List[FibEntry] = []
-        for prefix in prefix_order:
-            next_hops = routes.get(prefix)
-            if next_hops is None:
-                continue
-            key = (prefix, next_hops)
-            entry = shared.get(key)
-            if entry is None:
-                entry = shared[key] = FibEntry(prefix, next_hops, source=SOURCE)
-            installs.append(entry)
-        protocol.switch.fib.bulk_load(tuple(installs))
-        protocol._installed = {entry.prefix: entry for entry in installs}
+        routes = routes_by_origin[name]
+        protocol.switch.fib.bulk_load(tuple(map(shared_entry, routes.items())))
+        protocol._table = routes
         protocol.stats.fib_installs += 1
     return instances

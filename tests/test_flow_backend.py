@@ -56,9 +56,15 @@ from repro.net.fib import FibDelta, FibEntry
 from repro.net.packet import PROTO_UDP
 from repro.obs import EV_FIB_INSTALL, EV_SPF_SCHEDULE, Observability
 from repro.routing.linkstate import deploy_linkstate
+from repro.routing.spf import compute_routes
+from repro.routing.spf_incremental import IncrementalSpfEngine
 from repro.sim.engine import Simulator
 from repro.sim.flow import FluidTrafficModel
-from repro.sim.flow.warmstart import BatchRouteOracle, warm_start_linkstate
+from repro.sim.flow.warmstart import (
+    BatchRouteOracle,
+    OracleSpfEngine,
+    warm_start_linkstate,
+)
 from repro.sim.randomness import RandomStreams
 from repro.sim.units import milliseconds, seconds
 from repro.topology.fattree import fat_tree
@@ -246,6 +252,85 @@ def test_warm_start_shares_fib_entries_across_switches():
     warm_start_linkstate(other)
     again = other.switch("tor-0-0").fib.exact(remote)
     assert again == shared and again is not shared
+
+
+# ------------------------------------- route tables are shared values
+#
+# A route table is immutable once an SPF engine has returned it: the
+# oracle caches the object, switches hold it as their download (several
+# may hold one), the next batch run may hand it out again.
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(fig6.run_flow_partition_aggregate, id="flow"),
+    pytest.param(fig6.run_partition_aggregate, id="packet"),
+])
+def test_shared_table_is_never_written_to(run, monkeypatch):
+    """Every table an engine hands out during a seeded k=4 Fig 6 cell —
+    the batch oracle's on the fluid backend, the incremental engine's on
+    the packet twin — still equals, at the end of the run, what it was
+    when it was handed out."""
+    handed_out = {}  # id -> (the table, kept alive; its contents then)
+
+    def recording(compute):
+        def compute_and_record(self, lsdb):
+            routes, report = compute(self, lsdb)
+            handed_out.setdefault(id(routes), (routes, dict(routes)))
+            return routes, report
+        return compute_and_record
+
+    for engine in (OracleSpfEngine, IncrementalSpfEngine):
+        monkeypatch.setattr(engine, "compute", recording(engine.compute))
+    config = fig6.PartitionAggregateConfig(
+        duration=seconds(4), n_requests=10, n_background_flows=5,
+        ports=4, seed=3,
+    )
+    assert run("fat-tree", config).n_failures > 0
+    # 20 switches, each with more than its converged table to its name
+    assert len(handed_out) > 40
+    for table, contents in handed_out.values():
+        assert table == contents
+
+
+def test_shared_table_objects_outlive_a_failure_elsewhere():
+    """On a warm-started k=8 fat tree the cores of one group hold one
+    table object and every switch holds the oracle's; after one rack
+    link fails, exactly the switches whose routes did not change still
+    hold the object they held before — the link's two endpoints do not."""
+    sim = Simulator()
+    network = Network(fat_tree(8), sim, NetworkParams())
+    oracle = BatchRouteOracle()
+    protocols = warm_start_linkstate(network, oracle=oracle)
+
+    def held():
+        return {name: p.route_table for name, p in protocols.items()}
+
+    before = held()
+    for name, protocol in protocols.items():
+        assert before[name] is oracle.routes(protocol.lsdb)[name]
+    for group in range(4):
+        cores = {id(before[f"core-{group}-{i}"]) for i in range(4)}
+        assert len(cores) == 1
+    assert before["core-0-0"] is not before["core-1-0"]
+
+    agg, tor = "agg-0-0", "tor-0-0"
+    schedule_failures(
+        network, [FailureEvent(sim.now + milliseconds(100), agg, tor)]
+    )
+    sim.run(until=sim.now + seconds(2))
+    after = held()
+    assert all(p.stats.fib_installs == 2 for p in protocols.values())
+    kept = sorted(name for name in after if after[name] is before[name])
+    assert kept == sorted(name for name in after if after[name] == before[name])
+    assert agg not in kept and tor not in kept
+    # positions 1-3 of every pod's aggregation layer never routed over
+    # the link; a group-0 core still enters pod 0 at agg-0-0 (the path
+    # behind it got longer, its first hop did not), so every core keeps
+    assert len(kept) == 8 * 3 + 16
+    assert all(name.startswith(("agg-", "core-")) for name in kept)
+    for name, protocol in protocols.items():
+        assert after[name] is oracle.routes(protocol.lsdb)[name]
+        assert after[name] == compute_routes(name, protocol.lsdb)
 
 
 # ----------------------------------- warm = cold at the bundle level

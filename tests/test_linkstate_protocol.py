@@ -4,10 +4,12 @@ SPF throttling, FIB update delay — the delays the paper decomposes."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
-from repro.net.fib import FibDelta, FibEntry
+from repro.net.fib import Fib, FibDelta, FibEntry
 from repro.net.ip import Prefix
 from repro.obs import Observability
 from repro.obs.trace import EV_FIB_INSTALL
@@ -184,13 +186,22 @@ class TestFibUpdateDelay:
         assert proto.stats.fib_installs == installs_before + 1
 
 
+def _download(proto, routes):
+    """Hand ``routes`` to the protocol as its SPF result and run the FIB
+    download: the one way a protocol comes to hold a table."""
+    proto._pending_routes = routes
+    proto._install_pending()
+    assert proto.route_table is routes
+
+
 def _sort_everything_download(installed, routes):
-    """The pre-"diff first" download: walk ``sorted(routes)`` in full."""
+    """The pre-"diff first" download from one route table to the next:
+    walk ``sorted(routes)`` in full."""
     withdrawals = tuple(sorted(p for p in installed if p not in routes))
     installs, changes = [], [f"-{p}" for p in withdrawals]
     for prefix in sorted(routes):
         current = installed.get(prefix)
-        if current is not None and current.next_hops == routes[prefix]:
+        if current == routes[prefix]:
             continue
         installs.append(FibEntry(prefix, routes[prefix], source=SOURCE))
         changes.append(f"{'+' if current is None else '~'}{prefix}")
@@ -206,10 +217,9 @@ class TestFibDownloadOrder:
         rack = [Prefix(f"10.{i}.0.0/24") for i in range(6)]
         loopback = Prefix("10.3.0.7/32")
         # previous download and new table both in anti-prefix dict order
-        previous = {
-            p: FibEntry(p, ("a", "b"), source=SOURCE) for p in reversed(rack[:5])
-        }
-        proto._installed = dict(previous)
+        previous = {p: ("a", "b") for p in reversed(rack[:5])}
+        _download(proto, previous)
+        sim.obs.trace.clear()
         routes = {
             rack[5]: ("a",),          # new
             loopback: ("b",),         # new, sorts between rack[3] and rack[4]
@@ -242,6 +252,101 @@ class TestFibDownloadOrder:
         ]
         assert (event.data["installed"], event.data["withdrawn"]) == (4, 2)
         assert proto.routes == {p: FibEntry(p, h, source=SOURCE) for p, h in routes.items()}
+
+
+#: /24s and /32s that interleave when sorted, away from fat_tree(4)'s own
+_DOWNLOAD_PREFIXES = [Prefix(f"172.16.{i}.0/24") for i in range(5)] + [
+    Prefix("172.16.1.9/32"), Prefix("172.16.3.1/32"), Prefix("172.16.3.2/32"),
+]
+_route_tables = st.dictionaries(
+    st.sampled_from(_DOWNLOAD_PREFIXES),
+    st.sampled_from([("a",), ("b",), ("a", "b"), ("b", "c")]),
+)
+
+
+def _shuffled(draw, table):
+    """``table`` as a new dict in a drawn insertion order."""
+    return dict(draw(st.permutations(sorted(table.items()))))
+
+
+def _download_twice(previous, new):
+    """Download ``previous`` then ``new`` on a fresh traced switch; what
+    the second download did, as seen from every side that counts it."""
+    sim = Simulator(Observability(enabled=True))
+    net = Network(fat_tree(4), sim, NetworkParams())
+    switch = net.switch("tor-0-0")
+    proto = LinkStateProtocol(sim, switch, net.params, switch_neighbors=())
+    _download(proto, previous)
+    sim.obs.trace.clear()
+    fib = switch.fib
+
+    def counts():
+        return (
+            proto.stats.fib_installs,
+            sim.obs.metrics.counter("fib.installs").value,
+            fib.installs, fib.withdrawals,
+        )
+
+    before = counts()
+    applied = []
+    apply_delta = fib.apply_delta
+    fib.apply_delta = lambda delta: (applied.append(delta), apply_delta(delta))
+    _download(proto, new)
+    (event,) = sim.obs.trace.events(kind=EV_FIB_INSTALL)
+    return {
+        "applied": applied,
+        "trace": (event.time, event.node, dict(event.data)),
+        "counted": tuple(b - a for a, b in zip(before, counts())),
+        "fib": [e for e in fib.entries() if e.source == SOURCE],
+        "routes": proto.routes,
+    }
+
+
+class TestFibDownloadDifferential:
+    """``_install_pending`` against the sort-everything reference, over
+    every relation two route tables can have — including being one
+    object, where the protocol skips the diff."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_download_equals_the_sort_everything_reference(self, data):
+        draw = data.draw
+        previous = _shuffled(draw, draw(_route_tables))
+        relation = draw(
+            st.sampled_from(["overlapping", "disjoint", "equal", "same"])
+        )
+        if relation == "same":
+            new = previous
+        elif relation == "equal":
+            new = _shuffled(draw, previous)
+        else:
+            new = _shuffled(draw, {
+                prefix: hops
+                for prefix, hops in draw(_route_tables).items()
+                if relation == "overlapping" or prefix not in previous
+            })
+
+        got = _download_twice(previous, new)
+        want_delta, want_changes = _sort_everything_download(previous, new)
+        assert got["applied"] == [want_delta]
+        _, _, detail = got["trace"]
+        assert detail["changes"] == want_changes  # 8 prefixes: never truncated
+        assert (detail["installed"], detail["withdrawn"], detail["changed"]) == (
+            len(want_delta.installs), len(want_delta.withdrawals), len(want_delta)
+        )
+        assert got["counted"] == (
+            1, 1, len(want_delta.installs), len(want_delta.withdrawals)
+        )
+        # the FIB holds what a from-scratch load of the new table would
+        scratch = Fib()
+        scratch.bulk_load(tuple(
+            FibEntry(prefix, hops, source=SOURCE) for prefix, hops in new.items()
+        ))
+        assert got["fib"] == list(scratch.entries())
+        assert got["routes"] == {e.prefix: e for e in scratch.entries()}
+        # ... and an equal table in a distinct object — where the identity
+        # test cannot fire — is the same download from every side
+        assert _download_twice(previous, dict(new)) == got
 
 
 class TestStats:

@@ -13,6 +13,14 @@ cold-started one does.  Converged fabrics only exercise the kernel's easy
 half, so a seeded differential also feeds it *damaged* databases —
 partitions, isolated switches, missing LSAs, half-declared adjacencies,
 anycast prefixes — and a spine wider than one first-hop bitmask.
+
+The kernel hands an origin the *same* table object when nothing that
+determines the table moved (``TableMemo``: same prefix columns, same
+neighbor names, same bitmask row), within a run and from one run to the
+next.  The same damaged databases, replayed in sequence through one
+oracle so tables carry over, and constructed near-misses — equal rows
+under other neighbors, a changed column list, an origin too wide for a
+bitmask — pin that a shared table is always the right one.
 """
 
 from __future__ import annotations
@@ -129,6 +137,185 @@ def test_batch_routes_equal_oracle_on_damaged_lsdbs(build):
                     assert batch[origin] == compute_routes(origin, lsdb), (
                         origin, p_remove, loopbacks,
                     )
+
+
+def damaged_lsdbs(topology):
+    """The 40 seeded damaged databases of one family, in a fixed order."""
+    rng = random.Random(f"damaged-lsdb:{topology.name}")
+    for p_remove in (0.0, 0.05, 0.3, 0.7, 1.0):
+        for loopbacks in (False, True):
+            for _ in range(4):
+                yield damaged_lsdb(topology, rng, p_remove, loopbacks)
+
+
+def dented(lsdb, rng):
+    """``lsdb`` minus one declared adjacency (when it has any): one link
+    fewer under the same origins and the same prefix columns — the step
+    between two runs that lets most tables carry over."""
+    lsas = list(lsdb.all())
+    declaring = [i for i, lsa in enumerate(lsas) if lsa.neighbors]
+    drop = rng.choice(declaring) if declaring else None
+    copy = Lsdb()
+    for i, lsa in enumerate(lsas):
+        neighbors = lsa.neighbors
+        if i == drop:
+            gone = rng.randrange(len(neighbors))
+            neighbors = neighbors[:gone] + neighbors[gone + 1:]
+        copy.insert(Lsa(lsa.origin, 1, neighbors, lsa.prefixes))
+    return copy
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+@pytest.mark.parametrize(
+    "build", TOPOLOGIES + [pytest.param(lambda: fat_tree(6), id="fat-tree-6")]
+)
+def test_oracle_sequence_of_damaged_lsdbs_equals_per_origin_oracle(build):
+    """The same 200 databases through *one* oracle, each followed by
+    itself with one adjacency dropped, so every run is lent the tables of
+    the run before — over other columns after a fresh database, over the
+    same ones after a dent.  Whatever is carried over or shared, each
+    origin's table equals the from-scratch one after every run."""
+    topology = build()
+    rng = random.Random(f"dented-lsdb:{topology.name}")
+    oracle = BatchRouteOracle(engine="numpy")
+    carried = 0
+    previous = {}
+    for damaged in damaged_lsdbs(topology):
+        for lsdb in (damaged, dented(damaged, rng)):
+            runs = oracle.batch_runs
+            batch = oracle.routes(lsdb)
+            assert sorted(batch) == sorted(lsa.origin for lsa in lsdb.all())
+            for origin in sorted(batch):
+                assert batch[origin] == compute_routes(origin, lsdb), origin
+            if oracle.batch_runs > runs:  # computed, not a fingerprint hit
+                held = {id(table) for table in previous.values()}
+                carried += sum(id(table) in held for table in batch.values())
+            previous = batch
+    assert oracle.batch_runs + oracle.hits == 80
+    assert carried > 40  # the hazard was exercised: tables did carry over
+
+
+def _lsdb(*lsas):
+    lsdb = Lsdb()
+    for origin, neighbors, prefixes in lsas:
+        lsdb.insert(Lsa(origin, 1, tuple(neighbors), tuple(prefixes)))
+    return lsdb
+
+
+def _runs(engine, *lsdbs):
+    """Each database through one oracle in turn; every answer checked."""
+    oracle = BatchRouteOracle(engine=engine)
+    answers = []
+    for lsdb in lsdbs:
+        answers.append(oracle.routes(lsdb))
+        for origin, table in answers[-1].items():
+            assert table == compute_routes(origin, lsdb), origin
+    return answers
+
+
+P, Q, R = Prefix("10.0.1.0/24"), Prefix("10.0.2.0/24"), Prefix("10.0.3.0/24")
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+def test_shared_table_within_a_run_and_across_an_unrelated_change():
+    """Two spines over the same leaves hold one table; a leaf gaining a
+    prefix-free stub neighbor moves no spine's row, so both keep it."""
+    leaves = [("l1", ["s1", "s2"], [P]), ("l2", ["s1", "s2"], [Q])]
+    spines = [("s1", ["l1", "l2"], []), ("s2", ["l1", "l2"], [])]
+    before, after = _runs(
+        "numpy",
+        _lsdb(*leaves, *spines),
+        _lsdb(("l1", ["s1", "s2", "x"], [P]), leaves[1], *spines, ("x", ["l1"], [])),
+    )
+    assert before["s1"] is before["s2"]
+    assert after["s1"] is before["s1"] and after["s2"] is before["s1"]
+    assert after["l2"] is before["l2"]
+    assert after["l1"] == before["l1"] and after["l1"] is not before["l1"]
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+def test_shared_table_misses_on_equal_rows_under_other_neighbors():
+    """``a`` and ``b`` both reach P and Q through their first (only)
+    neighbor — bit 0 in both rows, byte for byte — but through
+    different switches; and renaming ``a``'s neighbor between runs leaves
+    its row alone too."""
+    def chain(hop_a):
+        return _lsdb(
+            ("a", [hop_a], []), ("b", ["n"], []),
+            (hop_a, ["a", "t"], []), ("n", ["b", "t"], []),
+            ("t", [hop_a, "n"], [P, Q]),
+        )
+
+    first, second = _runs("numpy", chain("m"), chain("k"))
+    assert first["a"] == {P: ("m",), Q: ("m",)}
+    assert first["b"] == {P: ("n",), Q: ("n",)}
+    assert second["a"] == {P: ("k",), Q: ("k",)}
+    assert second["b"] is first["b"]
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+def test_shared_table_misses_when_the_column_list_changes():
+    """One advertiser withdraws a prefix while another brings a new one:
+    ``a``'s neighbors and its row, byte for byte, are what they were —
+    over other columns.  Then a column fewer, then one more again."""
+    def fabric(*advertised):
+        return _lsdb(
+            ("a", ["m"], []), ("m", ["a", "t", "u"], []),
+            ("t", ["m"], advertised[:1]), ("u", ["m"], advertised[1:]),
+        )
+
+    both, shifted, only_r, again = _runs(
+        "numpy", fabric(P, Q), fabric(Q, R), fabric(R), fabric(R, Q)
+    )
+    assert both["a"] == {P: ("m",), Q: ("m",)}
+    assert shifted["a"] == {Q: ("m",), R: ("m",)}
+    assert only_r["a"] == {R: ("m",)}
+    # the second run's columns and row again (under another fingerprint:
+    # the advertisers swapped), but the memo holds one run only
+    assert again["a"] == shifted["a"] and again["a"] is not shifted["a"]
+
+
+@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
+def test_shared_table_never_above_one_bitmask_of_neighbors():
+    """A 64-leaf spine is answered per origin — a new table every run,
+    right every run — while its 64 leaves go on sharing."""
+    lsdb = converged_lsdb(lambda: leaf_spine(64, 2))
+    first, second = _runs("numpy", lsdb, _copy_with_stub(lsdb))
+    wide = [o for o in first if len(list(lsdb.two_way_neighbors(o))) > 63]
+    assert len(wide) == 2
+    for origin in sorted(first):
+        assert (second[origin] is first[origin]) == (
+            origin not in wide and origin != "leaf-0"
+        ), origin
+
+
+def _copy_with_stub(lsdb):
+    """``lsdb`` plus a prefix-free stub hanging off ``leaf-0``: a second
+    fingerprint under which every other origin's table is unchanged."""
+    copy = Lsdb()
+    for lsa in lsdb.all():
+        neighbors = lsa.neighbors
+        if lsa.origin == "leaf-0":
+            neighbors = tuple(sorted(neighbors + ("stub",)))
+        copy.insert(Lsa(lsa.origin, 1, neighbors, lsa.prefixes))
+    copy.insert(Lsa("stub", 1, ("leaf-0",), ()))
+    return copy
+
+
+def test_shared_table_never_on_the_python_engine():
+    """``engine="python"`` answers equally and shares nothing, even for
+    origins that are interchangeable."""
+    leaves = [("l1", ["s1", "s2"], [P]), ("l2", ["s1", "s2"], [Q])]
+    spines = [("s1", ["l1", "l2"], []), ("s2", ["l1", "l2"], [])]
+    first, second = _runs(
+        "python",
+        _lsdb(*leaves, *spines),
+        _lsdb(*leaves, *spines, ("x", [], [])),
+    )
+    assert first["s1"] == first["s2"] and first["s1"] is not first["s2"]
+    for origin in sorted(first):
+        assert second[origin] == first[origin]
+        assert second[origin] is not first[origin]
 
 
 @pytest.mark.parametrize("build", TOPOLOGIES)
