@@ -3,16 +3,14 @@
 Runs :func:`repro.bench.run_hotpath_bench` (the same harness behind
 ``repro bench``) and enforces the optimization floor as **ratios**
 against the in-harness naive reference implementations — the former
-dataclass event loop, the uncached per-packet resolve, the per-query
-Dijkstra, and the PR 5 memoized-full-SPF cache — so the bars mean the
-same thing on any hardware:
+dataclass event loop, the uncached per-packet resolve and the per-query
+Dijkstra — so the bars mean the same thing on any hardware:
 
 * event loop dispatch:      >= 3x the naive loop,
 * per-packet resolution:    >= 2x the uncached LPM walk per packet
   (lower floor: the reference calls the live ``Fib.matches``, so the
   hash FIB sped the *naive* side up by a third — see ``RATIO_FLOORS``),
 * memoized SPF oracle:      >= 3x recomputing Dijkstra,
-* incremental SPF churn:    >= 3x the memoized-full-SPF cache,
 * same-timestamp batching:  >= 1.8x the naive loop (lower floor by
   construction: timestamp ties cost the optimized list entries extra
   element compares while the dataclass reference always paid full
@@ -83,10 +81,9 @@ def test_bench_hotpath(emit):
 
     BENCH_FILE.write_text(to_json(result))
 
-    ev, eb, fw, spf, inc, fair, flow = (
+    ev, eb, fw, spf, fair, flow = (
         result["event_loop"], result["event_batch"], result["forwarding"],
-        result["spf"], result["spf_incremental"],
-        result["fairshare_vector"], result["flow_backend"],
+        result["spf"], result["fairshare_vector"], result["flow_backend"],
     )
     assert fair.get("numpy"), (
         "fairshare_vector: numpy unavailable — the recorded baseline "
@@ -104,10 +101,6 @@ def test_bench_hotpath(emit):
         f"(chain cache {fw['cache']['hit_rate']:.1%} hits)\n"
         f"  SPF oracle: {spf['optimized_sps']:>10,} tables/s  "
         f"naive {spf['naive_sps']:>9,}/s  -> {spf['ratio']:.1f}x\n"
-        f"  SPF churn:  {inc['optimized_sps']:>10,} tables/s  "
-        f"full-SPF {inc['naive_sps']:>7,}/s  -> {inc['ratio']:.1f}x "
-        f"({inc['incremental_updates']:,} incremental, "
-        f"{inc['full_computes']:,} full)\n"
         f"  fair share: {fair['optimized_fps']:>10,} flows/s  "
         f"python {fair['naive_fps']:>8,}/s  -> {fair['ratio']:.1f}x "
         f"at {fair['flows']:,} flows\n"

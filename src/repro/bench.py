@@ -15,10 +15,6 @@ pre-optimization code path:
   the caches, so a faster FIB *lowers* this ratio;
 * ``spf`` — the fingerprint-keyed :mod:`~repro.routing.spf_cache` vs.
   recomputing Dijkstra for every oracle query;
-* ``spf_incremental`` — reconvergence under link churn: the
-  single-edge patching path of :mod:`~repro.routing.spf_incremental`
-  vs. the former memoized-full-SPF cache, which misses on every flap
-  because each flap is a new fingerprint;
 * ``event_batch`` — a same-timestamp-heavy workload (the shape failure
   storms produce) on the batch-draining loop vs. the former dataclass
   heap, with an honest unbatched-list-entry row alongside;
@@ -67,7 +63,6 @@ GATED_SECTIONS = (
     "event_loop",
     "forwarding",
     "spf",
-    "spf_incremental",
     "event_batch",
     "fairshare_vector",
     "flow_backend",
@@ -457,11 +452,11 @@ def bench_forwarding(packets: int, repeats: int) -> Dict[str, Any]:
 def bench_spf(rounds: int, repeats: int) -> Dict[str, Any]:
     """Repeated oracle queries over a stable graph, cached vs. not.
 
-    The workload is what the verifier, the convergence-agreement
-    invariant, and an LSA-refresh storm all do: recompute every switch's
-    route table while the two-way graph hasn't changed.  Sequence
-    numbers are bumped between rounds to prove the cache keys on
-    content, not freshness.
+    The workload is what the convergence-agreement invariant, the
+    centralized controller and an LSA-refresh storm all do: recompute
+    every switch's route table while the two-way graph hasn't changed.
+    Sequence numbers are bumped between rounds to prove the cache keys
+    on content, not freshness.
     """
     from .core.f2tree import f2tree
     from .net.ip import Prefix
@@ -536,129 +531,6 @@ def bench_spf(rounds: int, repeats: int) -> Dict[str, Any]:
         "naive_sps": round(tables / slow_s),
         "ratio": round(slow_s / fast_s, 2),
         "cache": _hit_rate_dict(stats_cache.hits, stats_cache.misses),
-    }
-
-
-def bench_spf_incremental(rounds: int, repeats: int) -> Dict[str, Any]:
-    """Reconvergence under churn: one link flips per round, every switch
-    recomputes its table.
-
-    This is the paper's motivating regime — failures arrive one at a
-    time, and each one invalidates every cached SPF result because the
-    fingerprint changed.  The naive reference is the *previous* state of
-    the art in this repo (the PR 5 memoized-full-SPF cache, here an
-    :class:`~repro.routing.spf_cache.SpfCache` with ``incremental``
-    off): it misses on every flap and re-runs Dijkstra per switch.  The
-    optimized path patches each switch's previous state through the
-    single-edge delta instead.
-
-    The churn sequence fails links cumulatively and then restores the
-    oldest few, so it exercises both ``link-down`` and ``link-up``
-    deltas and every fingerprint along the way is distinct — neither
-    cache ever gets a plain memo hit inside the timed region.
-    """
-    from .core.f2tree import f2tree
-    from .net.ip import Prefix
-    from .routing.lsdb import Lsa, Lsdb
-    from .routing.spf_cache import SpfCache
-    from .routing.spf_incremental import clear_memos
-    from .topology.addressing import assign_addresses
-
-    topo = f2tree(12, hosts_per_tor=1)
-    assign_addresses(topo)
-    switches = sorted(
-        n.name for n in topo.nodes.values() if n.kind.is_switch
-    )
-    switch_set = set(switches)
-    adjacency = {
-        name: tuple(sorted(
-            peer for peer in topo.neighbors(name) if peer in switch_set
-        ))
-        for name in switches
-    }
-    edges = sorted(
-        {tuple(sorted((a, b))) for a in switches for b in adjacency[a]}
-    )
-
-    downs = rounds // 2 + 1
-    ups = rounds - downs
-    assert downs <= len(edges)
-    stride = max(1, len(edges) // downs)
-    flapped = edges[::stride][:downs]
-
-    def build_lsdb(down: frozenset) -> Lsdb:
-        lsdb = Lsdb()
-        for name in switches:
-            node = topo.node(name)
-            prefixes = []
-            if node.subnet is not None:
-                prefixes.append(node.subnet)
-            assert node.ip is not None
-            prefixes.append(Prefix(node.ip, 32))
-            neighbors = tuple(
-                peer for peer in adjacency[name]
-                if tuple(sorted((name, peer))) not in down
-            )
-            lsdb.insert(Lsa(name, 1, neighbors, tuple(prefixes)))
-        return lsdb
-
-    warmup_lsdb = build_lsdb(frozenset())
-    sequence: List[Lsdb] = []
-    down: set = set()
-    for edge in flapped:
-        down.add(edge)
-        sequence.append(build_lsdb(frozenset(down)))
-    for edge in flapped[:ups]:
-        down.remove(edge)
-        sequence.append(build_lsdb(frozenset(down)))
-    assert len(sequence) == rounds
-    tables = rounds * len(switches)
-
-    def timed(incremental: bool) -> Callable[[], Tuple[float, int]]:
-        def fn() -> Tuple[float, int]:
-            # start from cold module memos: entries left over from a
-            # previous bench pass hold *equal but distinct* fingerprint
-            # objects, whose lookups pay deep tuple comparison instead
-            # of the identity short-circuit a live trial enjoys
-            clear_memos()
-            cache = SpfCache()
-            cache.incremental = incremental
-            for name in switches:  # untimed warm start: both sides
-                cache.compute(name, warmup_lsdb)  # begin converged
-            t0 = time.perf_counter()
-            n = 0
-            for lsdb in sequence:
-                for name in switches:
-                    if cache.compute(name, lsdb):
-                        n += 1
-            return time.perf_counter() - t0, n
-
-        return fn
-
-    fast_s, fast_n = _best_of(repeats, timed(True))
-    slow_s, slow_n = _best_of(repeats, timed(False))
-    assert fast_n == slow_n == tables
-    # delta counters from a dedicated pass (the timed passes each use a
-    # throwaway cache)
-    clear_memos()
-    stats_cache = SpfCache()
-    for name in switches:
-        stats_cache.compute(name, warmup_lsdb)
-    for lsdb in sequence:
-        for name in switches:
-            stats_cache.compute(name, lsdb)
-    return {
-        "rounds": rounds,
-        "switches": len(switches),
-        "flapped_links": len(flapped),
-        "tables": tables,
-        "optimized_s": round(fast_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_sps": round(tables / fast_s),
-        "naive_sps": round(tables / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-        "incremental_updates": stats_cache.incremental_updates,
-        "full_computes": stats_cache.full_computes,
     }
 
 
@@ -905,7 +777,6 @@ def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, A
             "event_batch": bench_event_batch(events=20_000, repeats=2),
             "forwarding": bench_forwarding(packets=4_000, repeats=2),
             "spf": bench_spf(rounds=6, repeats=2),
-            "spf_incremental": bench_spf_incremental(rounds=6, repeats=2),
             # quick still runs >= 10k flows: the fairshare gate's floor
             # is only meaningful at a scale where rounds are plentiful
             "fairshare_vector": bench_fairshare_vector(flows=10_000, repeats=1),
@@ -919,7 +790,6 @@ def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, A
             "event_batch": bench_event_batch(events=20_000, repeats=5),
             "forwarding": bench_forwarding(packets=10_000, repeats=3),
             "spf": bench_spf(rounds=10, repeats=3),
-            "spf_incremental": bench_spf_incremental(rounds=16, repeats=3),
             "fairshare_vector": bench_fairshare_vector(flows=16_000, repeats=2),
             "flow_backend": bench_flow_backend(quick=False),
         }
@@ -1021,14 +891,6 @@ def render(result: Dict[str, Any]) -> str:
         f"  SPF oracle: {spf['optimized_sps']:>10,} tables/s "
         f"(naive {spf['naive_sps']:,}/s) -> {spf['ratio']:.1f}x"
     )
-    inc = result.get("spf_incremental")
-    if inc:
-        lines.append(
-            f"  SPF churn:  {inc['optimized_sps']:>10,} tables/s "
-            f"(full-SPF {inc['naive_sps']:,}/s) -> {inc['ratio']:.1f}x "
-            f"({inc['incremental_updates']:,} incremental / "
-            f"{inc['full_computes']:,} full)"
-        )
     spf_cache = spf.get("cache")
     fw_cache = fw.get("cache")
     if spf_cache and fw_cache:

@@ -15,7 +15,7 @@ claims live.  This module pins that agreement:
   (none / fast-reroute / convergence) and the same final-path outcome;
 * the ``flow-fairshare-corrupted`` seeded mutant proves the harness has
   teeth: a corrupted fair-share solver must be caught by the probe-count
-  comparison, exactly mirroring the ``spf-incremental-corrupted``
+  comparison, exactly mirroring the ``spf-engine-corrupted``
   diagonal of :mod:`repro.check.mutants`.
 
 Known, deliberate differences the comparison must tolerate (DESIGN §11):

@@ -156,43 +156,24 @@ def _disable_failure_detection(bundle: Any) -> None:
             detector.observe = lambda up: None
 
 
-def _corrupt_incremental_spf(bundle: Any) -> None:
-    """Sabotage every protocol instance's incremental SPF updates: each
-    successfully patched state has its ECMP route sets truncated to a
-    single (valid shortest-path) member.  The truncation keeps forwarding
-    loop-free and live — only the convergence-agreement differential can
-    see it, because the global oracle (whose own incremental path lives
-    in the *shared* cache, untouched by this instance-level patch) still
-    computes the full ECMP sets."""
-    from ..routing.spf_incremental import IncrementalSpfEngine, SpfState
-
+def _corrupt_spf_engine(bundle: Any) -> None:
+    """Sabotage every protocol instance's SPF engine: each table it
+    answers with has its ECMP route sets truncated to a single (valid
+    shortest-path) member.  The truncation keeps forwarding loop-free and
+    live — only the convergence-agreement differential can see it.  It
+    is made *in a copy*: the engine's table is the shared memo's own
+    object, the very one the global oracle reads."""
     for protocol in bundle.protocols.values():
-        engine = getattr(protocol, "_spf_engine", None)
-        if engine is None:
-            continue
+        engine = protocol._spf_engine
 
-        def corrupted(
-            state: Any, new_fp: Any, delta: Any, _engine: Any = engine
-        ) -> Any:
-            result = IncrementalSpfEngine._update_state(
-                _engine, state, new_fp, delta
-            )
-            if result is None:
-                return None
-            patched, touched = result
-            routes = {
+        def corrupted(lsdb: Any, _compute: Any = engine.compute) -> Any:
+            routes, report = _compute(lsdb)
+            return {
                 prefix: hops if len(hops) <= 1 else (min(hops),)
-                for prefix, hops in patched.routes.items()
-            }
-            return (
-                SpfState(
-                    patched.origin, patched.fingerprint,
-                    patched.dist, patched.first_hops, routes,
-                ),
-                touched,
-            )
+                for prefix, hops in routes.items()
+            }, report
 
-        engine._update_state = corrupted
+        engine.compute = corrupted
 
 
 def _leak_one_channel(bundle: Any) -> None:
@@ -254,13 +235,13 @@ _register(FaultMutant(
 ))
 
 _register(FaultMutant(
-    name="spf-incremental-corrupted",
+    name="spf-engine-corrupted",
     invariant=CONVERGENCE_AGREEMENT,
-    description="incremental SPF subtree updates truncate every ECMP "
-                "route to one next hop; installed routes disagree with "
-                "the full-ECMP global SPF oracle after reconvergence",
+    description="every protocol SPF engine truncates each ECMP route "
+                "to one next hop; installed routes disagree with the "
+                "full-ECMP global SPF oracle after reconvergence",
     config_factory=lambda: _events_config("f2tree", 6, "C1"),
-    apply=_corrupt_incremental_spf,
+    apply=_corrupt_spf_engine,
 ))
 
 _register(FaultMutant(

@@ -421,8 +421,7 @@ def build_recovery_spans(
                 attrs["cached"] = event.data["cached"]
             if "delta" in event.data:
                 # the logical LSDB-transition classification (refresh /
-                # cosmetic / link-down / link-up / structural) — shows
-                # which runs the incremental engine could patch
+                # cosmetic / link-down / link-up / structural)
                 attrs["delta"] = event.data["delta"]
             builder.add(
                 SPAN_SPF, event.time, event.time,

@@ -46,8 +46,7 @@ from ..dataplane.node import SwitchNode
 from ..dataplane.params import NetworkParams
 from .lsdb import Lsa, Lsdb
 from .spf import RouteTable
-from .spf_cache import SpfCacheStats
-from .spf_incremental import IncrementalSpfEngine
+from .spf_cache import SpfCacheStats, SpfEngine
 
 #: FIB entry source tag for routes installed by this protocol.
 SOURCE = "linkstate"
@@ -66,15 +65,18 @@ class ProtocolStats:
     lsas_flooded: int = 0
     lsas_accepted: int = 0
     spf_runs: int = 0
-    #: SPF runs answered by patching the previous tree (subset of spf_runs)
-    spf_incremental_runs: int = 0
-    #: SPF runs that executed (or fetched) a from-scratch computation
-    spf_full_runs: int = 0
-    #: nodes recomputed across all incremental runs (region sizes)
-    spf_nodes_touched: int = 0
     fib_installs: int = 0
     #: hold values at each SPF completion — shows the exponential backoff
     hold_history: List[Time] = field(default_factory=list)
+
+    # read only by ``perfbench/layers.py:181-183``, off every agent (every
+    # SPF run is a full run); they go with the re-pin of ROADMAP item 1(ii)
+    spf_incremental_runs = 0
+    spf_nodes_touched = 0
+
+    @property
+    def spf_full_runs(self) -> int:
+        return self.spf_runs
 
 
 class LinkStateProtocol:
@@ -103,9 +105,9 @@ class LinkStateProtocol:
         self.stats = ProtocolStats()
         #: logical (deterministic, per-instance) SPF cache accounting
         self.spf_cache_stats = SpfCacheStats()
-        #: per-instance incremental SPF (full computations hit the shared
-        #: cache; single-edge LSDB deltas patch the previous tree in place)
-        self._spf_engine = IncrementalSpfEngine(self.name)
+        #: per-instance route computer over the shared (origin,
+        #: fingerprint) memo; warm start swaps in the batch oracle's
+        self._spf_engine = SpfEngine(self.name)
         self._seq = 0
         # SPF throttle state
         self._spf_timer = Timer(sim, self._run_spf)
@@ -276,21 +278,12 @@ class LinkStateProtocol:
         )
         routes, report = self._spf_engine.compute(self.lsdb)
         self._pending_routes = routes
-        if report.incremental:
-            self.stats.spf_incremental_runs += 1
-            self.stats.spf_nodes_touched += report.touched
-            obs.metrics.counter("spf.incremental.runs").inc()
-            obs.metrics.counter("spf.incremental.touched").inc(report.touched)
-        else:
-            self.stats.spf_full_runs += 1
         obs.metrics.counter(
             "spf.cache.hits" if cached else "spf.cache.misses"
         ).inc()
         # the traced delta is the *logical* transition classification — a
-        # pure function of this instance's fingerprint sequence, identical
-        # whether the incremental path executed or was force-disabled, so
-        # traces stay byte-identical either way (touched counts are
-        # execution detail and live in stats/metrics only)
+        # pure function of this instance's fingerprint sequence, whatever
+        # computed the table and however warm the memo was
         obs.trace.emit(
             self.sim.now, EV_SPF_RUN, self.name,
             hold=self._hold_current, cached=cached, delta=report.delta,
@@ -305,8 +298,9 @@ class LinkStateProtocol:
         :meth:`~repro.net.fib.Fib.apply_delta` batch, one generation
         bump.  The delta is built in sorted-prefix order so the trace's
         ``changes`` list (and therefore the whole obs trace) is a pure
-        function of the route tables, independent of whichever code path
-        (full or incremental SPF) produced their dict ordering.  Tables
+        function of the route tables, independent of whichever computer
+        (per-origin Dijkstra or the batch kernel) produced their dict
+        ordering.  Tables
         are immutable, so an engine handing back the object already
         downloaded means "no change": the same (empty) delta, counters
         and trace record as a diff would give, without scanning a table.

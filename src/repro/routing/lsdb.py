@@ -4,16 +4,25 @@ Each router originates one LSA describing its live switch adjacencies and
 its attached ("stub") prefixes — a ToR's host subnet, plus the router's /32
 loopback.  Sequence numbers provide freshness, exactly like OSPF router
 LSAs (we skip aging/MaxAge: simulated experiments are shorter than any
-refresh interval).
+refresh interval).  :meth:`Lsdb.fingerprint` digests a database's
+routing-relevant content and :func:`graph_info` indexes that digest (the
+two-way graph, who advertises what) for whoever diffs or flattens it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..net.ip import Prefix
+
+#: the hashable digest produced by :meth:`Lsdb.fingerprint`
+Fingerprint = Tuple[Any, ...]
+
+#: an undirected two-way edge, endpoints sorted
+Edge = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class Lsdb:
 
     def __init__(self) -> None:
         self._by_origin: Dict[str, Lsa] = {}
-        self._fingerprint: Optional[Tuple] = None
+        self._fingerprint: Optional[Fingerprint] = None
 
     def __len__(self) -> int:
         return len(self._by_origin)
@@ -112,7 +121,7 @@ class Lsdb:
         self._by_origin = dict(reference._by_origin)
         self._fingerprint = reference._fingerprint
 
-    def fingerprint(self) -> Tuple:
+    def fingerprint(self) -> Fingerprint:
         """A hashable digest of the *routing-relevant* content.
 
         SPF (:func:`repro.routing.spf.compute_routes`) reads only each
@@ -149,3 +158,64 @@ class Lsdb:
             peer_lsa = self._by_origin.get(peer)
             if peer_lsa is not None and origin in peer_lsa.neighbors:
                 yield peer
+
+
+@dataclass(frozen=True)
+class GraphInfo:
+    """Routing-relevant content of one fingerprint, indexed for diffing."""
+
+    #: node -> sorted two-way neighbors (every origin is a key)
+    adjacency: Dict[str, Tuple[str, ...]]
+    #: node -> advertised prefixes
+    prefixes: Dict[str, Tuple[Prefix, ...]]
+    #: prefix -> sorted advertising origins
+    advertisers: Dict[Prefix, Tuple[str, ...]]
+    #: the two-way edge set
+    edges: FrozenSet[Edge]
+
+
+#: bounded memo for :func:`graph_info` — fingerprints repeat heavily
+#: (every switch of a fabric shares the flooded database content)
+_GRAPH_MEMO: "OrderedDict[Fingerprint, GraphInfo]" = OrderedDict()
+_GRAPH_MEMO_MAX = 128
+
+
+def graph_info(fingerprint: Fingerprint) -> GraphInfo:
+    """Index one fingerprint's content (memoized)."""
+    memo = _GRAPH_MEMO
+    info = memo.get(fingerprint)
+    if info is not None:
+        memo.move_to_end(fingerprint)
+        return info
+    declared: Dict[str, Tuple[str, ...]] = {}
+    prefixes: Dict[str, Tuple[Prefix, ...]] = {}
+    for origin, neighbors, prefs in fingerprint:
+        declared[origin] = neighbors
+        prefixes[origin] = prefs
+    adjacency: Dict[str, Tuple[str, ...]] = {}
+    edges: List[Edge] = []
+    for origin, neighbors, _prefs in fingerprint:
+        two_way = tuple(sorted(
+            {peer for peer in neighbors if origin in declared.get(peer, ())}
+        ))
+        adjacency[origin] = two_way
+        for peer in two_way:
+            if origin < peer:
+                edges.append((origin, peer))
+    advertisers: Dict[Prefix, List[str]] = {}
+    for origin, _neighbors, prefs in fingerprint:
+        for prefix in prefs:
+            advertisers.setdefault(prefix, []).append(origin)
+    info = GraphInfo(
+        adjacency=adjacency,
+        prefixes=prefixes,
+        advertisers={
+            prefix: tuple(sorted(origins))
+            for prefix, origins in advertisers.items()
+        },
+        edges=frozenset(edges),
+    )
+    memo[fingerprint] = info
+    if len(memo) > _GRAPH_MEMO_MAX:
+        memo.popitem(last=False)
+    return info

@@ -7,8 +7,7 @@ shortest paths — that set is what ECMP hashes over (§II-A), and its
 "eliminate the failed member" behaviour is realised later by the data
 plane's live-next-hop pruning.
 
-The computation is split into two composable passes so the incremental
-engine (:mod:`repro.routing.spf_incremental`) can reuse each half:
+The computation is two passes:
 
 * :func:`dijkstra` — the reachability pass: per-node distance and
   ECMP first-hop set from the origin;
@@ -17,7 +16,7 @@ engine (:mod:`repro.routing.spf_incremental`) can reuse each half:
   merge their next hops).
 
 :func:`compute_routes` is their composition and remains the from-scratch
-oracle every cached/incremental path is differentially tested against.
+oracle the memo and the batch kernel are differentially tested against.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def dijkstra(origin: str, lsdb: Lsdb) -> Tuple[DistanceMap, FirstHopMap]:
 
     Returns ``(dist, first_hops)`` over every node reachable from
     ``origin`` (including the origin itself, at distance 0 with an empty
-    first-hop set).  The maps are exactly the per-node state the
-    incremental engine snapshots and patches.
+    first-hop set).
     """
     dist: DistanceMap = {origin: 0}
     first_hops: FirstHopMap = {origin: frozenset()}

@@ -8,7 +8,7 @@ every origin's route table in one shot, with no interpreted step per
 (origin, prefix):
 
 * the two-way graph comes from the LSDB fingerprint (indexed once via
-  :func:`repro.routing.spf_incremental.graph_info`) and is flattened to
+  :func:`repro.routing.lsdb.graph_info`) and is flattened to
   a :class:`~repro.topology.compact.CompactGraph`;
 * one synchronized BFS runs from every advertised *prefix* at once —
   all advertisers of a prefix start at distance 0 — over frontiers
@@ -46,9 +46,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.ip import Prefix
 from ..topology.compact import CompactGraph
-from .lsdb import Lsdb
+from .lsdb import Lsdb, graph_info
 from .spf import RouteTable, compute_routes
-from .spf_incremental import graph_info
 
 try:  # numpy is an optional accelerator, never a requirement
     import numpy as _np

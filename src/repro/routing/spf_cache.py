@@ -1,65 +1,130 @@
-"""Memoized + incremental SPF: the biggest repeated computation here.
+"""Per-origin SPF behind an (origin, fingerprint) memo, and the engine a
+link-state instance computes with.
 
 :func:`repro.routing.spf.compute_routes` is a pure function of the
 two-way neighbor graph plus advertised prefixes — LSA sequence numbers
 never influence the result.  :meth:`repro.routing.lsdb.Lsdb.fingerprint`
 digests exactly that routing-relevant content, so ``(origin,
-fingerprint)`` is a sound cache key: equal keys provably yield equal
-route tables.
+fingerprint)`` is a sound memo key: equal keys provably yield equal
+route tables.  A miss is one from-scratch Dijkstra; nothing is patched.
 
-The cache stores the full :class:`~repro.routing.spf_incremental.
-SpfState` (distances + ECMP first hops + routes), not just the route
-table, and that makes misses cheap too: when an origin's previous state
-is still resident and the fingerprint transition is a single link
-up/down, the new state is **patched incrementally** from the old one
-instead of recomputed from scratch (see :mod:`repro.routing.
-spf_incremental`; falls back to a full Dijkstra on structural changes).
-Under a failure storm — the paper's motivating regime — nearly every
-transition is a single-edge delta, so the per-switch SPF cost drops from
-O(V log V + E) to the size of the affected subtree.
+Three consumers ask one origin at a time and share the memo:
 
-Three subsystems repeat identical SPF work and share this cache:
-
-* the distributed protocol (:mod:`repro.routing.linkstate`) — via its
-  per-instance :class:`~repro.routing.spf_incremental.
-  IncrementalSpfEngine`, whose *full* computations land here;
-* the static verifier (:mod:`repro.verify`) — enumerating 16k+ failure
-  sets, many of which collapse to the same surviving graph;
+* the distributed protocol (:mod:`repro.routing.linkstate`) — through
+  its per-instance :class:`SpfEngine`, so an A→B→A flap and every trial
+  after the first of a campaign chunk find their tables already there;
+* the centralized controller (:mod:`repro.routing.centralized`);
 * the convergence-agreement invariant (:mod:`repro.check.invariants`) —
-  the centralized oracle recomputes every switch's table after every
-  topology event.
+  on purpose: on a fluid trial the protocol computes through the batch
+  kernel (:mod:`repro.routing.spf_batch`), and this is the only route
+  computer that is not the one under test.
+
+Whoever wants every origin of one database at once asks the batch
+kernel instead; the two are each other's differential oracle
+(``tests/test_spf_incremental.py``, ``tests/test_spf_batch.py``).
 
 Determinism is unaffected by construction: a hit returns a dict *equal*
 to what :func:`compute_routes` would return (nobody mutates a route
 table an engine has returned, the engine included: the protocol holds
-this very object as its download), and an incremental patch is
-differentially pinned equal to the from-scratch result by
-``tests/test_spf_incremental.py``.  Eviction is LRU over a deterministic
-access sequence, hence itself deterministic.  The cache is per-process;
-campaign workers warm it across the trials of their chunk, and the
-1-vs-N-worker byte-identity tests pin that sharing changes nothing
-observable.
+this very object as its download).  Eviction is LRU over a
+deterministic access sequence, hence itself deterministic.  The memo is
+per-process; campaign workers warm it across the trials of their chunk,
+and the 1-vs-N-worker byte-identity tests pin that sharing changes
+nothing observable.
+
+The transition taxonomy (:func:`classify_transition`) is what every
+``spf.run`` trace record and ``spf`` span leaf carries as ``delta``: a
+pure function of one consumer's fingerprint sequence, independent of
+how — or whether — anything was computed.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Set, Tuple
 
-from .lsdb import Lsdb
-from .spf import RouteTable
-from .spf_incremental import (
-    LINK_DOWN,
-    LINK_UP,
-    Fingerprint,
-    SpfState,
-    apply_single_edge,
-    classify_transition,
-    full_state,
-)
+from .lsdb import Edge, Fingerprint, Lsdb, graph_info
+from .spf import RouteTable, compute_routes
+
+# ------------------------------------------------------- delta taxonomy
+
+#: first computation for this consumer (no previous fingerprint)
+INITIAL = "initial"
+#: fingerprint unchanged (seq-only LSA refresh)
+REFRESH = "refresh"
+#: fingerprints differ but the two-way graph and prefixes are identical
+#: (a half-learned failure: only one endpoint re-originated so far)
+COSMETIC = "cosmetic"
+#: exactly one two-way edge disappeared
+LINK_DOWN = "link-down"
+#: exactly one two-way edge appeared
+LINK_UP = "link-up"
+#: anything else (multi-edge batch, origin/prefix changes)
+STRUCTURAL = "structural"
+
+
+@dataclass(frozen=True)
+class SpfDelta:
+    """Classification of one fingerprint transition."""
+
+    kind: str
+    edge: Optional[Edge] = None
+
+
+@dataclass(frozen=True)
+class SpfRunReport:
+    """What one engine computation answered — ``delta`` (and ``edge``)
+    are pure functions of the consumer's fingerprint sequence and
+    therefore safe to emit into byte-identical traces."""
+
+    delta: str
+    edge: Optional[Edge] = None
+
+
+#: bounded memo for :func:`classify_transition` — all origins of a fabric
+#: see the same (old, new) fingerprint pair after one topology event
+_DELTA_MEMO: "OrderedDict[Tuple[Fingerprint, Fingerprint], SpfDelta]" = OrderedDict()
+_DELTA_MEMO_MAX = 256
+
+
+def classify_transition(
+    old_fp: Fingerprint, new_fp: Fingerprint
+) -> SpfDelta:
+    """Classify the transition between two fingerprints (memoized)."""
+    if old_fp == new_fp:
+        return SpfDelta(REFRESH)
+    memo = _DELTA_MEMO
+    key = (old_fp, new_fp)
+    delta = memo.get(key)
+    if delta is not None:
+        memo.move_to_end(key)
+        return delta
+    old_info = graph_info(old_fp)
+    new_info = graph_info(new_fp)
+    if old_info.prefixes != new_info.prefixes:
+        # origin set or advertised prefixes changed
+        delta = SpfDelta(STRUCTURAL)
+    else:
+        diff = old_info.edges ^ new_info.edges
+        if not diff:
+            delta = SpfDelta(COSMETIC)
+        elif len(diff) == 1:
+            edge = next(iter(diff))
+            kind = LINK_UP if edge in new_info.edges else LINK_DOWN
+            delta = SpfDelta(kind, edge)
+        else:
+            delta = SpfDelta(STRUCTURAL)
+    memo[key] = delta
+    if len(memo) > _DELTA_MEMO_MAX:
+        memo.popitem(last=False)
+    return delta
+
+
+# ----------------------------------------------------------------- memo
 
 #: default bound: a 40-switch grid trial needs ~40 entries per distinct
-#: surviving graph; 4096 comfortably covers a verifier enumeration sweep
+#: surviving graph; 4096 covers the trials of one campaign chunk
 _MAX_ENTRIES = 4096
 
 _Key = Tuple[str, tuple]
@@ -98,87 +163,46 @@ class SpfCacheStats:
 
 
 class SpfCache:
-    """A bounded LRU memo for SPF states, incremental on single-edge misses."""
+    """A bounded LRU memo of route tables keyed ``(origin, fingerprint)``."""
 
     def __init__(self, max_entries: int = _MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self._max_entries = max_entries
-        self._store: "OrderedDict[_Key, SpfState]" = OrderedDict()
-        #: origin -> fingerprint of that origin's most recent state, the
-        #: incremental-patch candidate on the next miss for the origin
-        self._latest: Dict[str, Fingerprint] = {}
-        #: when False every miss takes the from-scratch path (the bench
-        #: harness and the differential tests flip this)
-        self.incremental = True
+        self._store: "OrderedDict[_Key, RouteTable]" = OrderedDict()
         #: lifetime counters (observability + the bench harness)
         self.hits = 0
         self.misses = 0
-        self.incremental_updates = 0
-        self.full_computes = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def _miss(self, origin: str, lsdb: Lsdb, fingerprint: tuple) -> SpfState:
-        if self.incremental:
-            previous = self._previous_state(origin)
-            if previous is not None:
-                delta = classify_transition(previous.fingerprint, fingerprint)
-                if delta.kind in (LINK_DOWN, LINK_UP):
-                    patched = apply_single_edge(previous, fingerprint, delta)
-                    if patched is not None:
-                        self.incremental_updates += 1
-                        return patched[0]
-        self.full_computes += 1
-        return full_state(origin, lsdb)
+    def compute(self, origin: str, lsdb: Lsdb) -> RouteTable:
+        """``compute_routes(origin, lsdb)``, memoized.
 
-    def _previous_state(self, origin: str) -> Optional[SpfState]:
-        latest = self._latest.get(origin)
-        if latest is None:
-            return None
-        return self._store.get((origin, latest))
-
-    def compute_state(self, origin: str, lsdb: Lsdb) -> SpfState:
-        """The full SPF state for ``(origin, lsdb)``, memoized.
-
-        The returned state is shared between callers and immutable by
+        The returned table is shared between callers and immutable by
         convention.  Consumers that need deterministic accounting keep
         their own :class:`SpfCacheStats` and call :meth:`~SpfCacheStats.
         note` *before* this — never through it, so swapping the cache
         out (the fastpath differential tests do) cannot change what any
         consumer reports.
         """
-        fingerprint = lsdb.fingerprint()
-        key = (origin, fingerprint)
+        key = (origin, lsdb.fingerprint())
         store = self._store
-        state = store.get(key)
-        if state is not None:
+        routes = store.get(key)
+        if routes is not None:
             store.move_to_end(key)
             self.hits += 1
-            self._latest[origin] = fingerprint
-            return state
+            return routes
         self.misses += 1
-        state = self._miss(origin, lsdb, fingerprint)
-        store[key] = state
-        self._latest[origin] = fingerprint
+        routes = store[key] = compute_routes(origin, lsdb)
         if len(store) > self._max_entries:
-            evicted_key, _ = store.popitem(last=False)
-            if self._latest.get(evicted_key[0]) == evicted_key[1]:
-                del self._latest[evicted_key[0]]
-        return state
-
-    def compute(self, origin: str, lsdb: Lsdb) -> RouteTable:
-        """``compute_routes(origin, lsdb)``, memoized + incremental."""
-        return self.compute_state(origin, lsdb).routes
-
-    def clear(self) -> None:
-        self._store.clear()
-        self._latest.clear()
+            store.popitem(last=False)
+        return routes
 
 
-#: the process-wide shared instance (protocol, verifier, and checker all
-#: benefit from each other's warm entries)
+#: the process-wide shared instance (protocol, controller and checker
+#: all benefit from each other's warm entries)
 shared_spf_cache = SpfCache()
 
 
@@ -186,3 +210,42 @@ def compute_routes_cached(origin: str, lsdb: Lsdb) -> RouteTable:
     """Drop-in memoized :func:`~repro.routing.spf.compute_routes` over
     the shared cache."""
     return shared_spf_cache.compute(origin, lsdb)
+
+
+# --------------------------------------------------------------- engine
+
+
+class SpfEngine:
+    """One link-state instance's route computer.
+
+    Remembers the last fingerprint it was fed and the table it answered
+    with.  A ``refresh`` or ``cosmetic`` transition leaves every route
+    as it was, so the engine hands back *the table object it already
+    holds* — which the protocol's FIB download recognises as "no
+    change" by identity; anything else asks the shared memo.  The
+    returned :class:`SpfRunReport` evolves purely from the sequence of
+    fingerprints this one consumer feeds it, so the ``delta`` trace
+    attribute is byte-identical for any worker count or memo
+    temperature.
+    """
+
+    # no __slots__: the ``spf-engine-corrupted`` check mutant wraps
+    # ``compute`` per instance
+
+    def __init__(self, origin: str) -> None:
+        self.origin = origin
+        self._fingerprint: Optional[Fingerprint] = None
+        self._routes: RouteTable = {}
+
+    def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
+        """Routes for this engine's origin over ``lsdb``, plus a report."""
+        fingerprint = lsdb.fingerprint()
+        previous = self._fingerprint
+        if previous is None:
+            delta = SpfDelta(INITIAL)
+        else:
+            delta = classify_transition(previous, fingerprint)
+        self._fingerprint = fingerprint
+        if delta.kind not in (REFRESH, COSMETIC):
+            self._routes = compute_routes_cached(self.origin, lsdb)
+        return self._routes, SpfRunReport(delta.kind, delta.edge)

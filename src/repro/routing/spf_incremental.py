@@ -1,558 +1,11 @@
-"""Incremental shortest-path-first: recompute only the affected subtree.
+"""The name ``perfbench/layers.py:28`` resolves — its only reader.
 
-Full SPF (:func:`repro.routing.spf.compute_routes`) is a pure function
-of the two-way graph plus advertised prefixes, and an LSDB almost never
-changes arbitrarily between two SPF runs: the overwhelmingly common
-transition in a failure/recovery storm is **one link going down or up**
-(both endpoints re-originate, but the two-way edge set changes by
-exactly one edge).  This module classifies the transition between two
-LSDB fingerprints and, for single-edge deltas, patches the previous SPF
-state instead of recomputing from scratch — the approach of "Efficient
-Algorithms to Enhance Recovery Schema in Link State Protocols"
-(arXiv 1108.1426) adapted to this repo's ECMP first-hop-set Dijkstra.
-
-Algorithm sketch (unit costs make Dijkstra a BFS by levels):
-
-* **link-down** ``(a, b)`` — if the edge was not on any shortest path
-  (``dist[a] == dist[b]``, or an endpoint was unreachable) nothing
-  changes.  Otherwise every node whose shortest paths could have used
-  the edge is a descendant of the *far* endpoint in the old shortest-
-  path DAG; that (conservative) affected region is recomputed by a
-  boundary-seeded restricted Dijkstra, everything outside it is
-  provably untouched.
-* **link-up** ``(a, b)`` — improvements propagate outward from the new
-  edge: a seeded Dijkstra settles nodes in increasing distance order,
-  pruning propagation wherever the recomputed ``(dist, first_hops)``
-  equals the old value (an equal-cost merge can change first hops
-  without changing distance, so equal-distance "dirty" probes are
-  pushed too).
-* **route patching** — only prefixes advertised by a node whose
-  ``(dist, first_hops)`` changed can change in the route table; those
-  are re-aggregated across their advertisers, the rest of the table is
-  reused as-is.
-
-Every result is **provably equal** to the from-scratch oracle and the
-hypothesis suite in ``tests/test_spf_incremental.py`` differentially
-pins that equality across random flap sequences on all four topology
-families.  Equal-key heap entries are ``(distance, name)`` tuples, so
-settle order is deterministic regardless of set iteration order.
-
-Two consumers layer this module:
-
-* :class:`~repro.routing.spf_cache.SpfCache` applies it on cache misses
-  (the verifier, the centralized controller, and the convergence-
-  agreement oracle all go through the shared cache);
-* :class:`IncrementalSpfEngine` gives each link-state protocol instance
-  a private state whose evolution is a pure function of that instance's
-  own fingerprint sequence — which is what makes the ``delta`` trace
-  attribute and the per-instance stats deterministic for any worker
-  count.
+Nothing is incremental here any more: the per-origin engine is
+:class:`repro.routing.spf_cache.SpfEngine`, and perfbench's tracer
+target ``repro.routing.spf_incremental`` : ``IncrementalSpfEngine.compute``
+cannot be edited outside a ``benchmark``-type PR.  Goes with the re-pin
+of ROADMAP item 1(ii); ``tests/test_perfbench_targets.py`` fails the day
+``layers.py`` stops naming this module.
 """
 
-from __future__ import annotations
-
-import heapq
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
-
-from ..net.ip import Prefix
-from .lsdb import Lsdb
-from .spf import DistanceMap, FirstHopMap, RouteTable, aggregate_routes, dijkstra
-
-#: the hashable digest produced by :meth:`repro.routing.lsdb.Lsdb.fingerprint`
-Fingerprint = Tuple[Any, ...]
-
-#: an undirected two-way edge, endpoints sorted
-Edge = Tuple[str, str]
-
-# ------------------------------------------------------- delta taxonomy
-
-#: first computation for this consumer (no previous state)
-INITIAL = "initial"
-#: fingerprint unchanged (seq-only LSA refresh): previous result reused
-REFRESH = "refresh"
-#: fingerprints differ but the two-way graph and prefixes are identical
-#: (a half-learned failure: only one endpoint re-originated so far)
-COSMETIC = "cosmetic"
-#: exactly one two-way edge disappeared
-LINK_DOWN = "link-down"
-#: exactly one two-way edge appeared
-LINK_UP = "link-up"
-#: anything else (multi-edge batch, origin/prefix changes): full SPF
-STRUCTURAL = "structural"
-
-
-@dataclass(frozen=True)
-class SpfDelta:
-    """Classification of one fingerprint transition."""
-
-    kind: str
-    edge: Optional[Edge] = None
-
-
-@dataclass(frozen=True)
-class GraphInfo:
-    """Routing-relevant content of one fingerprint, indexed for diffing."""
-
-    #: node -> sorted two-way neighbors (every origin is a key)
-    adjacency: Dict[str, Tuple[str, ...]]
-    #: node -> advertised prefixes
-    prefixes: Dict[str, Tuple[Prefix, ...]]
-    #: prefix -> sorted advertising origins
-    advertisers: Dict[Prefix, Tuple[str, ...]]
-    #: the two-way edge set
-    edges: FrozenSet[Edge]
-
-
-@dataclass(frozen=True)
-class SpfState:
-    """One origin's complete SPF result over one fingerprint.
-
-    Treated as immutable by every consumer: incremental updates build
-    new maps (copy-on-write), never mutate a shared state in place.
-    """
-
-    origin: str
-    fingerprint: Fingerprint
-    dist: DistanceMap
-    first_hops: FirstHopMap
-    routes: RouteTable
-
-
-@dataclass(frozen=True)
-class SpfRunReport:
-    """What one engine computation did — ``delta`` (and ``edge``) are pure
-    functions of the consumer's fingerprint sequence and therefore safe
-    to emit into byte-identical traces; ``touched``/``incremental``
-    describe the work actually performed."""
-
-    delta: str
-    edge: Optional[Edge] = None
-    #: nodes whose SPF state was recomputed (region size, not changes)
-    touched: int = 0
-    #: True when the incremental patch path produced the result
-    incremental: bool = False
-
-
-# --------------------------------------------------- fingerprint indexing
-
-#: bounded memo for :func:`graph_info` — fingerprints repeat heavily
-#: (every switch of a fabric shares the flooded database content)
-_GRAPH_MEMO: "OrderedDict[Fingerprint, GraphInfo]" = OrderedDict()
-_GRAPH_MEMO_MAX = 128
-
-#: bounded memo for :func:`classify_transition` — all origins of a fabric
-#: see the same (old, new) fingerprint pair after one topology event
-_DELTA_MEMO: "OrderedDict[Tuple[Fingerprint, Fingerprint], SpfDelta]" = OrderedDict()
-_DELTA_MEMO_MAX = 256
-
-
-def graph_info(fingerprint: Fingerprint) -> GraphInfo:
-    """Index one fingerprint's content (memoized)."""
-    memo = _GRAPH_MEMO
-    info = memo.get(fingerprint)
-    if info is not None:
-        memo.move_to_end(fingerprint)
-        return info
-    declared: Dict[str, Tuple[str, ...]] = {}
-    prefixes: Dict[str, Tuple[Prefix, ...]] = {}
-    for origin, neighbors, prefs in fingerprint:
-        declared[origin] = neighbors
-        prefixes[origin] = prefs
-    adjacency: Dict[str, Tuple[str, ...]] = {}
-    edges: List[Edge] = []
-    for origin, neighbors, _prefs in fingerprint:
-        two_way = tuple(sorted(
-            {peer for peer in neighbors if origin in declared.get(peer, ())}
-        ))
-        adjacency[origin] = two_way
-        for peer in two_way:
-            if origin < peer:
-                edges.append((origin, peer))
-    advertisers: Dict[Prefix, List[str]] = {}
-    for origin, _neighbors, prefs in fingerprint:
-        for prefix in prefs:
-            advertisers.setdefault(prefix, []).append(origin)
-    info = GraphInfo(
-        adjacency=adjacency,
-        prefixes=prefixes,
-        advertisers={
-            prefix: tuple(sorted(origins))
-            for prefix, origins in advertisers.items()
-        },
-        edges=frozenset(edges),
-    )
-    memo[fingerprint] = info
-    if len(memo) > _GRAPH_MEMO_MAX:
-        memo.popitem(last=False)
-    return info
-
-
-def classify_transition(
-    old_fp: Fingerprint, new_fp: Fingerprint
-) -> SpfDelta:
-    """Classify the transition between two fingerprints (memoized)."""
-    if old_fp == new_fp:
-        return SpfDelta(REFRESH)
-    memo = _DELTA_MEMO
-    key = (old_fp, new_fp)
-    delta = memo.get(key)
-    if delta is not None:
-        memo.move_to_end(key)
-        return delta
-    old_info = graph_info(old_fp)
-    new_info = graph_info(new_fp)
-    if old_info.prefixes != new_info.prefixes:
-        # origin set or advertised prefixes changed: full recompute
-        delta = SpfDelta(STRUCTURAL)
-    else:
-        diff = old_info.edges ^ new_info.edges
-        if not diff:
-            delta = SpfDelta(COSMETIC)
-        elif len(diff) == 1:
-            edge = next(iter(diff))
-            kind = LINK_UP if edge in new_info.edges else LINK_DOWN
-            delta = SpfDelta(kind, edge)
-        else:
-            delta = SpfDelta(STRUCTURAL)
-    memo[key] = delta
-    if len(memo) > _DELTA_MEMO_MAX:
-        memo.popitem(last=False)
-    return delta
-
-
-# ------------------------------------------------------------ full state
-
-
-def full_state(origin: str, lsdb: Lsdb) -> SpfState:
-    """From-scratch SPF state (the fallback and the initial computation)."""
-    fingerprint = lsdb.fingerprint()
-    own = lsdb.get(origin)
-    if own is None:
-        return SpfState(origin, fingerprint, {}, {}, {})
-    dist, first_hops = dijkstra(origin, lsdb)
-    routes = aggregate_routes(
-        origin, frozenset(own.prefixes), lsdb.all(), dist, first_hops
-    )
-    return SpfState(origin, fingerprint, dist, first_hops, routes)
-
-
-# ------------------------------------------------------ incremental core
-
-
-def _parent_hops(
-    origin: str,
-    node: str,
-    dist_of_node: int,
-    adjacency: Dict[str, Tuple[str, ...]],
-    dist: DistanceMap,
-    first_hops: FirstHopMap,
-) -> frozenset:
-    """ECMP first hops of ``node`` as the union over its DAG parents.
-
-    Equivalent to the full algorithm's equal-cost merging: every parent
-    ``p`` (a neighbor at distance ``dist_of_node - 1``) contributes its
-    own first-hop set — or ``{node}`` itself when the parent is the
-    origin.  Callers guarantee every parent's entry in ``dist``/
-    ``first_hops`` is final when this runs.
-    """
-    target = dist_of_node - 1
-    hops: frozenset = frozenset()
-    for peer in adjacency[node]:
-        if dist.get(peer) == target:
-            if peer == origin:
-                hops = hops | frozenset((node,))
-            else:
-                hops = hops | first_hops[peer]
-    return hops
-
-
-def _patch_routes(
-    old_routes: RouteTable,
-    origin: str,
-    info: GraphInfo,
-    changed: List[str],
-    dist: DistanceMap,
-    first_hops: FirstHopMap,
-) -> RouteTable:
-    """Re-aggregate only the prefixes advertised by changed nodes.
-
-    A prefix's route depends exclusively on its advertisers' ``(dist,
-    first_hops)``; prefixes whose advertisers are all unchanged keep
-    their old entry verbatim.
-    """
-    if not changed:
-        return old_routes
-    touched: set = set()
-    for node in changed:
-        touched.update(info.prefixes.get(node, ()))
-    if not touched:
-        return old_routes
-    own = frozenset(info.prefixes.get(origin, ()))
-    routes = dict(old_routes)
-    for prefix in sorted(touched, key=lambda p: (p.network, p.length)):
-        if prefix in own:
-            continue
-        best_d: Optional[int] = None
-        best_hops: frozenset = frozenset()
-        for advertiser in info.advertisers[prefix]:
-            if advertiser == origin:
-                continue
-            d = dist.get(advertiser)
-            if d is None:
-                continue
-            hops = first_hops[advertiser]
-            if not hops:
-                continue
-            if best_d is None or d < best_d:
-                best_d, best_hops = d, hops
-            elif d == best_d:
-                best_hops = best_hops | hops
-        if best_d is None:
-            routes.pop(prefix, None)
-        else:
-            routes[prefix] = tuple(sorted(best_hops))
-    return routes
-
-
-def _apply_link_down(
-    state: SpfState, new_fp: Fingerprint, edge: Edge
-) -> Optional[Tuple[SpfState, int]]:
-    origin = state.origin
-    dist = state.dist
-    first_hops = state.first_hops
-    a, b = edge
-    da = dist.get(a)
-    db = dist.get(b)
-    if da is None or db is None or da == db:
-        # the edge was on no shortest path (equal-distance siblings, or
-        # an unreachable endpoint): nothing changes but the fingerprint
-        return (
-            SpfState(origin, new_fp, dist, first_hops, state.routes),
-            0,
-        )
-    far = a if da > db else b
-    # conservative affected region: descendants of the far endpoint in
-    # the OLD shortest-path DAG (child = neighbor one level deeper)
-    old_adjacency = graph_info(state.fingerprint).adjacency
-    affected = {far}
-    stack = [far]
-    while stack:
-        parent = stack.pop()
-        child_depth = dist[parent] + 1
-        for child in old_adjacency[parent]:
-            if child not in affected and dist.get(child) == child_depth:
-                affected.add(child)
-                stack.append(child)
-    if origin in affected:  # pragma: no cover - origin sits at depth 0
-        return None
-    adjacency = graph_info(new_fp).adjacency
-    ndist = dict(dist)
-    nfh = dict(first_hops)
-    for node in affected:
-        ndist.pop(node, None)
-        nfh.pop(node, None)
-    # boundary-seeded restricted Dijkstra over the region: nodes outside
-    # the region are provably unchanged and act as fixed sources
-    heap: List[Tuple[int, str]] = []
-    for node in sorted(affected):
-        best: Optional[int] = None
-        for peer in adjacency[node]:
-            dp = ndist.get(peer)
-            if dp is not None and (best is None or dp + 1 < best):
-                best = dp + 1
-        if best is not None:
-            heap.append((best, node))
-    heapq.heapify(heap)
-    settled: set = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        ndist[node] = d
-        nfh[node] = _parent_hops(origin, node, d, adjacency, ndist, nfh)
-        for peer in adjacency[node]:
-            if peer in affected and peer not in settled:
-                heapq.heappush(heap, (d + 1, peer))
-    changed = [
-        node for node in sorted(affected)
-        if ndist.get(node) != dist.get(node)
-        or nfh.get(node) != first_hops.get(node)
-    ]
-    routes = _patch_routes(
-        state.routes, origin, graph_info(new_fp), changed, ndist, nfh
-    )
-    return SpfState(origin, new_fp, ndist, nfh, routes), len(affected)
-
-
-def _apply_link_up(
-    state: SpfState, new_fp: Fingerprint, edge: Edge
-) -> Optional[Tuple[SpfState, int]]:
-    origin = state.origin
-    dist = state.dist
-    first_hops = state.first_hops
-    a, b = edge
-    da = dist.get(a)
-    db = dist.get(b)
-    seeds: List[Tuple[int, str]] = []
-    if da is not None and (db is None or da + 1 <= db):
-        seeds.append((da + 1, b))
-    if db is not None and (da is None or db + 1 <= da):
-        seeds.append((db + 1, a))
-    if not seeds:
-        # both endpoints unreachable: the new edge joins two islands
-        # that still have no path from the origin
-        return (
-            SpfState(origin, new_fp, dist, first_hops, state.routes),
-            0,
-        )
-    adjacency = graph_info(new_fp).adjacency
-    ndist = dict(dist)
-    nfh = dict(first_hops)
-    heap = sorted(seeds)
-    settled: set = set()
-    changed: List[str] = []
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        old_d = ndist.get(node)
-        if old_d is not None and old_d < d:
-            continue  # stale entry: a better untouched value stands
-        settled.add(node)
-        hops = _parent_hops(origin, node, d, adjacency, ndist, nfh)
-        if old_d == d and hops == nfh.get(node):
-            continue  # equal-distance probe found no new hops: prune
-        ndist[node] = d
-        nfh[node] = hops
-        changed.append(node)
-        for peer in adjacency[node]:
-            if peer in settled:
-                continue
-            dp = ndist.get(peer)
-            candidate = d + 1
-            if dp is None or candidate < dp:
-                heapq.heappush(heap, (candidate, peer))
-            elif candidate == dp:
-                # same distance through a changed parent: first hops
-                # may gain members even though the distance stands
-                heapq.heappush(heap, (dp, peer))
-    changed.sort()
-    routes = _patch_routes(
-        state.routes, origin, graph_info(new_fp), changed, ndist, nfh
-    )
-    return SpfState(origin, new_fp, ndist, nfh, routes), len(settled)
-
-
-def apply_single_edge(
-    state: SpfState, new_fp: Fingerprint, delta: SpfDelta
-) -> Optional[Tuple[SpfState, int]]:
-    """Patch ``state`` for a single-edge transition to ``new_fp``.
-
-    Returns ``(new_state, touched)`` — ``touched`` is the number of
-    nodes whose SPF state was recomputed — or ``None`` when the delta
-    cannot be applied incrementally (the caller falls back to full
-    SPF; results are identical either way).
-    """
-    if delta.edge is None or not state.dist:
-        return None
-    if delta.kind == LINK_DOWN:
-        return _apply_link_down(state, new_fp, delta.edge)
-    if delta.kind == LINK_UP:
-        return _apply_link_up(state, new_fp, delta.edge)
-    return None
-
-
-# ---------------------------------------------------------------- engine
-
-
-class IncrementalSpfEngine:
-    """Per-consumer incremental SPF with deterministic accounting.
-
-    One engine belongs to one consumer (a link-state protocol instance)
-    and evolves purely from the sequence of fingerprints that consumer
-    feeds it — so the returned :class:`SpfRunReport` (the ``delta``
-    trace attribute, the touched counts in ``ProtocolStats``) is
-    byte-identical for any worker count or shared-cache temperature.
-
-    ``incremental_enabled`` is the class-level seam the differential
-    tests flip to force every computation through the from-scratch
-    path; the report's ``delta`` classification is unaffected, so
-    traces stay byte-identical with incrementalism disabled.
-
-    Full computations go through the shared
-    :class:`~repro.routing.spf_cache.SpfCache`; incrementally patched
-    states stay private to the engine (never published), so a corrupted
-    engine — the ``spf-incremental-corrupted`` check mutant — cannot
-    poison the oracle the convergence-agreement invariant compares
-    against.
-    """
-
-    #: class-level switch: the force-disable seam for differential tests
-    incremental_enabled = True
-
-    # no __slots__: check mutants patch ``_update_state`` per instance
-
-    def __init__(self, origin: str) -> None:
-        self.origin = origin
-        self._state: Optional[SpfState] = None
-
-    @property
-    def state(self) -> Optional[SpfState]:
-        """The engine's current SPF state (None before the first run)."""
-        return self._state
-
-    def _full_state(self, lsdb: Lsdb) -> SpfState:
-        # local import: spf_cache imports this module at load time
-        from .spf_cache import shared_spf_cache
-
-        return shared_spf_cache.compute_state(self.origin, lsdb)
-
-    def _update_state(
-        self, state: SpfState, new_fp: Fingerprint, delta: SpfDelta
-    ) -> Optional[Tuple[SpfState, int]]:
-        """The incremental-update seam (instance-patchable by mutants)."""
-        return apply_single_edge(state, new_fp, delta)
-
-    def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
-        """Routes for this engine's origin over ``lsdb``, plus a report."""
-        fingerprint = lsdb.fingerprint()
-        state = self._state
-        if state is not None and state.fingerprint == fingerprint:
-            return state.routes, SpfRunReport(REFRESH)
-        if state is None:
-            new_state = self._full_state(lsdb)
-            self._state = new_state
-            return new_state.routes, SpfRunReport(
-                INITIAL, touched=len(new_state.dist)
-            )
-        delta = classify_transition(state.fingerprint, fingerprint)
-        if delta.kind == COSMETIC:
-            new_state = SpfState(
-                self.origin, fingerprint,
-                state.dist, state.first_hops, state.routes,
-            )
-            self._state = new_state
-            return new_state.routes, SpfRunReport(COSMETIC)
-        if delta.kind in (LINK_DOWN, LINK_UP) and self.incremental_enabled:
-            result = self._update_state(state, fingerprint, delta)
-            if result is not None:
-                new_state, touched = result
-                self._state = new_state
-                return new_state.routes, SpfRunReport(
-                    delta.kind, delta.edge, touched, incremental=True
-                )
-        new_state = self._full_state(lsdb)
-        self._state = new_state
-        return new_state.routes, SpfRunReport(
-            delta.kind, delta.edge, touched=len(new_state.dist)
-        )
-
-
-def clear_memos() -> None:
-    """Drop the module memos (test isolation; results never depend on
-    memo contents, only speed does)."""
-    _GRAPH_MEMO.clear()
-    _DELTA_MEMO.clear()
+from .spf_cache import SpfEngine as IncrementalSpfEngine  # noqa: F401

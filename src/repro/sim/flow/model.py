@@ -325,7 +325,7 @@ class FluidTrafficModel:
         #: speed knob only
         self.engine: str = self.params.flow_engine
         #: the fair-share solver — an instance seam so seeded mutants can
-        #: corrupt it (mirroring the incremental-SPF corruption mutant)
+        #: corrupt it (mirroring the SPF-engine corruption mutant)
         self.solver: Callable[..., Dict[FlowId, float]] = self._default_solver
         self.flows: Dict[str, FluidFlow] = {}
         self._active: Dict[str, FluidFlow] = {}

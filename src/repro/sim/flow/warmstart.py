@@ -59,10 +59,15 @@ from ...routing.linkstate import SOURCE, LinkStateProtocol
 from ...routing.lsdb import Lsa, Lsdb
 from ...routing.spf import RouteTable
 from ...routing.spf_batch import TableMemo, batch_compute_routes
-from ...routing.spf_incremental import SpfRunReport
+from ...routing.spf_cache import SpfRunReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...dataplane.network import Network
+
+
+#: fingerprints the oracle keeps: the converged database plus the few a
+#: still-flooding fabric shows its earliest SPF timers
+_MAX_CACHED = 4
 
 
 class BatchRouteOracle:
@@ -75,9 +80,8 @@ class BatchRouteOracle:
     before, so an origin a fault left alone keeps its table object.
     """
 
-    def __init__(self, engine: str = "auto", max_cached: int = 4) -> None:
+    def __init__(self, engine: str = "auto") -> None:
         self.engine = engine
-        self.max_cached = max_cached
         self._cache: "OrderedDict[object, Dict[str, RouteTable]]" = OrderedDict()
         self._memo: TableMemo = {}
         #: lifetime counters (deterministic; surfaced by scale trials)
@@ -95,7 +99,7 @@ class BatchRouteOracle:
             self.batch_runs += 1
             result = batch_compute_routes(lsdb, self.engine, self._memo)
         self._cache[fingerprint] = result
-        while len(self._cache) > self.max_cached:
+        while len(self._cache) > _MAX_CACHED:
             self._cache.popitem(last=False)
         return result
 
@@ -105,21 +109,17 @@ _NO_ROUTES: RouteTable = {}
 
 
 class OracleSpfEngine:
-    """Drop-in for ``IncrementalSpfEngine``: answers every ``compute``
-    with the shared batch oracle's own table — like every engine's, never
-    to be mutated."""
+    """Drop-in for :class:`~repro.routing.spf_cache.SpfEngine`: answers
+    every ``compute`` with the shared batch oracle's own table — like
+    every engine's, never to be mutated."""
 
     def __init__(self, origin: str, oracle: BatchRouteOracle) -> None:
         self.origin = origin
         self.oracle = oracle
 
-    @property
-    def state(self) -> None:
-        return None
-
     def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
         routes = self.oracle.routes(lsdb).get(self.origin, _NO_ROUTES)
-        return routes, SpfRunReport(delta="batch", incremental=False)
+        return routes, SpfRunReport("batch")
 
 
 def warm_start_linkstate(

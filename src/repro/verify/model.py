@@ -4,10 +4,11 @@
 the running system holds once converged:
 
 * **connected** routes — a ToR/leaf's own host subnet via ``LOCAL``;
-* **routed** entries — the global-SPF oracle (:func:`repro.routing.spf.
-  compute_routes`) over an idealized LSDB in which every switch
-  advertises what :func:`repro.routing.linkstate.deploy_linkstate`
-  would (the host subnet for ToRs, a ``/32`` loopback for everyone);
+* **routed** entries — one whole-fabric SPF solve (:func:`repro.routing.
+  spf_batch.batch_compute_routes`) over an idealized LSDB in which
+  every switch advertises what :func:`repro.routing.linkstate.
+  deploy_linkstate` would (the host subnet for ToRs, a ``/32`` loopback
+  for everyone);
 * **static** entries — the F²Tree backup routes of
   :func:`repro.core.backup_routes.backup_routes_for`.
 
@@ -34,7 +35,7 @@ from ..core.backup_routes import (
 from ..net.fib import LOCAL, FibEntry
 from ..net.ip import IPv4Address, Prefix
 from ..routing.lsdb import Lsa, Lsdb
-from ..routing.spf_cache import compute_routes_cached
+from ..routing.spf_batch import batch_compute_routes
 from ..topology.addressing import assign_addresses
 from ..topology.graph import Link, NodeKind, Topology, TopologyError
 
@@ -153,6 +154,8 @@ class StaticNetworkModel:
             }))
             lsdb.insert(Lsa(name, 1, neighbors, tuple(prefixes)))
 
+        # one LSDB, every switch: the whole-fabric question, asked once
+        routed_by_switch = batch_compute_routes(lsdb)
         for name in self.switches:
             entries: List[FibEntry] = []
             node = self.topo.node(name)
@@ -160,14 +163,10 @@ class StaticNetworkModel:
                 entries.append(
                     FibEntry(node.subnet, (LOCAL,), source="connected")
                 )
-            # memoized: two StaticNetworkModels over the same topology
-            # (e.g. repeated verifier invocations, mutant baselines)
-            # share one oracle run per switch
-            routed = compute_routes_cached(name, lsdb)
             entries.extend(
                 FibEntry(prefix, hops, source="linkstate")
                 for prefix, hops in sorted(
-                    routed.items(),
+                    routed_by_switch[name].items(),
                     key=lambda kv: (kv[0].network, kv[0].length),
                 )
             )

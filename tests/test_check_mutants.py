@@ -16,7 +16,7 @@ from repro.check.invariants import FRR_WINDOW
 def test_every_invariant_has_a_mutant():
     """The mutant layer covers the full catalog: every invariant is the
     target of at least one mutant (convergence-agreement has two — the
-    stale-flooding fault and the corrupted-incremental-SPF fault)."""
+    stale-flooding fault and the corrupted-SPF-engine fault)."""
     targeted = {mutant.invariant for mutant in MUTANTS.values()}
     assert targeted == set(ALL_INVARIANTS)
 

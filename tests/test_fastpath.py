@@ -297,8 +297,8 @@ def _disable_all_caches(monkeypatch):
     from repro.dataplane.node import NetworkNode, SwitchNode
     from repro.routing.linkstate import LinkStateProtocol
     from repro.routing.spf import compute_routes
-    from repro.routing.spf_incremental import IncrementalSpfEngine, full_state
     import repro.check.invariants
+    import repro.routing.spf_cache
     import repro.dataplane.link
     import repro.net.ecmp
 
@@ -363,16 +363,12 @@ def _disable_all_caches(monkeypatch):
         repro.dataplane.link, "transmission_delay",
         repro.dataplane.link.transmission_delay.__wrapped__,
     )
-    # the protocol's SPF stack: force every run down the from-scratch
-    # path (no incremental patching) and bypass the shared SpfCache
-    # entirely (every computation is a fresh Dijkstra).  The engine's
-    # logical delta classification still runs, so EV_SPF_RUN trace
-    # attributes are untouched.
-    monkeypatch.setattr(IncrementalSpfEngine, "incremental_enabled", False)
+    # the protocol's SPF stack and the convergence-agreement oracle:
+    # bypass the shared SpfCache entirely (every computation is a fresh
+    # Dijkstra).  The engine's logical delta classification still runs,
+    # so EV_SPF_RUN trace attributes are untouched.
     monkeypatch.setattr(
-        IncrementalSpfEngine,
-        "_full_state",
-        lambda self, lsdb: full_state(self.origin, lsdb),
+        repro.routing.spf_cache, "compute_routes_cached", compute_routes
     )
     monkeypatch.setattr(
         repro.check.invariants, "compute_routes_cached", compute_routes

@@ -57,7 +57,7 @@ from repro.net.packet import PROTO_UDP
 from repro.obs import EV_FIB_INSTALL, EV_SPF_SCHEDULE, Observability
 from repro.routing.linkstate import deploy_linkstate
 from repro.routing.spf import compute_routes
-from repro.routing.spf_incremental import IncrementalSpfEngine
+from repro.routing.spf_cache import SpfEngine
 from repro.sim.engine import Simulator
 from repro.sim.flow import FluidTrafficModel
 from repro.sim.flow.warmstart import (
@@ -267,7 +267,7 @@ def test_warm_start_shares_fib_entries_across_switches():
 ])
 def test_shared_table_is_never_written_to(run, monkeypatch):
     """Every table an engine hands out during a seeded k=4 Fig 6 cell —
-    the batch oracle's on the fluid backend, the incremental engine's on
+    the batch oracle's on the fluid backend, the per-origin engine's on
     the packet twin — still equals, at the end of the run, what it was
     when it was handed out."""
     handed_out = {}  # id -> (the table, kept alive; its contents then)
@@ -279,7 +279,7 @@ def test_shared_table_is_never_written_to(run, monkeypatch):
             return routes, report
         return compute_and_record
 
-    for engine in (OracleSpfEngine, IncrementalSpfEngine):
+    for engine in (OracleSpfEngine, SpfEngine):
         monkeypatch.setattr(engine, "compute", recording(engine.compute))
     config = fig6.PartitionAggregateConfig(
         duration=seconds(4), n_requests=10, n_background_flows=5,

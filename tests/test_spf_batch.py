@@ -8,7 +8,7 @@ it across the four topology families the checker fuzzes, for both the
 numpy and pure-python engines, and the same one level up: the shared
 :class:`~repro.sim.flow.warmstart.OracleSpfEngine` a warm-started
 protocol instance computes with answers exactly what the
-:class:`~repro.routing.spf_incremental.IncrementalSpfEngine` of a
+:class:`~repro.routing.spf_cache.SpfEngine` of a
 cold-started one does.  Converged fabrics only exercise the kernel's easy
 half, so a seeded differential also feeds it *damaged* databases —
 partitions, isolated switches, missing LSAs, half-declared adjacencies,
@@ -35,7 +35,7 @@ from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
 from repro.routing.spf_batch import ENGINES, batch_compute_routes, have_numpy
-from repro.routing.spf_incremental import IncrementalSpfEngine, full_state
+from repro.routing.spf_cache import SpfEngine
 from repro.sim.flow.warmstart import BatchRouteOracle, OracleSpfEngine
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
@@ -323,16 +323,16 @@ def test_shared_table_never_on_the_python_engine():
 def test_batch_states_equal_full_state(build, engine):
     """The SPF engine of a warm-started instance is a drop-in for the
     cold-started one: for every origin, the oracle engine's route table
-    equals the incremental engine's from-scratch state, reported as a
-    full (non-incremental) run — at one batch computation per fabric."""
+    equals the per-origin engine's and the from-scratch oracle's,
+    reported as a ``batch`` run — at one batch computation per fabric."""
     lsdb = converged_lsdb(build)
     oracle = BatchRouteOracle(engine=engine)
     origins = sorted(lsa.origin for lsa in lsdb.all())
     for origin in origins:
         routes, report = OracleSpfEngine(origin, oracle).compute(lsdb)
-        assert routes == full_state(origin, lsdb).routes, origin
-        assert routes == IncrementalSpfEngine(origin).compute(lsdb)[0], origin
-        assert not report.incremental
+        assert routes == compute_routes(origin, lsdb), origin
+        assert routes == SpfEngine(origin).compute(lsdb)[0], origin
+        assert (report.delta, report.edge) == ("batch", None)
     assert (oracle.batch_runs, oracle.hits) == (1, len(origins) - 1)
 
 

@@ -1,23 +1,26 @@
-"""Differential validation of incremental SPF against the from-scratch oracle.
+"""The per-origin SPF engine against both whole-table computers.
 
-The incremental engine (:mod:`repro.routing.spf_incremental`) and the
-incremental-on-miss shared cache (:mod:`repro.routing.spf_cache`) are pure
-speedups: every patched state must equal what a full Dijkstra computes.
-This file pins that equivalence at three levels:
+Routes are computed two ways — per-origin Dijkstra behind the
+``(origin, fingerprint)`` memo (:mod:`repro.routing.spf_cache`) and one
+batch solve per database (:mod:`repro.routing.spf_batch`) — and each is
+the other's differential oracle.  This file pins the per-origin side at
+three levels (its name and test ids predate the deletion of single-edge
+SPF patching; they are the suite's floor ids):
 
-1. **State equality under churn** (hypothesis) — random sequences of link
-   fail/restore events on all four topology families (f2tree, fat-tree,
-   leaf-spine, VL2): after every LSDB delta, each switch's incremental
-   ``(dist, first_hops, routes)`` equals :func:`full_state` /
-   :func:`compute_routes`, including multi-edge batches and advertisement
-   changes that exercise the structural-fallback path.
+1. **Three-way equality under churn** (hypothesis) — random sequences of
+   link fail/restore events on all four topology families (f2tree,
+   fat-tree, leaf-spine, VL2): after every LSDB delta, each switch's
+   :class:`SpfEngine` table equals :func:`compute_routes` and
+   :func:`batch_compute_routes` under both engines, multi-edge batches
+   and advertisement changes included.
 2. **Classification** — the logical delta taxonomy (refresh / cosmetic /
    link-down / link-up / structural) matches the actual fingerprint
-   transition, and the force-disabled engine reports the *same* taxonomy
-   (the trace attribute cannot depend on whether the fast path executed).
-3. **Whole-system traces** — a full recovery check trial with the
-   incremental path force-disabled everywhere produces a byte-identical
-   obs trace: no observable behaviour depends on incrementalism.
+   transition, ``refresh`` and ``cosmetic`` hand back the table object
+   already held, and the reported taxonomy does not depend on how the
+   table was computed (it feeds byte-identical traces).
+3. **Whole-system traces** — a full recovery check trial with the memo
+   disabled everywhere produces a byte-identical obs trace: no
+   observable behaviour depends on it.
 """
 
 from __future__ import annotations
@@ -31,22 +34,20 @@ from repro.core.f2tree import f2tree
 from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
-from repro.routing.spf_cache import SpfCache
-from repro.routing.spf_incremental import (
+from repro.routing.spf_batch import batch_compute_routes, have_numpy
+from repro.routing.spf_cache import (
     COSMETIC,
     INITIAL,
     LINK_DOWN,
     LINK_UP,
     REFRESH,
     STRUCTURAL,
-    IncrementalSpfEngine,
+    SpfCache,
     SpfDelta,
-    apply_single_edge,
+    SpfEngine,
     classify_transition,
-    full_state,
 )
 from repro.topology.fattree import fat_tree
-from repro.topology.graph import NodeKind
 from repro.topology.leafspine import leaf_spine
 from repro.topology.vl2 import vl2
 
@@ -104,22 +105,25 @@ def _lsdb(env, down: set, extra_prefixes: dict, seq: int) -> Lsdb:
     return db
 
 
+#: the batch kernel's engines this box can run
+_BATCH_ENGINES = ("numpy", "python") if have_numpy() else ("python",)
+
+
 def _assert_equals_oracle(engines, cache, db, context):
+    batches = [batch_compute_routes(db, engine) for engine in _BATCH_ENGINES]
     for name, engine in engines.items():
         oracle = compute_routes(name, db)
         routes, report = engine.compute(db)
         assert routes == oracle, (context, name, report)
-        reference = full_state(name, db)
-        state = engine.state
-        assert state.dist == reference.dist, (context, name, report)
-        assert state.first_hops == reference.first_hops, (context, name, report)
+        for batch in batches:
+            assert batch[name] == oracle, (context, name)
         assert cache.compute(name, db) == oracle, (context, name)
 
 
-# -------------------------------------------- 1. state equality under churn
+# ------------------------------------------ 1. three-way equality under churn
 
-#: one churn step: flip 1 link (incremental), flip a batch (fallback), or
-#: toggle an extra advertised prefix (structural fallback)
+#: one churn step: flip 1 link (link-down / link-up), flip a batch
+#: (structural), or toggle an extra advertised prefix (structural)
 _STEP = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 10_000)),
     st.tuples(st.just("batch"), st.integers(0, 10_000), st.integers(2, 3)),
@@ -138,7 +142,7 @@ _STEP = st.one_of(
 )
 def test_incremental_equals_full_spf_under_churn(family, steps):
     env = _environment(family)
-    engines = {s: IncrementalSpfEngine(s) for s in env["switches"]}
+    engines = {s: SpfEngine(s) for s in env["switches"]}
     cache = SpfCache()
     seq = itertools.count(1)
     down: set = set()
@@ -166,25 +170,8 @@ def test_incremental_equals_full_spf_under_churn(family, steps):
         _assert_equals_oracle(engines, cache, db, (family, index, step))
 
 
-def test_cache_incremental_disabled_equals_enabled():
-    """SpfCache.incremental=False must change speed only, never results."""
-    env = _environment("f2tree")
-    plain = SpfCache()
-    plain.incremental = False
-    incremental = SpfCache()
-    seq = itertools.count(1)
-    down: set = set()
-    for edge in env["edges"][:6]:
-        down.symmetric_difference_update({edge})
-        db = _lsdb(env, down, {}, next(seq))
-        for name in env["switches"]:
-            assert incremental.compute(name, db) == plain.compute(name, db)
-    assert incremental.incremental_updates > 0
-    assert plain.incremental_updates == 0
-
-
 def test_cache_eviction_keeps_results_correct():
-    """A tiny cache evicts incremental candidates; results stay exact."""
+    """A tiny cache evicts almost everything; results stay exact."""
     env = _environment("leaf-spine")
     cache = SpfCache(max_entries=3)
     seq = itertools.count(1)
@@ -215,10 +202,10 @@ def test_classification_taxonomy():
     one_down = _fingerprint(env, {edge}, {})
     assert classify_transition(base, one_down) == SpfDelta(LINK_DOWN, edge)
     assert classify_transition(one_down, base) == SpfDelta(LINK_UP, edge)
-    # two links at once: structural fallback
+    # two links at once: structural
     two_down = _fingerprint(env, set(env["edges"][:2]), {})
     assert classify_transition(base, two_down).kind == STRUCTURAL
-    # advertisement change: structural fallback
+    # advertisement change: structural
     advertised = _fingerprint(
         env, set(), {env["switches"][0]: (Prefix(0x0B000000, 24),)}
     )
@@ -251,7 +238,7 @@ def test_cosmetic_transition_detected():
     assert delta.kind == COSMETIC
 
     origin = env["switches"][0]
-    engine = IncrementalSpfEngine(origin)
+    engine = SpfEngine(origin)
     _, report = engine.compute(db)
     assert report.delta == INITIAL
     mid, report = engine.compute(half)
@@ -261,9 +248,12 @@ def test_cosmetic_transition_detected():
     assert mid == final == compute_routes(origin, both)
 
 
-def test_report_taxonomy_is_execution_independent():
-    """Force-disabling the incremental path must not change the reported
-    delta kinds — they feed byte-identical traces."""
+def test_report_taxonomy_is_execution_independent(monkeypatch):
+    """The reported ``(delta, edge)`` sequence — it feeds byte-identical
+    traces — and the tables are the same with the shared memo cold,
+    warm, or swapped for plain ``compute_routes``."""
+    import repro.routing.spf_cache as spf_cache_module
+
     env = _environment("fat-tree")
     seq = itertools.count(1)
     scripts = []
@@ -271,49 +261,57 @@ def test_report_taxonomy_is_execution_independent():
     for edge in env["edges"][:4]:
         down.symmetric_difference_update({edge})
         scripts.append(_lsdb(env, down, {}, next(seq)))
+    scripts.append(_lsdb(env, down, {}, next(seq)))  # seq-only refresh
+    scripts.append(_lsdb(env, set(), {}, next(seq)))  # four links back up
 
-    def run(enabled):
-        engine = IncrementalSpfEngine(env["switches"][0])
-        engine.incremental_enabled = enabled
+    def run(compute):
+        monkeypatch.setattr(spf_cache_module, "compute_routes_cached", compute)
+        engine = SpfEngine(env["switches"][0])
         out = []
         for db in scripts:
             routes, report = engine.compute(db)
             out.append((routes, report.delta, report.edge))
         return out
 
-    fast, slow = run(True), run(False)
-    assert fast == slow
-    assert [kind for _, kind, _ in fast][:1] == [INITIAL]
-    assert LINK_DOWN in {kind for _, kind, _ in fast}
-
-
-def test_fallback_paths_return_none():
-    """apply_single_edge refuses what it cannot patch (caller falls back)."""
-    env = _environment("f2tree")
-    origin = env["switches"][0]
-    db = _lsdb(env, set(), {}, 1)
-    state = full_state(origin, db)
-    fp2 = _fingerprint(env, {env["edges"][0]}, {}, seq=2)
-    # no edge recorded -> not patchable
-    assert apply_single_edge(state, fp2, SpfDelta(STRUCTURAL)) is None
-    # empty previous state -> not patchable
-    empty = full_state("not-a-switch", db)
-    assert apply_single_edge(
-        empty, fp2, SpfDelta(LINK_DOWN, env["edges"][0])
-    ) is None
+    memo = SpfCache()
+    cold, warm = run(memo.compute), run(memo.compute)
+    assert memo.hits == memo.misses > 0  # the second pass computed nothing
+    assert cold == warm == run(compute_routes)
+    assert [(kind, edge) for _, kind, edge in cold] == [
+        (INITIAL, None),
+        *((LINK_DOWN, edge) for edge in env["edges"][1:4]),
+        (REFRESH, None),
+        (STRUCTURAL, None),
+    ]
 
 
 def test_engine_refresh_reuses_state():
+    """``refresh`` and ``cosmetic`` leave every route alone, so the engine
+    hands back the table object it already holds — the identity the FIB
+    download reads as "no change"."""
     env = _environment("vl2")
     origin = env["switches"][0]
-    engine = IncrementalSpfEngine(origin)
+    a, b = env["edges"][0]
+    engine = SpfEngine(origin)
     db1 = _lsdb(env, set(), {}, 1)
     db2 = _lsdb(env, set(), {}, 2)  # seq bump only: same fingerprint
+    # only ``a`` withdraws the link (the two-way edge is gone), then
+    # ``b`` catches up: a new fingerprint over the same graph
+    half = _lsdb(env, set(), {}, 3)
+    lsa = half.get(a)
+    half.insert(Lsa(a, 4, tuple(p for p in lsa.neighbors if p != b), lsa.prefixes))
+    both = _lsdb(env, {(a, b)}, {}, 5)
     first, report1 = engine.compute(db1)
     second, report2 = engine.compute(db2)
+    third, report3 = engine.compute(half)
+    fourth, report4 = engine.compute(both)
     assert report1.delta == INITIAL
     assert report2.delta == REFRESH
     assert first is second  # the exact same table object is reused
+    assert (report3.delta, report3.edge) == (LINK_DOWN, (a, b))
+    assert report4.delta == COSMETIC
+    assert third is fourth
+    assert fourth == compute_routes(origin, both)
 
 
 # ------------------------------------------------ 3. whole-system trace
@@ -321,8 +319,9 @@ def test_engine_refresh_reuses_state():
 
 def test_recovery_trace_identical_with_incremental_disabled(monkeypatch):
     """A full recovery trial must emit the byte-identical obs trace, the
-    same violations, and the same stats whether incremental SPF runs or
-    every computation is forced from scratch (engine *and* cache)."""
+    same violations, and the same stats whether SPF answers come from
+    the shared memo or every one is a fresh Dijkstra (protocol engines
+    *and* the convergence-agreement oracle)."""
     from repro.check.config import TrialConfig, fast_overrides
     from repro.check.execute import execute_check
     from repro.sim.units import milliseconds
@@ -334,24 +333,14 @@ def test_recovery_trace_identical_with_incremental_disabled(monkeypatch):
     fast = execute_check(config, traced=True)
 
     with monkeypatch.context() as patches:
-        patches.setattr(IncrementalSpfEngine, "incremental_enabled", False)
-        patches.setattr(
-            IncrementalSpfEngine,
-            "_full_state",
-            lambda self, lsdb: full_state(self.origin, lsdb),
-        )
+        import repro.check.invariants
         import repro.routing.spf_cache as spf_cache_module
 
-        pristine = SpfCache()
-        pristine.incremental = False
-        patches.setattr(spf_cache_module, "shared_spf_cache", pristine)
         patches.setattr(
-            spf_cache_module, "compute_routes_cached", pristine.compute
+            spf_cache_module, "compute_routes_cached", compute_routes
         )
-        import repro.check.invariants
-
         patches.setattr(
-            repro.check.invariants, "compute_routes_cached", pristine.compute
+            repro.check.invariants, "compute_routes_cached", compute_routes
         )
         slow = execute_check(config, traced=True)
 

@@ -17,9 +17,15 @@ import json
 
 import pytest
 
+from repro.check.execute import snapshot_fibs
 from repro.check.mutants import MUTANTS as DYNAMIC_MUTANTS
 from repro.cli import main
-from repro.verify import build_verify_topology, run_verification
+from repro.experiments.common import DEFAULT_WARMUP, build_bundle
+from repro.verify import (
+    StaticNetworkModel,
+    build_verify_topology,
+    run_verification,
+)
 from repro.verify.mutants import (
     CHECK_EQUIVALENTS,
     MUTANTS,
@@ -54,6 +60,25 @@ def test_clean_builder_is_certified(family, ports):
     )
     assert report.verdict == "CERTIFIED"
     assert report.refuted_checks() == []
+
+
+@pytest.mark.parametrize("family,ports", [
+    ("fattree", 8), ("fat-tree", 8), ("leaf-spine-plain", 8), ("vl2-plain", 4),
+])
+def test_model_fibs_equal_the_converged_simulator(family, ports):
+    """The model's FIBs — routed entries from one whole-fabric batch
+    solve — equal, entry for entry, what a cold-started packet network
+    converges to through its per-origin SPF engines."""
+    model = StaticNetworkModel(build_verify_topology(family, ports))
+    bundle = build_bundle(build_verify_topology(family, ports))
+    bundle.sim.run(until=DEFAULT_WARMUP)
+    assert snapshot_fibs(bundle.network) == {
+        name: {
+            str(entry.prefix): sorted(str(hop) for hop in entry.next_hops)
+            for entry in entries
+        }
+        for name, entries in model.fibs.items()
+    }
 
 
 def test_f2tree_two_failure_loop_is_a_caveat_not_an_error():
@@ -167,12 +192,12 @@ def test_dynamic_fault_has_a_static_twin(dynamic_name):
 
 def test_behavioural_faults_have_no_static_twin():
     """Protocol-behaviour faults (flooding, detection, channel loss,
-    corrupted incremental recomputation) are invisible to a model of
+    a corrupted SPF engine) are invisible to a model of
     installed state — deliberately unmapped."""
     unmapped = set(DYNAMIC_MUTANTS) - set(CHECK_EQUIVALENTS)
     assert unmapped == {
         "lsa-flood-dropped", "detection-disabled", "channel-leak",
-        "spf-incremental-corrupted",
+        "spf-engine-corrupted",
     }
 
 
