@@ -246,8 +246,9 @@ def execute_check(
     # continuous probe traffic feeds the conservation invariant (and the
     # obs trace); it stops early enough that everything in flight drains
     probe_flow = None
-    if params.backend == "flow":
-        probe_flow = bundle.flow_model.add_cbr_flow(
+    model = bundle.flow_model
+    if model is not None:
+        probe_flow = model.add_cbr_flow(
             "check-probe", src, dst, dport=PROBE_DPORT, sport=PROBE_SPORT,
             packet_bytes=200 + WIRE_OVERHEAD, interval=milliseconds(1),
             start=config.warmup, stop=horizon - milliseconds(10),
@@ -291,8 +292,8 @@ def execute_check(
 
     sim.run(until=horizon + milliseconds(1))
     suite.run_quiescent_checks()
-    if probe_flow is not None:
-        bundle.flow_model.finalize()
+    if model is not None:
+        model.finalize()
 
     # fold the fabric's FIB match-chain counters into the trial's metrics
     # so cache hit rates travel with the outcome (deterministic sums)
@@ -324,8 +325,8 @@ def execute_check(
             "fib_chain": {"hits": chain_hits, "misses": chain_misses},
         },
     }
-    if probe_flow is not None:
-        stats["flow_model"] = bundle.flow_model.stats()
+    if model is not None:
+        stats["flow_model"] = model.stats()
     trace = None
     spans = None
     if traced:

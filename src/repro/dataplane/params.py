@@ -69,12 +69,6 @@ class NetworkParams:
     #: fair share per link) while failures, detection, flooding, and
     #: SPF/FIB convergence stay event-driven (see repro.sim.flow).
     backend: str = "packet"
-    #: Fair-share solver engine for the flow backend ("auto" | "numpy" |
-    #: "python"); "auto" prefers the vectorized engine when numpy is
-    #: importable.  Both engines return bitwise-identical rates
-    #: (see :mod:`repro.sim.flow.fairshare`), so this is purely a speed
-    #: knob — results never depend on it.
-    flow_engine: str = "auto"
 
     def with_overrides(self, **changes: Any) -> "NetworkParams":
         """A copy with the given fields replaced (ablation harness hook)."""

@@ -32,6 +32,7 @@ from ..sim.units import Time, seconds
 from ..topology.graph import LinkKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.flow.model import FluidTrafficModel
     from ..sim.flow.warmstart import BatchRouteOracle
 
 #: default settling time before traffic starts: initial flooding + SPF +
@@ -60,8 +61,7 @@ class Bundle:
     #: the global controller when ``routing == 'centralized'``
     controller: Optional[CentralizedController] = None
     #: the fluid data plane when ``params.backend == 'flow'``
-    #: (a :class:`repro.sim.flow.FluidTrafficModel`)
-    flow_model: Optional[object] = None
+    flow_model: Optional[FluidTrafficModel] = None
     #: the shared batch-SPF oracle behind a warm-started link-state
     #: control plane (read-only provenance: its run / hit counters);
     #: ``None`` for cold-started bundles

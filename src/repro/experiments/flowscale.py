@@ -114,7 +114,6 @@ def run_flow_scale_trial(
     fail_offset: Time = milliseconds(380),
     flow_duration: Time = seconds(2.5),
     drain: Time = seconds(1),
-    engine: str = "auto",
 ) -> FlowScaleResult:
     """One single-flow recovery trial on a warm-started k-ary fat tree.
 
@@ -132,7 +131,7 @@ def run_flow_scale_trial(
 
     sim = Simulator()
     network = Network(topology, sim, base)
-    oracle = BatchRouteOracle(engine=engine)
+    oracle = BatchRouteOracle()
     warm_start_linkstate(network, oracle=oracle)
     # attach the fluid model only after the bulk FIB load: the warm
     # start's V install batches would otherwise fan out V notifications
@@ -170,9 +169,7 @@ def run_flow_scale_trial(
     model.finalize()
 
     arrivals = flow.arrivals()
-    loss = connectivity_loss_duration(
-        [received_at for _, _, received_at, _ in arrivals], failure_time
-    )
+    loss = connectivity_loss_duration([a.received_at for a in arrivals], failure_time)
     after = path_after[0]
     return FlowScaleResult(
         topology=topology.name,

@@ -13,7 +13,7 @@ stays fast — set ``REPRO_FULL_SCALE=1`` for the paper-scale run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..dataplane.params import NetworkParams
 from ..failures.injector import (
@@ -25,6 +25,10 @@ from ..failures.injector import (
 from ..metrics.requests import DEFAULT_DEADLINE, RequestStats, reduction_ratio
 from ..sim.units import Time, milliseconds, seconds, to_milliseconds
 from ..workloads.background import BackgroundTraffic
+from ..workloads.flow_partition_aggregate import (
+    FlowBackgroundTraffic,
+    FlowPartitionAggregateWorkload,
+)
 from ..workloads.partition_aggregate import PartitionAggregateWorkload
 from .common import DEFAULT_WARMUP, build_bundle, full_scale
 from .conditions import conditions_topology
@@ -86,35 +90,56 @@ def run_partition_aggregate(
     config: Optional[PartitionAggregateConfig] = None,
     params: Optional[NetworkParams] = None,
 ) -> PartitionAggregateResult:
-    """Run one (topology, concurrency) cell of Fig 6."""
+    """Run one (topology, concurrency) cell of Fig 6 on the backend
+    ``params`` selects.  Topology, failures and traffic are drawn alike on
+    both; the backend only picks the traffic's carrier (TCP, or reliable
+    fluid flows whose completions are read analytically after the drain).
+    """
     config = config or PartitionAggregateConfig.default()
     topology = conditions_topology(kind, config.ports)
     bundle = build_bundle(topology, params=params, seed=config.seed)
     bundle.converge(DEFAULT_WARMUP)
 
-    workload = PartitionAggregateWorkload(
-        bundle.network, bundle.streams, n_requests=config.n_requests
-    )
-    background = BackgroundTraffic(bundle.network, bundle.streams)
+    network, streams, model = bundle.network, bundle.streams, bundle.flow_model
+    workload: Union[PartitionAggregateWorkload, FlowPartitionAggregateWorkload]
+    background: Union[BackgroundTraffic, FlowBackgroundTraffic]
+    fluid: Tuple[Union[FlowPartitionAggregateWorkload, FlowBackgroundTraffic], ...] = ()
+    if model is None:
+        workload = PartitionAggregateWorkload(network, streams, n_requests=config.n_requests)
+        background = BackgroundTraffic(network, streams)
+    else:
+        workload = FlowPartitionAggregateWorkload(
+            network, model, streams, n_requests=config.n_requests
+        )
+        background = FlowBackgroundTraffic(network, model, streams)
+        fluid = (workload, background)
 
     start = DEFAULT_WARMUP
     workload.schedule(start, config.duration)
     background.schedule(config.n_background_flows, start, config.duration)
 
     pattern = paper_failure_pattern(config.concurrent_failures, config.duration)
-    events = generate_random_failures(
-        topology, pattern, config.duration, bundle.streams, start=start
-    )
-    schedule_failures(bundle.network, events)
-    n_failures, avg_concurrency = concurrency_profile(
-        [e for e in events], config.duration
-    )
+    events = generate_random_failures(topology, pattern, config.duration, streams, start=start)
+    schedule_failures(network, events)
+    n_failures, avg_concurrency = concurrency_profile(events, config.duration)
 
-    # drain long enough for OSPF backoff timers (up to 10 s) and TCP
-    # retries of the last requests to settle
+    # drain long enough for OSPF backoff timers (up to 10 s), TCP retries
+    # of the last requests and reliable fluid backlogs to settle
     end = start + config.duration + seconds(15)
     bundle.sim.run(until=end)
     workload.stats.censored_at = end
+
+    backend_stats: Dict[str, int] = {}
+    if model is not None:
+        model.finalize()
+        for driver in fluid:
+            driver.collect()
+        # the oracle's hit ratio rides with the model's counters, so a
+        # report shows how often post-failure SPF shared a batch run
+        backend_stats = model.stats()
+        if bundle.route_oracle is not None:
+            backend_stats["batch_spf_runs"] = bundle.route_oracle.batch_runs
+            backend_stats["batch_spf_hits"] = bundle.route_oracle.hits
 
     return PartitionAggregateResult(
         kind=kind,
@@ -124,6 +149,7 @@ def run_partition_aggregate(
         average_concurrency=avg_concurrency,
         background_completed=background.completed,
         background_total=len(background.flows),
+        backend_stats=backend_stats,
     )
 
 
@@ -132,73 +158,10 @@ def run_flow_partition_aggregate(
     config: Optional[PartitionAggregateConfig] = None,
     params: Optional[NetworkParams] = None,
 ) -> PartitionAggregateResult:
-    """One Fig 6 cell on the **fluid backend**.
-
-    Same topology, failure schedule and request/background draws as
-    :func:`run_partition_aggregate` (the workloads mirror the packet
-    twins' random streams draw for draw — see
-    :mod:`repro.workloads.flow_partition_aggregate`), but responses and
-    transfers are reliable fluid flows, so the run scales to request
-    counts and fabrics the per-packet backend cannot reach.  Returns
-    the same :class:`PartitionAggregateResult` shape; completion times
-    are read analytically after the drain.
-    """
-    from ..sim.flow.model import FluidTrafficModel
-    from ..workloads.flow_partition_aggregate import (
-        FlowBackgroundTraffic,
-        FlowPartitionAggregateWorkload,
-    )
-
-    config = config or PartitionAggregateConfig.default()
-    topology = conditions_topology(kind, config.ports)
-    flow_params = (params or NetworkParams()).with_overrides(backend="flow")
-    bundle = build_bundle(topology, params=flow_params, seed=config.seed)
-    bundle.converge(DEFAULT_WARMUP)
-    model, oracle = bundle.flow_model, bundle.route_oracle
-    assert isinstance(model, FluidTrafficModel) and oracle is not None
-
-    workload = FlowPartitionAggregateWorkload(
-        bundle.network, model, bundle.streams, n_requests=config.n_requests
-    )
-    background = FlowBackgroundTraffic(bundle.network, model, bundle.streams)
-
-    start = DEFAULT_WARMUP
-    workload.schedule(start, config.duration)
-    background.schedule(config.n_background_flows, start, config.duration)
-
-    pattern = paper_failure_pattern(config.concurrent_failures, config.duration)
-    events = generate_random_failures(
-        topology, pattern, config.duration, bundle.streams, start=start
-    )
-    schedule_failures(bundle.network, events)
-    n_failures, avg_concurrency = concurrency_profile(
-        [e for e in events], config.duration
-    )
-
-    # same drain as the packet run: OSPF backoff settles and reliable
-    # backlogs accumulated during outages get time to drain
-    end = start + config.duration + seconds(15)
-    bundle.sim.run(until=end)
-    model.finalize()
-    workload.collect()
-    background.collect()
-    workload.stats.censored_at = end
-
-    return PartitionAggregateResult(
-        kind=kind,
-        config=config,
-        stats=workload.stats,
-        n_failures=n_failures,
-        average_concurrency=avg_concurrency,
-        background_completed=background.completed,
-        background_total=len(background.flows),
-        # the oracle's hit ratio rides with the model's counters, so a
-        # report shows how often post-failure SPF shared a batch run
-        backend_stats={
-            **model.stats(),
-            "batch_spf_runs": oracle.batch_runs,
-            "batch_spf_hits": oracle.hits,
-        },
+    """One Fig 6 cell on the **fluid backend**: :func:`run_partition_aggregate`
+    with ``backend="flow"`` over ``params``."""
+    return run_partition_aggregate(
+        kind, config, (params or NetworkParams()).with_overrides(backend="flow")
     )
 
 

@@ -180,41 +180,55 @@ def run_recovery(
     sim.schedule_at(detect_probe_at, probe_during)
     sim.schedule_at(stop_at - milliseconds(1), probe_after)
 
-    if network.params.backend == "flow":
-        _run_fluid(result, bundle, transport, src, dst, sport, stop_at)
+    # the carrier: the same flow on either backend — 1448-byte payloads
+    # every 100 us; a fluid UDP flow carries the wire overhead so its
+    # analytic path delay matches the packet backend's, a fluid TCP flow
+    # is reliable (backlogs while its path is dead)
+    model = bundle.flow_model
+    if model is not None:
+        flow = model.add_cbr_flow(
+            f"recovery-{transport}", src, dst, dport=dport, sport=sport,
+            protocol=proto,
+            packet_bytes=1448 + WIRE_OVERHEAD if transport == "udp" else 1448,
+            interval=microseconds(100), start=flow_start, stop=flow_end,
+            reliable=transport == "tcp",
+        )
     elif transport == "udp":
         sink = UdpSink(sim, network.host(dst), UDP_PORT)
         sender = UdpSender(
             sim, network.host(src), network.host(dst).ip, UDP_PORT, sport=UDP_SPORT
         )
         sender.start(at=flow_start, stop_at=flow_end)
-        sim.run_until(stop_at)
-        result.packets_sent = sender.sent
-        result.packets_received = sink.received
-        arrival_times = [a.received_at for a in sink.arrivals]
+    else:
+        tcp_sink = TcpSinkServer(sim, network.host(dst), TCP_PORT)
+        PacedTcpSender(
+            sim, network.host(src), network.host(dst).ip, TCP_PORT
+        ).start(at=flow_start, stop_at=flow_end)
+    sim.run_until(stop_at)
+    if model is not None:
+        model.finalize()
+
+    # the readout: the same metric functions over either carrier's log
+    if transport == "udp":
+        if model is None:
+            result.packets_sent, arrivals = sender.sent, sink.arrivals
+        else:
+            result.packets_sent, arrivals = flow.sent, flow.arrivals()
+        result.packets_received = len(arrivals)
         result.connectivity_loss = connectivity_loss_duration(
-            arrival_times, failure_time
+            [a.received_at for a in arrivals], failure_time
         )
-        result.delay_samples = [
-            (a.received_at, a.delay, a.hops) for a in sink.arrivals
-        ]
+        result.delay_samples = [(a.received_at, a.delay, a.hops) for a in arrivals]
         result.throughput = throughput_series(
-            [(a.received_at, 1448) for a in sink.arrivals], flow_start, flow_end
+            [(a.received_at, 1448) for a in arrivals], flow_start, flow_end
         )
     else:
-        sink_server = TcpSinkServer(sim, network.host(dst), TCP_PORT)
-        sender = PacedTcpSender(
-            sim, network.host(src), network.host(dst).ip, TCP_PORT
-        )
-        sender.start(at=flow_start, stop_at=flow_end)
-        sim.run_until(stop_at)
+        deliveries = tcp_sink.deliveries if model is None else flow.deliveries()
         result.collapse_duration = throughput_collapse_duration(
-            sink_server.deliveries, flow_start, failure_time, flow_end
+            deliveries, flow_start, failure_time, flow_end
         )
-        result.throughput = throughput_series(
-            sink_server.deliveries, flow_start, flow_end
-        )
-    if obs is not None and obs.enabled and network.params.backend == "packet":
+        result.throughput = throughput_series(deliveries, flow_start, flow_end)
+    if obs is not None and obs.enabled and model is None:
         # per-phase attribution reads packet delivery events off the
         # trace, which the fluid backend doesn't generate
         result.breakdown = analyze_recovery(
@@ -236,66 +250,6 @@ def run_recovery(
             obs.metrics.counter("fib.chain.hits").inc(chain_hits)
             obs.metrics.counter("fib.chain.misses").inc(chain_misses)
     return result
-
-
-def _run_fluid(
-    result: RecoveryResult,
-    bundle: object,
-    transport: str,
-    src: str,
-    dst: str,
-    sport: int,
-    stop_at: Time,
-) -> None:
-    """The fluid-backend body of :func:`run_recovery`.
-
-    Same flow shape as the packet transports (1448-byte payloads every
-    100 us; UDP flows carry the 52-byte wire overhead so the analytic
-    path delay matches the packet backend's, TCP deliveries count
-    application bytes like ``TcpSinkServer``), and the synthesized
-    arrival/delivery logs feed the *same* metric functions — so
-    recovery classification differs only where the models do.
-    """
-    model = bundle.flow_model  # type: ignore[attr-defined]
-    sim = bundle.sim  # type: ignore[attr-defined]
-    flow_start, flow_end = result.flow_start, result.flow_end
-    failure_time = result.failure_time
-    if transport == "udp":
-        flow = model.add_cbr_flow(
-            "recovery-udp", src, dst, dport=UDP_PORT, sport=UDP_SPORT,
-            protocol=PROTO_UDP, packet_bytes=1448 + WIRE_OVERHEAD,
-            interval=microseconds(100), start=flow_start, stop=flow_end,
-        )
-        sim.run_until(stop_at)
-        model.finalize()
-        arrivals = flow.arrivals()
-        result.packets_sent = flow.sent
-        result.packets_received = len(arrivals)
-        arrival_times = [received_at for _, _, received_at, _ in arrivals]
-        result.connectivity_loss = connectivity_loss_duration(
-            arrival_times, failure_time
-        )
-        result.delay_samples = [
-            (received_at, received_at - sent_at, hops)
-            for _, sent_at, received_at, hops in arrivals
-        ]
-        result.throughput = throughput_series(
-            [(received_at, 1448) for received_at in arrival_times],
-            flow_start, flow_end,
-        )
-    else:
-        flow = model.add_paced_flow(
-            "recovery-tcp", src, dst, dport=TCP_PORT, sport=sport,
-            protocol=PROTO_TCP, packet_bytes=1448,
-            interval=microseconds(100), start=flow_start, stop=flow_end,
-        )
-        sim.run_until(stop_at)
-        model.finalize()
-        deliveries = flow.deliveries()
-        result.collapse_duration = throughput_collapse_duration(
-            deliveries, flow_start, failure_time, flow_end
-        )
-        result.throughput = throughput_series(deliveries, flow_start, flow_end)
 
 
 def reroute_delay_microseconds(

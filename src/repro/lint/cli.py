@@ -22,7 +22,7 @@ from .rules import all_rules
 JSON_VERSION = 1
 
 #: directories scanned when no explicit targets are given
-DEFAULT_TARGET_NAMES = ("src", "tests", "benchmarks", "tools")
+DEFAULT_TARGET_NAMES = ("src", "tests", "benchmarks")
 
 
 def repo_root() -> pathlib.Path:
@@ -74,7 +74,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint options to a (sub)parser."""
     parser.add_argument(
         "paths", nargs="*", type=pathlib.Path,
-        help="files/directories to lint (default: src tests benchmarks tools)",
+        help="files/directories to lint (default: src tests benchmarks)",
     )
     parser.add_argument(
         "--json", action="store_true",

@@ -7,16 +7,15 @@ into the module-level :data:`REGISTRY` via the :func:`register`
 decorator; the engine (:mod:`repro.lint.engine`) parses each file once
 and fans every node event out to all rules in scope for that path.
 
-Scoping speaks in *path suffixes and directory components* (the same
-convention the original ``tools/lint_determinism.py`` used) so the
+Scoping speaks in *path suffixes and directory components* so the
 analyzer gives identical verdicts whether invoked with absolute paths,
 repo-relative paths, or from inside ``src/``.
 
 The five determinism rules (``wall-clock``, ``perf-counter``,
-``module-random``, ``set-iteration``, ``span-id``) are migrated from
-``tools/lint_determinism.py`` and keep their historical ids; the
-remaining rules extend the analysis to serialization canonicality,
-seed discipline, and worker-pool picklability (DESIGN.md §12).
+``module-random``, ``set-iteration``, ``span-id``) come first and keep
+their historical ids; the remaining rules extend the analysis to
+serialization canonicality, seed discipline, and worker-pool
+picklability (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ def rules_by_id(ids: Iterable[str]) -> List[Rule]:
 
 
 # =================================================================
-# migrated determinism rules (tools/lint_determinism.py heritage)
+# determinism rules
 # =================================================================
 
 
@@ -559,8 +558,9 @@ class UnusedSuppressionRule(Rule):
     # appears in the catalog, the selftest diagonal, and --list output.
 
 
-#: the five rules migrated from tools/lint_determinism.py — the shim
-#: runs exactly these to preserve the historical contract
+#: the five determinism rules: no wall clock, no stopwatch outside the
+#: bench harness, no shared module RNG, no set-order iteration, no
+#: object identity in span/export output
 DETERMINISM_RULE_IDS: Tuple[str, ...] = (
     "wall-clock",
     "perf-counter",

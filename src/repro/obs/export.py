@@ -12,8 +12,8 @@ Two offline formats for the trees built by :mod:`repro.obs.spans`:
   so they stay visible at any zoom.  Thread lanes are assigned
   deterministically: lane 0 holds the recovery critical path (root +
   phases), and each emitting node gets its own lane in sorted-name order
-  — never in ``id()`` order (``tools/lint_determinism.py`` enforces
-  this), so the same tree always exports byte-identically.
+  — never in ``id()`` order (the ``repro lint`` rule ``span-id``
+  enforces this), so the same tree always exports byte-identically.
 
 :func:`validate_chrome_trace` checks an export against the trace-event
 schema the viewers rely on; the ``repro trace --validate`` CLI mode and

@@ -20,7 +20,8 @@ stamped with integer simulated nanoseconds.  Design rules:
 
 1. **Deterministic identity.**  Span IDs are sequence counters assigned
    in document order — never ``id()``/``hash()`` values, never wall
-   clocks (``tools/lint_determinism.py`` enforces this for this module).
+   clocks (the ``repro lint`` rules ``span-id`` and ``wall-clock``
+   enforce this for this module).
    The same trace always yields the byte-identical tree.
 2. **Post-hoc construction.**  Spans are derived from the already
    recorded trace *after* the run, so the spans layer adds literally

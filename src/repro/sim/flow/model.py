@@ -69,6 +69,7 @@ from itertools import accumulate, chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...net.packet import PROTO_UDP
+from ...transport.udp import UdpArrival
 from ..engine import Simulator
 from ..units import Time, transmission_delay
 from .fairshare import FlowId, FlowIncidence, max_min_rates
@@ -207,9 +208,9 @@ class FluidFlow:
                 spans.append((seg.start, until, seg))
         return spans
 
-    def arrivals(self) -> List[Tuple[int, Time, Time, int]]:
-        """Synthesized per-packet arrival log: (seq, sent_at, received_at,
-        hops) — the fluid equivalent of ``UdpSink.arrivals``.
+    def arrivals(self) -> List[UdpArrival]:
+        """Synthesized per-packet arrival log, in the records
+        ``UdpSink.arrivals`` holds.
 
         A packet offered at tick *t* is delivered when the flow has
         accumulated one packet of delivery credit (``rate/demand`` per
@@ -219,7 +220,7 @@ class FluidFlow:
         """
         spec = self.spec
         spans = self._segment_spans()
-        out: List[Tuple[int, Time, Time, int]] = []
+        out: List[UdpArrival] = []
         credit = 0.0
         cursor = 0
         for seq in range(self.sent):
@@ -235,7 +236,7 @@ class FluidFlow:
             credit += min(1.0, seg.rate / spec.demand)
             if credit >= 1.0 - _CREDIT_EPS:
                 credit -= 1.0
-                out.append((seq, t, t + seg.delay, seg.hops))
+                out.append(UdpArrival(seq, t, t + seg.delay, seg.hops))
         return out
 
     def deliveries(self, chunk: Optional[Time] = None) -> List[Tuple[Time, int]]:
@@ -320,10 +321,6 @@ class FluidTrafficModel:
         self.network = network
         self.sim: Simulator = network.sim  # type: ignore[attr-defined]
         self.params = network.params  # type: ignore[attr-defined]
-        #: fair-share engine for the default solver ("auto" | "numpy" |
-        #: "python"); both engines are bitwise-identical, so this is a
-        #: speed knob only
-        self.engine: str = self.params.flow_engine
         #: the fair-share solver — an instance seam so seeded mutants can
         #: corrupt it (mirroring the SPF-engine corruption mutant)
         self.solver: Callable[..., Dict[FlowId, float]] = self._default_solver
@@ -370,10 +367,10 @@ class FluidTrafficModel:
         capacity: Sequence[float],
         demand: Sequence[float],
     ) -> Dict[FlowId, float]:
-        """Solve with the configured engine (``self.solver`` stays an
+        """Solve with the default engine (``self.solver`` stays an
         instance attribute so mutants can wrap it).  Goes through the
         module-level name on every call: host-side tracing rebinds it."""
-        return max_min_rates(incidence, capacity, demand, engine=self.engine)
+        return max_min_rates(incidence, capacity, demand)
 
     # -------------------------------------------------------- subscriptions
 

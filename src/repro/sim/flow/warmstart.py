@@ -125,7 +125,6 @@ class OracleSpfEngine:
 def warm_start_linkstate(
     network: "Network",
     advertise_loopbacks: bool = False,
-    engine: str = "auto",
     oracle: Optional[BatchRouteOracle] = None,
 ) -> Dict[str, LinkStateProtocol]:
     """Deploy a pre-converged link-state control plane (see module doc).
@@ -141,7 +140,7 @@ def warm_start_linkstate(
     from ...dataplane.node import SwitchNode  # local import avoids a cycle
 
     if oracle is None:
-        oracle = BatchRouteOracle(engine=engine)
+        oracle = BatchRouteOracle()
     instances: Dict[str, LinkStateProtocol] = {}
     for switch in network.switches():
         spec = switch.spec

@@ -1,22 +1,14 @@
-"""Partition-aggregate workload on the fluid backend (§IV-B).
+"""The Fig 6 traffic carried on the fluid backend (§IV-B).
 
-The fluid twin of :mod:`repro.workloads.partition_aggregate` and
-:mod:`repro.workloads.background`: the same Fig 6 traffic, but each
-worker response and each background transfer is a **reliable paced
-fluid flow** (:meth:`repro.sim.flow.FluidTrafficModel.add_paced_flow`)
-instead of a TCP connection over per-packet events.  This is what lets
-Fig 6 run at scales the packet backend cannot reach.
-
-Draw-sequence mirroring
------------------------
-Both twins draw from the same named random streams
-(``"partition-aggregate"`` / ``"background"``) in exactly the same
-order — one ``expovariate`` per request in :meth:`schedule`, then one
-``randrange`` (requester) and one ``sample`` (workers) per launch —
-so with equal seeds the packet and fluid runs see the *identical*
-request schedule, requester/worker picks, and background flow sizes.
-Differences in the results are then attributable to the transport
-model, not to different coin flips.
+Requests and background transfers are drawn by the functions the packet
+drivers use (:func:`~repro.workloads.partition_aggregate.draw_requests`,
+:func:`~repro.workloads.background.draw_background`), so with equal
+seeds both backends carry identical traffic and their results differ
+only by transport model.  Here each worker response and background
+transfer is a **reliable paced fluid flow**
+(:meth:`repro.sim.flow.FluidTrafficModel.add_paced_flow`) instead of a
+TCP connection, which is what lets Fig 6 run at scales the packet
+backend cannot reach.
 
 What the fluid view approximates (beyond DESIGN §11):
 
@@ -42,10 +34,10 @@ from ..dataplane.network import Network
 from ..metrics.requests import RequestRecord, RequestStats
 from ..net.packet import PROTO_TCP
 from ..sim.flow.model import FluidFlow, FluidTrafficModel
-from ..sim.randomness import RandomStreams, lognormal_from_mean_sigma
+from ..sim.randomness import RandomStreams
 from ..sim.units import Time, microseconds
-from .background import SINK_PORT, BackgroundFlow
-from .partition_aggregate import WORKER_PORT
+from .background import SINK_PORT, BackgroundFlow, draw_background
+from .partition_aggregate import WORKER_PORT, Request, draw_requests, fanout_hosts
 
 #: base of the deterministic ephemeral-port counter; each fluid flow
 #: gets a distinct client port so five-tuple ECMP hashing spreads the
@@ -75,7 +67,7 @@ def _paced_span(size_bytes: int, packet_bytes: int, interval: Time) -> Time:
 
 
 class FlowPartitionAggregateWorkload:
-    """Fan-out request/response traffic as reliable fluid flows."""
+    """Carries drawn requests as fan-out response fluid flows."""
 
     def __init__(
         self,
@@ -84,18 +76,14 @@ class FlowPartitionAggregateWorkload:
         streams: RandomStreams,
         n_requests: int,
         fanout: int = 8,
-        request_bytes: int = 64,
         response_bytes: int = 2048,
     ) -> None:
-        if fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {fanout}")
-        self.network = network
+        self._hosts = fanout_hosts(network, fanout)
         self.model = model
         self.sim = network.sim
         self.rng = streams.stream("partition-aggregate")
         self.n_requests = n_requests
         self.fanout = fanout
-        self.request_bytes = request_bytes
         self.response_bytes = response_bytes
         self.stats = RequestStats()
         #: (record, fan-out response flows) per launched request, in
@@ -103,58 +91,40 @@ class FlowPartitionAggregateWorkload:
         self._pending: List[Tuple[RequestRecord, List[FluidFlow]]] = []
         self._port_counter = 0
 
-        hosts = network.hosts()
-        if len(hosts) < fanout + 1:
-            raise ValueError(
-                f"need at least {fanout + 1} hosts, have {len(hosts)}"
-            )
-        self._hosts = hosts
-
     def schedule(self, start: Time, horizon: Time) -> None:
-        """Spread ``n_requests`` Poisson-style over [start, start+horizon)
-        — draw-for-draw identical to the packet twin."""
-        mean_gap = horizon / self.n_requests
-        t = float(start)
-        for _ in range(self.n_requests):
-            t += self.rng.expovariate(1.0 / mean_gap)
-            at = round(t)
-            if at >= start + horizon:
-                at = start + horizon - 1
-            self.sim.schedule_at(at, self._launch_request)
+        """Draw the requests over [start, start+horizon); schedule each."""
+        for request in draw_requests(
+            self.rng, self._hosts, self.n_requests, self.fanout, start, horizon
+        ):
+            self.sim.schedule_at(request.at, self._launch_request, request)
 
     def _next_port(self) -> int:
         port = EPHEMERAL_BASE + self._port_counter % EPHEMERAL_SPAN
         self._port_counter += 1
         return port
 
-    def _launch_request(self) -> None:
-        requester = self._hosts[self.rng.randrange(len(self._hosts))]
-        workers = self.rng.sample(
-            [h for h in self._hosts if h.name != requester.name], self.fanout
-        )
-        record = RequestRecord(started_at=self.sim.now)
+    def _launch_request(self, request: Request) -> None:
+        record = RequestRecord(started_at=request.at)
         self.stats.records.append(record)
         index = len(self.stats.records) - 1
-        start = self.sim.now
-        stop = start + _paced_span(
+        stop = request.at + _paced_span(
             self.response_bytes, RESPONSE_PACKET_BYTES, RESPONSE_INTERVAL
         )
-        responses = []
-        for worker in workers:
-            responses.append(
-                self.model.add_paced_flow(
-                    f"pa-{index}-{worker.name}",
-                    worker.name,
-                    requester.name,
-                    dport=self._next_port(),
-                    sport=WORKER_PORT,
-                    protocol=PROTO_TCP,
-                    packet_bytes=RESPONSE_PACKET_BYTES,
-                    interval=RESPONSE_INTERVAL,
-                    start=start,
-                    stop=stop,
-                )
+        responses = [
+            self.model.add_paced_flow(
+                f"pa-{index}-{worker.name}",
+                worker.name,
+                request.requester.name,
+                dport=self._next_port(),
+                sport=WORKER_PORT,
+                protocol=PROTO_TCP,
+                packet_bytes=RESPONSE_PACKET_BYTES,
+                interval=RESPONSE_INTERVAL,
+                start=request.at,
+                stop=stop,
             )
+            for worker in request.workers
+        ]
         self._pending.append((record, responses))
 
     def collect(self) -> None:
@@ -169,7 +139,7 @@ class FlowPartitionAggregateWorkload:
 
 
 class FlowBackgroundTraffic:
-    """Log-normal background transfers as reliable fluid flows."""
+    """Carries drawn background flows as reliable fluid transfers."""
 
     def __init__(
         self,
@@ -180,7 +150,6 @@ class FlowBackgroundTraffic:
         size_sigma: float = 1.5,
         gap_sigma: float = 1.0,
     ) -> None:
-        self.network = network
         self.model = model
         self.sim = network.sim
         self.rng = streams.stream("background")
@@ -193,48 +162,29 @@ class FlowBackgroundTraffic:
         self._port_counter = 0
 
     def schedule(self, n_flows: int, start: Time, horizon: Time) -> None:
-        """Draw ``n_flows`` start times over [start, start + horizon) —
-        draw-for-draw identical to the packet twin."""
-        mean_gap = horizon / n_flows
-        t = float(start)
-        for _ in range(n_flows):
-            t += lognormal_from_mean_sigma(self.rng, mean_gap, self.gap_sigma)
-            at = round(t)
-            if at >= start + horizon:
-                at = start + horizon - 1
-            self.sim.schedule_at(at, self._launch_flow)
+        """Draw ``n_flows`` transfers over [start, start + horizon);
+        schedule each."""
+        for flow in draw_background(
+            self.rng, self._hosts, n_flows, start, horizon,
+            self.mean_flow_bytes, self.size_sigma, self.gap_sigma,
+        ):
+            self.sim.schedule_at(flow.started_at, self._launch_flow, flow)
 
-    def _launch_flow(self) -> None:
-        src = self._hosts[self.rng.randrange(len(self._hosts))]
-        dst = src
-        while dst.name == src.name:
-            dst = self._hosts[self.rng.randrange(len(self._hosts))]
-        size = max(
-            1448,
-            round(
-                lognormal_from_mean_sigma(
-                    self.rng, self.mean_flow_bytes, self.size_sigma
-                )
-            ),
-        )
-        flow = BackgroundFlow(src.name, dst.name, size, self.sim.now)
+    def _launch_flow(self, flow: BackgroundFlow) -> None:
         self.flows.append(flow)
-        start = self.sim.now
-        stop = start + _paced_span(
-            size, BACKGROUND_PACKET_BYTES, BACKGROUND_INTERVAL
-        )
         self._port_counter += 1
+        span = _paced_span(flow.size_bytes, BACKGROUND_PACKET_BYTES, BACKGROUND_INTERVAL)
         transfer = self.model.add_paced_flow(
             f"bg-{len(self.flows) - 1}",
-            src.name,
-            dst.name,
+            flow.src,
+            flow.dst,
             dport=SINK_PORT,
             sport=EPHEMERAL_BASE + self._port_counter % EPHEMERAL_SPAN,
             protocol=PROTO_TCP,
             packet_bytes=BACKGROUND_PACKET_BYTES,
             interval=BACKGROUND_INTERVAL,
-            start=start,
-            stop=stop,
+            start=flow.started_at,
+            stop=flow.started_at + span,
         )
         self._transfers.append((flow, transfer))
 

@@ -75,7 +75,9 @@ def _fluid_trial(mode):
         "now": sim.now,
         "events": sim.events_processed,
         "segments": tuple(flow.segments),
-        "arrivals": tuple(flow.arrivals()),
+        "arrivals": tuple(
+            (r.seq, r.sent_at, r.received_at, r.hops) for r in flow.arrivals()
+        ),
         "recomputes": model.recomputes,
         "notifications": model.notifications,
     }

@@ -1,21 +1,24 @@
-"""Tests for the determinism lint (tools/lint_determinism.py): the repo
-tree must be clean, and each rule must actually fire on a violation."""
+"""Tests for the five determinism rules of ``repro lint`` (wall-clock,
+perf-counter, module-random, set-iteration, span-id): the repo tree
+must be clean under them, and each rule must actually fire on a
+violation."""
 
 from __future__ import annotations
 
 import pathlib
-import sys
 
 import pytest
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "tools"))
+from repro.lint import DETERMINISM_RULE_IDS, rules_by_id
+from repro.lint.cli import main
+from repro.lint.engine import lint_paths, lint_source
 
-from lint_determinism import lint_paths, lint_source, main  # noqa: E402
+REPO = pathlib.Path(__file__).resolve().parent.parent
+DETERMINISM = rules_by_id(DETERMINISM_RULE_IDS)
 
 
 def rules(source: str, path: str = "src/repro/example.py"):
-    return [f.rule for f in lint_source(source, path)]
+    return [f.rule for f in lint_source(source, path, rules=DETERMINISM)]
 
 
 class TestRules:
@@ -94,14 +97,16 @@ class TestRules:
         assert rules(src) == []
 
     def test_finding_carries_location(self):
-        (finding,) = lint_source("import time\nt = time.time()\n", "mod.py")
+        (finding,) = lint_source(
+            "import time\nt = time.time()\n", "mod.py", rules=DETERMINISM
+        )
         assert finding.path == "mod.py" and finding.line == 2
         assert "wall clock" in str(finding)
 
 
 class TestTree:
     def test_repo_source_tree_is_clean(self):
-        findings = lint_paths([REPO / "src" / "repro"])
+        findings = lint_paths([REPO / "src" / "repro"], rules=DETERMINISM)
         assert findings == [], "\n".join(map(str, findings))
 
 
@@ -116,7 +121,7 @@ class TestMain:
         assert main([str(bad)]) == 1
         captured = capsys.readouterr()
         assert "wall-clock" in captured.out
-        assert "violation" in captured.err
+        assert "lint finding(s)" in captured.err
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2

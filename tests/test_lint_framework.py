@@ -299,7 +299,7 @@ class TestSelftestDiagonal:
 class TestRepoTree:
     def test_whole_scan_set_is_clean(self):
         targets = [
-            REPO / name for name in ("src", "tests", "benchmarks", "tools")
+            REPO / name for name in ("src", "tests", "benchmarks")
         ]
         findings = lint_paths([t for t in targets if t.is_dir()])
         assert findings == [], "\n".join(map(str, findings))
@@ -356,20 +356,3 @@ class TestCli:
         bad.write_text("import time\nt = time.time()\n")
         assert lint_main([str(bad)]) == 1
         capsys.readouterr()
-
-
-# ------------------------------------------------------------ shim
-
-
-class TestDeprecatedShim:
-    def test_shim_warns_and_delegates(self, capsys):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "lint_determinism.py")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "deprecated" in proc.stderr
-        assert "clean" in proc.stdout
