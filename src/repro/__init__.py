@@ -26,6 +26,13 @@ Quick start::
 
 __version__ = "1.0.0"
 
+try:  # the batch SPF kernel and the fair-share solver are numpy code
+    import numpy  # noqa: F401
+except ImportError:
+    raise ImportError(
+        "repro requires numpy; install it with: pip install numpy"
+    ) from None
+
 from . import analysis, core, dataplane, experiments, failures, metrics
 from . import net, routing, sim, topology, transport, workloads
 

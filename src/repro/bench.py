@@ -549,17 +549,15 @@ def bench_fairshare_vector(flows: int, repeats: int) -> Dict[str, Any]:
     rounds, the regime where the python solver's per-flow loops dominate
     and the numpy engine's per-round array ops amortize.
 
-    The two engines agree **bitwise** (the fairshare module's contract;
-    asserted here before any timing is reported), so the ratio is pure
-    speed — no accuracy trade is being measured.  Gated as an absolute
-    floor (``FAIRSHARE_MIN_RATIO``) at >= 10k flows, not against the
-    committed baseline: python-vs-numpy on one box is its own yardstick.
-
-    On an interpreter without numpy the section honestly reports
-    ``numpy: false`` with no ratio, and the regression gate fails —
-    the perf smoke requires the vector engine it is gating.
+    The python side is the fairshare module's reference water-filler,
+    which no simulation path reaches.  The two agree **bitwise** (the
+    module's contract; asserted here before any timing is reported), so
+    the ratio is pure speed — no accuracy trade is being measured.  Gated
+    as an absolute floor (``FAIRSHARE_MIN_RATIO``) at >= 10k flows, not
+    against the committed baseline: python-vs-numpy on one box is its
+    own yardstick.
     """
-    from .sim.flow.fairshare import have_numpy, max_min_rates
+    from .sim.flow.fairshare import _allocate, _solve_numpy, _solve_python
 
     n_links, hops = 2500, 6
     caps = {f"L{i:04d}": 0.5 + (i % 48) * 0.25 for i in range(n_links)}
@@ -579,28 +577,24 @@ def bench_fairshare_vector(flows: int, repeats: int) -> Dict[str, Any]:
         "links": n_links,
         "hops": hops,
         "demand_capped": len(demands),
-        "numpy": have_numpy(),
     }
-    if not have_numpy():
-        return result
-
-    reference = max_min_rates(paths, caps, demands, engine="python")
-    vectorized = max_min_rates(paths, caps, demands, engine="numpy")
+    reference = _allocate(_solve_python, paths, caps, demands)
+    vectorized = _allocate(_solve_numpy, paths, caps, demands)
     assert vectorized == reference, (
         "engine disagreement: the numpy solver drifted from the python "
         "reference — a correctness bug, not a perf regression"
     )
 
-    def timed(engine: str) -> Callable[[], Tuple[float, int]]:
+    def timed(solve: Any) -> Callable[[], Tuple[float, int]]:
         def fn() -> Tuple[float, int]:
             t0 = time.perf_counter()
-            rates = max_min_rates(paths, caps, demands, engine=engine)
+            rates = _allocate(solve, paths, caps, demands)
             return time.perf_counter() - t0, len(rates)
 
         return fn
 
-    fast_s, fast_n = _best_of(repeats, timed("numpy"))
-    slow_s, slow_n = _best_of(repeats, timed("python"))
+    fast_s, fast_n = _best_of(repeats, timed(_solve_numpy))
+    slow_s, slow_n = _best_of(repeats, timed(_solve_python))
     assert fast_n == slow_n == flows
     result.update({
         "optimized_s": round(fast_s, 6),
@@ -835,11 +829,6 @@ def check_regression(
     fair = fresh.get("fairshare_vector")
     if fair is None:
         failures.append("fairshare_vector: section missing from fresh result")
-    elif not fair.get("numpy", False):
-        failures.append(
-            "fairshare_vector: numpy unavailable — the perf smoke "
-            "requires the vector engine it gates"
-        )
     elif fair["ratio"] < FAIRSHARE_MIN_RATIO:
         failures.append(
             f"fairshare_vector: speedup {fair['ratio']:.1f}x at "
@@ -902,14 +891,11 @@ def render(result: Dict[str, Any]) -> str:
         )
     fair = result.get("fairshare_vector")
     if fair:
-        if fair.get("numpy"):
-            lines.append(
-                f"  fair share: {fair['optimized_fps']:>10,} flows/s "
-                f"(python {fair['naive_fps']:,}/s) -> {fair['ratio']:.1f}x "
-                f"at {fair['flows']:,} flows"
-            )
-        else:
-            lines.append("  fair share: numpy unavailable (no vector engine)")
+        lines.append(
+            f"  fair share: {fair['optimized_fps']:>10,} flows/s "
+            f"(python {fair['naive_fps']:,}/s) -> {fair['ratio']:.1f}x "
+            f"at {fair['flows']:,} flows"
+        )
     flow = result.get("flow_backend")
     if flow:
         lines.append(

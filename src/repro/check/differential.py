@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..dataplane.params import NetworkParams
-from ..sim.flow.fairshare import have_numpy as _have_numpy
 from ..topology.graph import Topology
 from ..sim.units import Time
 from .config import TrialConfig, generate_config
@@ -324,13 +323,12 @@ _register(FaultMutant(
 
 
 def _corrupt_vector_engine(bundle: Any) -> None:
-    """Break only the *vectorized* fair-share engine: the flow model is
-    pinned to ``engine="numpy"`` and every solved rate is halved — the
-    drift a compaction/scatter bug in the vector path would produce.
-    The python engine (the bitwise oracle the hypothesis suite compares
-    against) and the packet backend stay exact, so the corruption is
-    observable only as the fluid flows undershooting their delivery —
-    the cross-backend probe-count comparison."""
+    """Break the vectorized fair-share solver: every rate it solves is
+    halved — the drift a compaction/scatter bug in the vector path would
+    produce.  The python reference (the bitwise oracle the hypothesis
+    suite compares against) and the packet backend stay exact, so the
+    corruption is observable only as the fluid flows undershooting their
+    delivery — the cross-backend probe-count comparison."""
     model = bundle.flow_model
     if model is None:  # packet side: the oracle stays healthy
         return
@@ -341,27 +339,22 @@ def _corrupt_vector_engine(bundle: Any) -> None:
         capacity: Any,
         demand: Any,
     ) -> Dict[object, float]:
-        rates = _solve(incidence, capacity, demand, engine="numpy")
+        rates = _solve(incidence, capacity, demand)
         return {name: rate * 0.5 for name, rate in sorted(rates.items())}
 
     model.solver = drifted
 
 
-# the vector mutant needs the vectorized engine to corrupt; on a
-# numpy-less interpreter there is no numpy path to diverge, so the row
-# is (honestly) absent from the matrix rather than vacuously green —
-# CI's fuzz job installs numpy precisely so the diagonal always runs
-if _have_numpy():
-    _register(FaultMutant(
-        name="fairshare-vector-corrupted",
-        invariant=BACKEND_AGREEMENT,
-        description="vectorized fair-share engine halves every rate "
-                    "while the python oracle stays exact; the fluid "
-                    "backend under-delivers and only the cross-backend "
-                    "probe-count comparison can catch it",
-        config_factory=lambda: _events_config("fat-tree", 4, "C1"),
-        apply=_corrupt_vector_engine,
-    ))
+_register(FaultMutant(
+    name="fairshare-vector-corrupted",
+    invariant=BACKEND_AGREEMENT,
+    description="vectorized fair-share engine halves every rate "
+                "while the python oracle stays exact; the fluid "
+                "backend under-delivers and only the cross-backend "
+                "probe-count comparison can catch it",
+    config_factory=lambda: _events_config("fat-tree", 4, "C1"),
+    apply=_corrupt_vector_engine,
+))
 
 
 def check_flow_mutant(name: str) -> MutantResult:

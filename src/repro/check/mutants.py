@@ -166,12 +166,11 @@ def _corrupt_spf_engine(bundle: Any) -> None:
     for protocol in bundle.protocols.values():
         engine = protocol._spf_engine
 
-        def corrupted(lsdb: Any, _compute: Any = engine.compute) -> Any:
-            routes, report = _compute(lsdb)
+        def corrupted(lsdb: Any, kind: str, _compute: Any = engine.compute) -> Any:
             return {
                 prefix: hops if len(hops) <= 1 else (min(hops),)
-                for prefix, hops in routes.items()
-            }, report
+                for prefix, hops in _compute(lsdb, kind).items()
+            }
 
         engine.compute = corrupted
 

@@ -35,7 +35,7 @@ differential test in ``tests/test_fastpath.py`` pins it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Optional, Tuple
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Tuple
 
 from .ip import IPv4Address, Prefix
 
@@ -72,11 +72,12 @@ class FibDelta:
     """A computed batch of FIB changes applied atomically.
 
     Control planes diff their previous download against the new route
-    table and hand the FIB only the difference — the common reconvergence
-    case after a single link event changes a handful of prefixes out of
-    dozens.  :meth:`Fib.apply_delta` applies the whole batch under **one**
-    :attr:`Fib.generation` bump, so the per-destination match-chain cache
-    is invalidated once per download instead of once per touched prefix.
+    table (:meth:`between`) and hand the FIB only the difference — the
+    common reconvergence case after a single link event changes a
+    handful of prefixes out of dozens.  :meth:`Fib.apply_delta` applies
+    the whole batch under **one** :attr:`Fib.generation` bump, so the
+    per-destination match-chain cache is invalidated once per download
+    instead of once per touched prefix.
 
     ``withdrawals`` are applied before ``installs``; an entry appearing in
     both positions (replace) therefore ends installed.  Both tuples are
@@ -86,6 +87,38 @@ class FibDelta:
 
     installs: Tuple[FibEntry, ...] = ()
     withdrawals: Tuple[Prefix, ...] = ()
+
+    @classmethod
+    def between(
+        cls,
+        previous: Mapping[Prefix, Tuple[NextHop, ...]],
+        routes: Mapping[Prefix, Tuple[NextHop, ...]],
+        source: str,
+    ) -> "FibDelta":
+        """The download from route table ``previous`` to ``routes``: the
+        one FIB diff every control plane applies.
+
+        Withdrawals and installs are in sorted-prefix order, so the delta
+        (and every trace built from it) is a pure function of the two
+        tables, not of their dict order.  Route tables are immutable, so
+        ``routes is previous`` means "no change" and costs no scan.
+        """
+        if routes is previous:
+            return cls()
+        withdrawals = tuple(sorted(
+            prefix for prefix in previous if prefix not in routes
+        ))
+        # diff first, sort only what changed: a download after one link
+        # event touches a handful of prefixes out of the whole table
+        changed = sorted(
+            prefix
+            for prefix, next_hops in routes.items()
+            if previous.get(prefix) != next_hops
+        )
+        return cls(
+            tuple(FibEntry(prefix, routes[prefix], source) for prefix in changed),
+            withdrawals,
+        )
 
     def __bool__(self) -> bool:
         return bool(self.installs or self.withdrawals)

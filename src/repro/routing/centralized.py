@@ -24,18 +24,19 @@ would only make the plain fabric look worse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # runtime import would be circular
     from ..dataplane.network import Network
 
 from ..dataplane.node import SwitchNode
 from ..dataplane.params import NetworkParams
-from ..net.fib import FibDelta, FibEntry
+from ..net.fib import FibDelta
 from ..net.ip import Prefix
 from ..net.packet import Packet
 from ..sim.engine import Simulator, Timer
 from ..sim.units import Time, milliseconds
+from .linkstate import switch_roster
 from .lsdb import Lsa, Lsdb
 from .spf import RouteTable
 from .spf_cache import compute_routes_cached
@@ -154,7 +155,7 @@ class CentralizedController:
     def _push_all(self, tables: Dict[str, RouteTable]) -> None:
         for name, table in tables.items():
             agent = self._agents[name]
-            if agent.would_change(table):
+            if table != agent.route_table:
                 self.stats.pushes_sent += 1
                 self.sim.call_at(
                     self.sim.now + self.control.push_latency,
@@ -180,7 +181,8 @@ class CentralizedAgent:
         self.name = switch.name
         self.controller = controller
         self._protocol_neighbors = set(switch_neighbors)
-        self._installed: Dict[Prefix, FibEntry] = {}
+        #: the table last downloaded to the FIB (the controller's object)
+        self._table: RouteTable = {}
         self._pending: Optional[RouteTable] = None
         self._install_timer = Timer(sim, self._install_pending)
         self.reports_sent = 0
@@ -206,81 +208,41 @@ class CentralizedAgent:
 
     # ------------------------------------------------------------- tables
 
-    def would_change(self, table: RouteTable) -> bool:
-        """Whether installing ``table`` would modify this switch's FIB."""
-        if set(table) != set(self._installed):
-            return True
-        return any(
-            self._installed[prefix].next_hops != next_hops
-            for prefix, next_hops in table.items()
-        )
-
     def receive_table(self, table: RouteTable) -> None:
         self._pending = table
         self._install_timer.start(self.params.fib_update_delay)
 
     def _install_pending(self) -> None:
-        # computed delta against the previous push, applied as one batch
-        # (one generation bump) in sorted-prefix order — same contract as
-        # the link-state protocol's FIB download
+        # the link-state protocol's download: one delta against the
+        # previous push, one generation bump
         table = self._pending
         if table is None:
             return
         self._pending = None
-        fib = self.switch.fib
-        withdrawals = tuple(sorted(
-            prefix for prefix in self._installed if prefix not in table
-        ))
-        installs: List[FibEntry] = []
-        for prefix in sorted(table):
-            current = self._installed.get(prefix)
-            if current is not None and current.next_hops == table[prefix]:
-                continue
-            installs.append(FibEntry(prefix, table[prefix], source=SOURCE))
-        fib.apply_delta(FibDelta(tuple(installs), withdrawals))
-        for prefix in withdrawals:
-            del self._installed[prefix]
-        for entry in installs:
-            self._installed[entry.prefix] = entry
+        previous, self._table = self._table, table
+        self.switch.fib.apply_delta(FibDelta.between(previous, table, SOURCE))
 
     @property
-    def routes(self) -> Dict[Prefix, FibEntry]:
-        return dict(self._installed)
+    def route_table(self) -> RouteTable:
+        """The table last downloaded to the FIB — read-only."""
+        return self._table
 
 
 def deploy_centralized(
-    network: "Network",
-    control: Optional[ControllerParams] = None,
-    advertise_loopbacks: bool = True,
+    network: "Network", control: Optional[ControllerParams] = None
 ) -> Tuple[CentralizedController, Dict[str, CentralizedAgent]]:
     """Install a controller and one agent per switch; bootstrap routes.
 
-    Mirrors :func:`repro.routing.linkstate.deploy_linkstate` so experiment
+    Deploys the same :func:`~repro.routing.linkstate.switch_roster` as
+    :func:`~repro.routing.linkstate.deploy_linkstate`, so experiment
     harnesses can swap control planes.
     """
-    from ..dataplane.network import Network  # local import to avoid a cycle
-
-    assert isinstance(network, Network)
     controller = CentralizedController(network.sim, network.params, control)
-    agents: Dict[str, CentralizedAgent] = {}
-    for switch in network.switches():
-        advertised: List[Prefix] = []
-        if switch.spec.subnet is not None:
-            advertised.append(switch.spec.subnet)
-        if advertise_loopbacks:
-            advertised.append(Prefix(switch.ip, 32))
-        switch_neighbors = [
-            peer
-            for peer in switch.links_by_peer
-            if isinstance(network.nodes[peer], SwitchNode)
-        ]
-        agents[switch.name] = CentralizedAgent(
-            network.sim,
-            switch,
-            network.params,
-            controller,
-            switch_neighbors=switch_neighbors,
-            advertised=advertised,
+    agents = {
+        switch.name: CentralizedAgent(
+            network.sim, switch, network.params, controller, peers, advertised
         )
+        for switch, peers, advertised in switch_roster(network, loopbacks=True)
+    }
     controller.bootstrap()
     return controller, agents

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 if TYPE_CHECKING:  # runtime import would be circular
     from ..dataplane.network import Network
 
-from ..net.fib import FibDelta, FibEntry
+from ..net.fib import FibDelta
 from ..net.ip import Prefix
 from ..net.packet import Packet
 from ..obs.registry import Counter
@@ -44,9 +44,9 @@ from ..sim.engine import Simulator, Timer
 from ..sim.units import MILLISECOND, Time
 from ..dataplane.node import SwitchNode
 from ..dataplane.params import NetworkParams
-from .lsdb import Lsa, Lsdb
+from .lsdb import Fingerprint, Lsa, Lsdb
 from .spf import RouteTable
-from .spf_cache import SpfCacheStats, SpfEngine
+from .spf_cache import SpfCacheStats, SpfEngine, classify_transition
 
 #: FIB entry source tag for routes installed by this protocol.
 SOURCE = "linkstate"
@@ -113,6 +113,8 @@ class LinkStateProtocol:
         self._spf_timer = Timer(sim, self._run_spf)
         self._hold_current: Time = params.spf_hold
         self._hold_expiry: Time = 0
+        #: the fingerprint the last SPF run saw (None: never ran)
+        self._fingerprint: Optional[Fingerprint] = None
         # FIB state; the download is the SPF engine's own immutable table
         self._table: RouteTable = {}
         self._pending_routes: Optional[RouteTable] = None
@@ -273,74 +275,49 @@ class LinkStateProtocol:
         # per-instance stats count *logical* reuse — noted here, outside
         # the cache, so it is deterministic regardless of how warm the
         # shared cache happens to be (or whether it has been swapped out)
-        cached = self.spf_cache_stats.note(
-            (self.name, self.lsdb.fingerprint())
-        )
-        routes, report = self._spf_engine.compute(self.lsdb)
-        self._pending_routes = routes
+        fingerprint = self.lsdb.fingerprint()
+        cached = self.spf_cache_stats.note((self.name, fingerprint))
+        # the transition is classified here, once, whatever engine then
+        # computes the table: a pure function of this instance's
+        # fingerprint sequence, so the traced delta is too
+        previous, self._fingerprint = self._fingerprint, fingerprint
+        delta = classify_transition(previous, fingerprint).kind
+        self._pending_routes = self._spf_engine.compute(self.lsdb, delta)
         obs.metrics.counter(
             "spf.cache.hits" if cached else "spf.cache.misses"
         ).inc()
-        # the traced delta is the *logical* transition classification — a
-        # pure function of this instance's fingerprint sequence, whatever
-        # computed the table and however warm the memo was
         obs.trace.emit(
             self.sim.now, EV_SPF_RUN, self.name,
-            hold=self._hold_current, cached=cached, delta=report.delta,
+            hold=self._hold_current, cached=cached, delta=delta,
         )
         self._install_timer.start(self.params.fib_update_delay)
 
     def _install_pending(self) -> None:
-        """FIB download: apply the computed delta against the old download.
-
-        The new route table is diffed against the previous download and
-        only the difference touches the FIB — one
-        :meth:`~repro.net.fib.Fib.apply_delta` batch, one generation
-        bump.  The delta is built in sorted-prefix order so the trace's
-        ``changes`` list (and therefore the whole obs trace) is a pure
-        function of the route tables, independent of whichever computer
-        (per-origin Dijkstra or the batch kernel) produced their dict
-        ordering.  Tables
-        are immutable, so an engine handing back the object already
-        downloaded means "no change": the same (empty) delta, counters
-        and trace record as a diff would give, without scanning a table.
-        """
+        """FIB download: the delta between the old download and the new
+        table (:meth:`~repro.net.fib.FibDelta.between`) as one
+        :meth:`~repro.net.fib.Fib.apply_delta` batch — applied even when
+        empty (an engine handing back the table already downloaded), so
+        every download counts once."""
         routes = self._pending_routes
         if routes is None:
             return
         self._pending_routes = None
         self.stats.fib_installs += 1
         obs = self._obs
-        fib = self.switch.fib
         previous, self._table = self._table, routes
-        withdrawals: Tuple[Prefix, ...] = ()
-        changed: List[Prefix] = []
-        if routes is not previous:
-            withdrawals = tuple(sorted(
-                prefix for prefix in previous if prefix not in routes
-            ))
-            # diff first, sort only what changed: a download after one link
-            # event touches a handful of prefixes out of the whole table
-            changed = sorted(
-                prefix
-                for prefix, next_hops in routes.items()
-                if previous.get(prefix) != next_hops
-            )
-        installs = [
-            FibEntry(prefix, routes[prefix], source=SOURCE) for prefix in changed
-        ]
-        fib.apply_delta(FibDelta(tuple(installs), withdrawals))
-        withdrawn = len(withdrawals)
-        installed = len(installs)
+        delta = FibDelta.between(previous, routes, SOURCE)
+        self.switch.fib.apply_delta(delta)
+        withdrawn = len(delta.withdrawals)
+        installed = len(delta.installs)
         # per-prefix change names feed the trace's fib_delta spans; only
         # collected while tracing is on (the list build is pure overhead
         # otherwise)
         changes: Optional[List[str]] = None
         if obs.enabled:
-            changes = [f"-{prefix}" for prefix in withdrawals]
+            changes = [f"-{prefix}" for prefix in delta.withdrawals]
             changes.extend(
                 f"~{e.prefix}" if e.prefix in previous else f"+{e.prefix}"
-                for e in installs
+                for e in delta.installs
             )
         obs.metrics.counter("fib.installs").inc()
         if self._last_spf_at is not None:
@@ -368,15 +345,6 @@ class LinkStateProtocol:
         return self._table
 
     @property
-    def routes(self) -> Dict[Prefix, FibEntry]:
-        """Routes currently installed in the FIB by this protocol: a new
-        dict per call, built from :attr:`route_table`."""
-        return {
-            prefix: FibEntry(prefix, next_hops, source=SOURCE)
-            for prefix, next_hops in self._table.items()
-        }
-
-    @property
     def protocol_neighbors(self) -> frozenset:
         """Switch peers this instance speaks the protocol with (hosts
         excluded); alive or not — liveness is the caller's concern."""
@@ -388,41 +356,53 @@ class LinkStateProtocol:
         return self._advertised
 
 
-def deploy_linkstate(
-    network: "Network", advertise_loopbacks: bool = True
-) -> Dict[str, LinkStateProtocol]:
-    """Install a protocol instance on every switch of a network.
+#: one switch of a control plane: the switch, the peers it speaks the
+#: protocol with (hosts never do) and the prefixes it originates
+RosterEntry = Tuple[SwitchNode, List[str], List[Prefix]]
+
+
+def switch_roster(network: "Network", loopbacks: bool) -> List[RosterEntry]:
+    """Every switch of ``network`` as every control plane deploys it.
 
     ToRs/leaves advertise their host subnet (the paper's "each ToR will
     redistribute the subnet address containing hosts below into OSPF");
-    optionally every switch advertises its /32 loopback.
-    Returns the per-switch instances; call :meth:`LinkStateProtocol.start`
-    happens here at construction order, which is fine because flooding is
-    event-driven.
+    with ``loopbacks`` every switch also advertises its /32 loopback.
     """
-    from ..dataplane.network import Network  # local import to avoid a cycle
-
-    assert isinstance(network, Network)
-    instances: Dict[str, LinkStateProtocol] = {}
+    roster: List[RosterEntry] = []
     for switch in network.switches():
-        spec = switch.spec
-        advertised: List[Prefix] = []
-        if spec.subnet is not None:
-            advertised.append(spec.subnet)
-        if advertise_loopbacks:
+        subnet = switch.spec.subnet
+        advertised: List[Prefix] = [] if subnet is None else [subnet]
+        if loopbacks:
             advertised.append(Prefix(switch.ip, 32))
-        switch_neighbors = [
-            peer
-            for peer in switch.links_by_peer
+        peers = [
+            peer for peer in switch.links_by_peer
             if isinstance(network.nodes[peer], SwitchNode)
         ]
-        instances[switch.name] = LinkStateProtocol(
-            network.sim,
-            switch,
-            network.params,
-            switch_neighbors=switch_neighbors,
-            advertised=advertised,
+        roster.append((switch, peers, advertised))
+    return roster
+
+
+def linkstate_instances(
+    network: "Network", loopbacks: bool
+) -> Dict[str, LinkStateProtocol]:
+    """One unstarted protocol instance per switch: the construction
+    :func:`deploy_linkstate` and the warm start share."""
+    return {
+        switch.name: LinkStateProtocol(
+            network.sim, switch, network.params, peers, advertised
         )
+        for switch, peers, advertised in switch_roster(network, loopbacks)
+    }
+
+
+def deploy_linkstate(network: "Network") -> Dict[str, LinkStateProtocol]:
+    """Install a protocol instance on every switch of a network (host
+    subnets and /32 loopbacks advertised) and start them all.
+
+    Instances start in construction order, which is fine because
+    flooding is event-driven.
+    """
+    instances = linkstate_instances(network, loopbacks=True)
     for protocol in instances.values():
         protocol.start()
     return instances

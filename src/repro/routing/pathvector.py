@@ -40,11 +40,13 @@ if TYPE_CHECKING:  # runtime import would be circular
 
 from ..dataplane.node import SwitchNode
 from ..dataplane.params import NetworkParams
-from ..net.fib import FibEntry
+from ..net.fib import FibDelta
 from ..net.ip import Prefix
 from ..net.packet import Packet
 from ..sim.engine import Simulator, Timer
 from ..sim.units import Time, microseconds, milliseconds
+from .linkstate import switch_roster
+from .spf import RouteTable
 
 #: FIB entry source tag.
 SOURCE = "pathvector"
@@ -121,7 +123,8 @@ class PathVectorProtocol:
             for peer in switch_neighbors
         }
         self._mrai_open: Dict[str, bool] = {peer: True for peer in switch_neighbors}
-        self._installed: Dict[Prefix, FibEntry] = {}
+        #: the table last downloaded to the FIB
+        self._table: RouteTable = {}
         self._install_timer = Timer(sim, self._install_best)
         switch.routing_agent = self
 
@@ -205,24 +208,14 @@ class PathVectorProtocol:
             self._propagate(changed)
 
     def _install_best(self) -> None:
-        fib = self.switch.fib
         self.stats.fib_installs += 1
-        wanted: Dict[Prefix, Tuple[str, ...]] = {
+        table: RouteTable = {
             prefix: peers
             for prefix, (length, peers) in self._best.items()
             if prefix not in self._originated and peers
         }
-        for prefix in list(self._installed):
-            if prefix not in wanted:
-                fib.withdraw(prefix)
-                del self._installed[prefix]
-        for prefix, peers in wanted.items():
-            current = self._installed.get(prefix)
-            if current is not None and current.next_hops == peers:
-                continue
-            entry = FibEntry(prefix, peers, source=SOURCE)
-            fib.install(entry)
-            self._installed[prefix] = entry
+        previous, self._table = self._table, table
+        self.switch.fib.apply_delta(FibDelta.between(previous, table, SOURCE))
 
     # ---------------------------------------------------------- propagate
 
@@ -316,18 +309,17 @@ class PathVectorProtocol:
         self._reselect(lost)
 
     @property
-    def routes(self) -> Dict[Prefix, FibEntry]:
-        return dict(self._installed)
+    def route_table(self) -> RouteTable:
+        """The table last downloaded to the FIB — read-only."""
+        return self._table
 
 
 def deploy_pathvector(
-    network: "Network",
-    protocol_params: Optional[PathVectorParams] = None,
-    advertise_loopbacks: bool = True,
+    network: "Network", protocol_params: Optional[PathVectorParams] = None
 ) -> Dict[str, PathVectorProtocol]:
-    """Install a path-vector speaker on every switch (mirror of
-    :func:`repro.routing.linkstate.deploy_linkstate`)."""
-    from ..dataplane.network import Network  # local import to avoid a cycle
+    """Install a path-vector speaker on every switch of the
+    :func:`~repro.routing.linkstate.switch_roster` that
+    :func:`~repro.routing.linkstate.deploy_linkstate` deploys."""
     from ..topology.graph import NodeKind
 
     ranks = {
@@ -338,33 +330,20 @@ def deploy_pathvector(
         NodeKind.INTERMEDIATE: 3,
         NodeKind.CORE: 3,
     }
-
-    assert isinstance(network, Network)
     instances: Dict[str, PathVectorProtocol] = {}
-    for switch in network.switches():
-        advertised: List[Prefix] = []
-        if switch.spec.subnet is not None:
-            advertised.append(switch.spec.subnet)
-        if advertise_loopbacks:
-            advertised.append(Prefix(switch.ip, 32))
-        switch_neighbors = [
-            peer
-            for peer in switch.links_by_peer
-            if isinstance(network.nodes[peer], SwitchNode)
-        ]
-        neighbor_ranks = {
-            peer: ranks.get(network.switch(peer).spec.kind, 0)
-            for peer in switch_neighbors
-        }
+    for switch, peers, advertised in switch_roster(network, loopbacks=True):
         instances[switch.name] = PathVectorProtocol(
             network.sim,
             switch,
             network.params,
-            switch_neighbors=switch_neighbors,
+            switch_neighbors=peers,
             advertised=advertised,
             protocol_params=protocol_params,
             own_rank=ranks.get(switch.spec.kind, 0),
-            neighbor_ranks=neighbor_ranks,
+            neighbor_ranks={
+                peer: ranks.get(network.switch(peer).spec.kind, 0)
+                for peer in peers
+            },
         )
     for protocol in instances.values():
         protocol.start()

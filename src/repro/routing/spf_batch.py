@@ -34,9 +34,9 @@ A bitmask is one int64, so an origin with more than 63 two-way neighbors
 Every result is **provably equal** to the from-scratch oracle
 :func:`repro.routing.spf.compute_routes` per origin — the differential
 suite in ``tests/test_spf_batch.py`` pins that equality across all four
-topology families and over randomly damaged LSDBs, with and without
-numpy.  Without numpy the module degrades to the per-origin oracle
-(correct, just not fast), so nothing here makes numpy a hard dependency.
+topology families and over randomly damaged LSDBs.  numpy is a declared
+dependency: there is no pure-python fallback to degrade to, and a
+caller that wants the per-origin loop writes it (the tests do).
 """
 
 from __future__ import annotations
@@ -44,18 +44,12 @@ from __future__ import annotations
 from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..net.ip import Prefix
 from ..topology.compact import CompactGraph
 from .lsdb import Lsdb, graph_info
 from .spf import RouteTable, compute_routes
-
-try:  # numpy is an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via engine="python"
-    _np = None  # type: ignore[assignment]
-
-#: engine choices for the public entry points
-ENGINES = ("auto", "numpy", "python")
 
 #: neighbor positions one int64 first-hop bitmask can hold
 _MASK_BITS = 63
@@ -69,18 +63,10 @@ TableMemo = Dict[Tuple[Prefix, ...], _Tables]
 
 
 def have_numpy() -> bool:
-    """Whether the vectorized engine is available."""
-    return _np is not None
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown batch-SPF engine {engine!r}")
-    if engine == "auto":
-        return "numpy" if have_numpy() else "python"
-    if engine == "numpy" and not have_numpy():
-        raise RuntimeError("numpy engine requested but numpy is unavailable")
-    return engine
+    """Always True: numpy is a declared dependency.  Kept only while
+    ``perfbench/child.py`` calls it; ``tests/test_perfbench_targets.py``
+    says "delete" the day it stops."""
+    return True
 
 
 def _nearest_distances(graph: CompactGraph, advertised: Any) -> Any:
@@ -93,27 +79,26 @@ def _nearest_distances(graph: CompactGraph, advertised: Any) -> Any:
     rows.  Degree-0 rows stay out of the ``reduceat`` (it mis-reads
     empty segments) and never advance.
     """
-    assert _np is not None
-    indptr = _np.asarray(graph.indptr)
-    indices = _np.asarray(graph.indices)
-    linked = _np.flatnonzero(_np.diff(indptr))
+    indptr = np.asarray(graph.indptr)
+    indices = np.asarray(graph.indices)
+    linked = np.flatnonzero(np.diff(indptr))
     starts = indptr[linked]
     n_prefixes = advertised.shape[1]
-    dist = advertised.astype(_np.int32) - 1
-    whole_words = _np.pad(advertised, ((0, 0), (0, -n_prefixes % 64)))
-    frontier = _np.packbits(whole_words, axis=1).view(_np.uint64)
+    dist = advertised.astype(np.int32) - 1
+    whole_words = np.pad(advertised, ((0, 0), (0, -n_prefixes % 64)))
+    frontier = np.packbits(whole_words, axis=1).view(np.uint64)
     reached = frontier.copy()
     level = 0
     while linked.size and frontier.any():
         level += 1
-        advanced = _np.zeros_like(frontier)
-        advanced[linked] = _np.bitwise_or.reduceat(
+        advanced = np.zeros_like(frontier)
+        advanced[linked] = np.bitwise_or.reduceat(
             frontier[indices], starts, axis=0
         )
         advanced &= ~reached
         reached |= advanced
-        fresh = _np.unpackbits(
-            advanced.view(_np.uint8), axis=1, count=n_prefixes
+        fresh = np.unpackbits(
+            advanced.view(np.uint8), axis=1, count=n_prefixes
         )
         dist[fresh.view(bool)] = level
         frontier = advanced
@@ -126,16 +111,15 @@ def _first_hop_bits(graph: CompactGraph, dist: Any) -> Any:
     packed ECMP first-hop set; 0 where ``s`` has no route (unreachable,
     or its own prefix).  Positions past :data:`_MASK_BITS` are dropped.
     """
-    assert _np is not None
-    indptr = _np.asarray(graph.indptr)
-    indices = _np.asarray(graph.indices)
-    degree = _np.diff(indptr)
+    indptr = np.asarray(graph.indptr)
+    indices = np.asarray(graph.indices)
+    degree = np.diff(indptr)
     one_closer = dist - 1
-    bits = _np.zeros(dist.shape, dtype=_np.int64)
+    bits = np.zeros(dist.shape, dtype=np.int64)
     for i in range(min(int(degree.max(initial=0)), _MASK_BITS)):
-        origins = _np.flatnonzero(degree > i)
+        origins = np.flatnonzero(degree > i)
         on_path = dist[indices[indptr[origins] + i]] == one_closer[origins]
-        bits[origins] |= _np.left_shift(on_path, i, dtype=_np.int64)
+        bits[origins] |= np.left_shift(on_path, i, dtype=np.int64)
     return bits
 
 
@@ -157,23 +141,17 @@ def _route_table(
 
 
 def batch_compute_routes(
-    lsdb: Lsdb, engine: str = "auto", memo: Optional[TableMemo] = None
+    lsdb: Lsdb, memo: Optional[TableMemo] = None
 ) -> Dict[str, RouteTable]:
     """Route tables for *every* origin of ``lsdb`` in one computation.
 
     Equal to ``{origin: compute_routes(origin, lsdb)}`` by construction
-    (and by the differential suite); the numpy engine computes it in a
-    few vectorized passes instead of one Dijkstra per origin.  Given the
-    ``memo`` of the previous run, an origin whose table did not change
-    gets the same object back (the per-origin paths never share).
+    (and by the differential suite), computed in a few vectorized passes
+    instead of one Dijkstra per origin.  Given the ``memo`` of the
+    previous run, an origin whose table did not change gets the same
+    object back (the per-origin paths never share).
     """
-    resolved = _resolve_engine(engine)
     info = graph_info(lsdb.fingerprint())
-    if resolved == "python":
-        return {
-            origin: compute_routes(origin, lsdb)
-            for origin in sorted(info.adjacency)
-        }
     graph = CompactGraph.from_adjacency(info.adjacency)
     prefixes = tuple(sorted(info.advertisers))
     column = {prefix: i for i, prefix in enumerate(prefixes)}
@@ -183,7 +161,7 @@ def batch_compute_routes(
         for prefix in info.prefixes[name]:
             nodes.append(node)
             columns.append(column[prefix])
-    advertised = _np.zeros((len(graph), len(column)), dtype=bool)
+    advertised = np.zeros((len(graph), len(column)), dtype=bool)
     advertised[nodes, columns] = True
     bits = _first_hop_bits(graph, _nearest_distances(graph, advertised))
     lent = {} if memo is None else memo.pop(prefixes, {})

@@ -34,8 +34,9 @@ nothing observable.
 
 The transition taxonomy (:func:`classify_transition`) is what every
 ``spf.run`` trace record and ``spf`` span leaf carries as ``delta``: a
-pure function of one consumer's fingerprint sequence, independent of
-how — or whether — anything was computed.
+pure function of one consumer's fingerprint sequence, classified by the
+protocol before any engine runs, so independent of how — or whether —
+anything was computed.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ class SpfDelta:
     edge: Optional[Edge] = None
 
 
-@dataclass(frozen=True)
-class SpfRunReport:
-    """What one engine computation answered — ``delta`` (and ``edge``)
-    are pure functions of the consumer's fingerprint sequence and
-    therefore safe to emit into byte-identical traces."""
-
-    delta: str
-    edge: Optional[Edge] = None
-
-
 #: bounded memo for :func:`classify_transition` — all origins of a fabric
 #: see the same (old, new) fingerprint pair after one topology event
 _DELTA_MEMO: "OrderedDict[Tuple[Fingerprint, Fingerprint], SpfDelta]" = OrderedDict()
@@ -89,9 +80,12 @@ _DELTA_MEMO_MAX = 256
 
 
 def classify_transition(
-    old_fp: Fingerprint, new_fp: Fingerprint
+    old_fp: Optional[Fingerprint], new_fp: Fingerprint
 ) -> SpfDelta:
-    """Classify the transition between two fingerprints (memoized)."""
+    """Classify the transition between two fingerprints (memoized);
+    ``old_fp`` None is a consumer's first computation."""
+    if old_fp is None:
+        return SpfDelta(INITIAL)
     if old_fp == new_fp:
         return SpfDelta(REFRESH)
     memo = _DELTA_MEMO
@@ -218,15 +212,12 @@ def compute_routes_cached(origin: str, lsdb: Lsdb) -> RouteTable:
 class SpfEngine:
     """One link-state instance's route computer.
 
-    Remembers the last fingerprint it was fed and the table it answered
-    with.  A ``refresh`` or ``cosmetic`` transition leaves every route
-    as it was, so the engine hands back *the table object it already
-    holds* — which the protocol's FIB download recognises as "no
-    change" by identity; anything else asks the shared memo.  The
-    returned :class:`SpfRunReport` evolves purely from the sequence of
-    fingerprints this one consumer feeds it, so the ``delta`` trace
-    attribute is byte-identical for any worker count or memo
-    temperature.
+    The protocol classifies each fingerprint transition and hands the
+    kind in with the database.  A ``refresh`` or ``cosmetic`` transition
+    leaves every route as it was, so the engine hands back *the table
+    object it already holds* — which the protocol's FIB download
+    recognises as "no change" by identity; anything else asks the shared
+    memo.
     """
 
     # no __slots__: the ``spf-engine-corrupted`` check mutant wraps
@@ -234,18 +225,11 @@ class SpfEngine:
 
     def __init__(self, origin: str) -> None:
         self.origin = origin
-        self._fingerprint: Optional[Fingerprint] = None
         self._routes: RouteTable = {}
 
-    def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
-        """Routes for this engine's origin over ``lsdb``, plus a report."""
-        fingerprint = lsdb.fingerprint()
-        previous = self._fingerprint
-        if previous is None:
-            delta = SpfDelta(INITIAL)
-        else:
-            delta = classify_transition(previous, fingerprint)
-        self._fingerprint = fingerprint
-        if delta.kind not in (REFRESH, COSMETIC):
+    def compute(self, lsdb: Lsdb, kind: str) -> RouteTable:
+        """Routes for this engine's origin over ``lsdb``, reached by a
+        transition of ``kind`` from the database it last saw."""
+        if kind not in (REFRESH, COSMETIC):
             self._routes = compute_routes_cached(self.origin, lsdb)
-        return self._routes, SpfRunReport(delta.kind, delta.edge)
+        return self._routes

@@ -7,35 +7,36 @@ raise every unfrozen flow's rate uniformly until some link saturates (or
 some flow hits its demand cap), freeze the flows that saturated, repeat
 with the residual capacities.
 
-Two engines implement the same algorithm over the same **flows×links
-incidence in CSR form** (:func:`build_incidence`, the
-:class:`~repro.topology.compact.CompactGraph` idiom applied to flows):
+:func:`max_min_rates` runs it over a **flows×links incidence in CSR
+form** (:func:`build_incidence`, the
+:class:`~repro.topology.compact.CompactGraph` idiom applied to flows),
+every water-filling round as vectorized min / scatter-add operations
+(``np.bincount`` for crossing counts, ``np.add.reduceat`` for the
+per-flow bottleneck test, ``np.subtract.at`` for the ordered residual
+update), which is what lets the fluid backend carry tens of thousands of
+flows per recompute.  numpy is a declared dependency; there is no
+fallback.
 
-* ``python`` — the reference loop, index arithmetic over plain lists;
-* ``numpy`` — every water-filling round as vectorized min / scatter-add
-  operations (``np.bincount`` for crossing counts, ``np.add.reduceat``
-  for the per-flow bottleneck test, ``np.subtract.at`` for the ordered
-  residual update), which is what lets the fluid backend carry tens of
-  thousands of flows per recompute.
-
-The engines are **bitwise equal by construction**: both freeze flows in
+:func:`_solve_python` is the same algorithm as a plain loop over lists,
+kept as a **reference only**: the tests and ``repro bench`` compare the
+vectorized solver against it, and no simulation path can reach it.  The
+two are **bitwise equal by construction**: both freeze flows in
 sorted-row order, subtract residuals in the same element order
 (``np.subtract.at`` applies its updates sequentially in array order, the
 python loop walks the identical concatenated segment), and share one
 tolerance-based bottleneck test (``share <= level * (1 + SHARE_EPS)``)
 so float drift in the residuals can never make them freeze different
-flow sets on degenerate equal-share topologies.  The engine contract
-mirrors :mod:`repro.routing.spf_batch`: ``engine="auto"`` prefers numpy,
-degrades to python, and numpy never becomes a hard dependency.
+flow sets on degenerate equal-share topologies.
 
 The implementation is deliberately **order-independent**: flows and
 links are processed in sorted-id order at every step, and every frozen
 rate is a pure function of (paths, capacities, demands) — never of
 insertion order.  The hypothesis suite in ``tests/test_fairshare.py``
 pins the defining properties (conservation, monotonicity, order
-independence, cross-engine equality), and the differential cross-backend
-harness relies on them: a corrupted solver is caught by the
-``backend-agreement`` invariant (:mod:`repro.check.differential`).
+independence, bitwise equality with the reference), and the
+differential cross-backend harness relies on them: a corrupted solver is
+caught by the ``backend-agreement`` invariant
+(:mod:`repro.check.differential`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -55,18 +57,12 @@ from typing import (
     overload,
 )
 
-try:  # numpy is an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via engine="python"
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 #: flows and links are identified by any sortable hashable (the fluid
 #: model uses strings / int pairs)
 FlowId = Hashable
 LinkId = Hashable
-
-#: engine choices for :func:`max_min_rates` (the spf_batch contract)
-ENGINES = ("auto", "numpy", "python")
 
 #: Relative tolerance of the shared bottleneck / demand-cap tests.
 #: Residual capacities accumulate float error across freezing rounds, so
@@ -84,18 +80,10 @@ class FairShareError(ValueError):
 
 
 def have_numpy() -> bool:
-    """Whether the vectorized engine is available."""
-    return _np is not None
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown fair-share engine {engine!r}")
-    if engine == "auto":
-        return "numpy" if have_numpy() else "python"
-    if engine == "numpy" and not have_numpy():
-        raise RuntimeError("numpy engine requested but numpy is unavailable")
-    return engine
+    """Always True: numpy is a declared dependency.  Kept only while
+    ``perfbench/child.py`` calls it; ``tests/test_perfbench_targets.py``
+    says "delete" the day it stops."""
+    return True
 
 
 # ------------------------------------------------------------- incidence
@@ -137,11 +125,10 @@ class FlowIncidence:
     def arrays(self) -> Tuple[Any, Any]:
         """``(indptr, indices)`` as int64 numpy arrays, converted once
         per incidence (the conversion would otherwise dominate small
-        solves).  Only reachable from the numpy engine."""
-        assert _np is not None
+        solves)."""
         return (
-            _np.asarray(self.indptr, dtype=_np.int64),
-            _np.asarray(self.indices, dtype=_np.int64),
+            np.asarray(self.indptr, dtype=np.int64),
+            np.asarray(self.indices, dtype=np.int64),
         )
 
 
@@ -257,13 +244,12 @@ def _solve_python(
 def _concat_rows(indices: Any, starts: Any, lengths: Any) -> Any:
     """``concatenate(indices[s:s+l] for s, l in zip(starts, lengths))``
     without a python loop (every length is >= 1 by construction)."""
-    assert _np is not None
     total = int(lengths.sum())
-    step = _np.ones(total, dtype=_np.int64)
+    step = np.ones(total, dtype=np.int64)
     step[0] = starts[0]
-    ends = _np.cumsum(lengths)
+    ends = np.cumsum(lengths)
     step[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-    return indices[_np.cumsum(step)]
+    return indices[np.cumsum(step)]
 
 
 def _solve_numpy(
@@ -279,22 +265,21 @@ def _solve_numpy(
     the property that keeps round-heavy instances (many distinct
     bottleneck levels) from degenerating to rounds × full-nnz.
     """
-    assert _np is not None
     n_flows = len(inc.flow_ids)
     n_links = len(inc.link_ids)
     indptr, indices = inc.arrays
-    remaining = _np.array(caps, dtype=_np.float64)  # a copy: mutated below
-    counts = _np.bincount(indices, minlength=n_links)
-    rates = _np.zeros(n_flows, dtype=_np.float64)
+    remaining = np.array(caps, dtype=np.float64)  # a copy: mutated below
+    counts = np.bincount(indices, minlength=n_links)
+    rates = np.zeros(n_flows, dtype=np.float64)
 
     # compacted active view: original row ids (ascending), their demand,
     # and their CSR segments concatenated in that order
-    rows_view = _np.arange(n_flows, dtype=_np.int64)
-    dem_view = _np.asarray(dems, dtype=_np.float64)
+    rows_view = np.arange(n_flows, dtype=np.int64)
+    dem_view = np.asarray(dems, dtype=np.float64)
     idx_view = indices
     starts_view = indptr[:-1]
-    lengths_view = _np.diff(indptr)
-    alive = _np.ones(n_flows, dtype=bool)  # positions within the view
+    lengths_view = np.diff(indptr)
+    alive = np.ones(n_flows, dtype=bool)  # positions within the view
     n_active = n_flows
 
     def freeze(positions: Any, values: Any) -> None:
@@ -303,30 +288,30 @@ def _solve_numpy(
         segment = _concat_rows(
             idx_view, starts_view[positions], lengths_view[positions]
         )
-        _np.subtract.at(
-            remaining, segment, _np.repeat(values, lengths_view[positions])
+        np.subtract.at(
+            remaining, segment, np.repeat(values, lengths_view[positions])
         )
-        _np.subtract.at(counts, segment, 1)
+        np.subtract.at(counts, segment, 1)
         rates[rows_view[positions]] = values
         alive[positions] = False
 
     while n_active:
         if n_active <= alive.size // 2:
-            keep = _np.flatnonzero(alive)
+            keep = np.flatnonzero(alive)
             rows_view = rows_view[keep]
             dem_view = dem_view[keep]
             kept_lengths = lengths_view[keep]
             idx_view = _concat_rows(idx_view, starts_view[keep], kept_lengths)
             lengths_view = kept_lengths
-            starts_view = _np.concatenate(
-                (_np.zeros(1, dtype=_np.int64), _np.cumsum(kept_lengths)[:-1])
+            starts_view = np.concatenate(
+                (np.zeros(1, dtype=np.int64), np.cumsum(kept_lengths)[:-1])
             )
-            alive = _np.ones(n_active, dtype=bool)
+            alive = np.ones(n_active, dtype=bool)
         crossed = counts > 0
-        share = _np.divide(
+        share = np.divide(
             remaining,
             counts,
-            out=_np.full(n_links, _np.inf, dtype=_np.float64),
+            out=np.full(n_links, np.inf, dtype=np.float64),
             where=crossed,
         )
         level = float(share.min())
@@ -335,15 +320,15 @@ def _solve_numpy(
         threshold = level * (1.0 + SHARE_EPS)
         capped = alive & (dem_view <= threshold)
         if capped.any():
-            positions = _np.flatnonzero(capped)
+            positions = np.flatnonzero(capped)
             freeze(positions, dem_view[positions])
             n_active -= int(positions.size)
             continue
         bottleneck = crossed & (share <= threshold)
-        hit = _np.add.reduceat(bottleneck[idx_view], starts_view) > 0
-        positions = _np.flatnonzero(alive & hit)
+        hit = np.add.reduceat(bottleneck[idx_view], starts_view) > 0
+        positions = np.flatnonzero(alive & hit)
         assert positions.size, "progressive filling must freeze at least one flow"
-        freeze(positions, _np.full(positions.size, level, dtype=_np.float64))
+        freeze(positions, np.full(positions.size, level, dtype=np.float64))
         n_active -= int(positions.size)
     out: List[float] = rates.tolist()
     return out
@@ -357,7 +342,6 @@ def max_min_rates(
     paths: Mapping[FlowId, Sequence[LinkId]],
     capacity: Mapping[LinkId, float],
     demand: Optional[Mapping[FlowId, float]] = None,
-    engine: str = "auto",
 ) -> Dict[FlowId, float]: ...
 
 
@@ -366,15 +350,11 @@ def max_min_rates(
     paths: FlowIncidence,
     capacity: Sequence[float],
     demand: Optional[Sequence[float]] = None,
-    engine: str = "auto",
 ) -> Dict[FlowId, float]: ...
 
 
 def max_min_rates(
-    paths: Any,
-    capacity: Any,
-    demand: Any = None,
-    engine: str = "auto",
+    paths: Any, capacity: Any, demand: Any = None
 ) -> Dict[FlowId, float]:
     """Max-min fair rates for ``paths`` over per-link ``capacity``.
 
@@ -382,9 +362,7 @@ def max_min_rates(
     links — source and destination on the same host — is only limited by
     its demand, ``inf`` when elastic).  ``demand`` optionally caps
     individual flows (bytes/ns of offered load); elastic flows take as
-    much as fairness allows.  ``engine`` selects the implementation
-    (``"auto"`` prefers numpy when importable); both engines return
-    bitwise-identical rates.
+    much as fairness allows.
 
     Alternatively ``paths`` is a prebuilt :class:`FlowIncidence`;
     ``capacity`` is then a sequence aligned with its columns and
@@ -395,7 +373,18 @@ def max_min_rates(
     is a pure function of the three mappings: iteration order of the
     inputs never matters.
     """
-    resolved = _resolve_engine(engine)
+    return _allocate(_solve_numpy, paths, capacity, demand)
+
+
+def _allocate(
+    solve: Callable[[FlowIncidence, Sequence[float], Sequence[float]], List[float]],
+    paths: Any,
+    capacity: Any,
+    demand: Any = None,
+) -> Dict[FlowId, float]:
+    """:func:`max_min_rates` through the water-filler ``solve``: the
+    simulator's is always :func:`_solve_numpy`; the tests and ``repro
+    bench`` pass :func:`_solve_python` to get the bitwise reference."""
     rates: Dict[FlowId, float] = {}
     if isinstance(paths, FlowIncidence):
         inc = paths
@@ -419,7 +408,6 @@ def max_min_rates(
             float(demands[fid]) if fid in demands else math.inf
             for fid in inc.flow_ids
         ]
-    solve = _solve_numpy if resolved == "numpy" else _solve_python
     rates.update(zip(inc.flow_ids, solve(inc, caps, dems)))
     return rates
 

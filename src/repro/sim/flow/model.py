@@ -367,7 +367,7 @@ class FluidTrafficModel:
         capacity: Sequence[float],
         demand: Sequence[float],
     ) -> Dict[FlowId, float]:
-        """Solve with the default engine (``self.solver`` stays an
+        """Solve with :func:`max_min_rates` (``self.solver`` stays an
         instance attribute so mutants can wrap it).  Goes through the
         module-level name on every call: host-side tracing rebinds it."""
         return max_min_rates(incidence, capacity, demand)
@@ -738,8 +738,10 @@ class FluidTrafficModel:
 
     def stats(self) -> Dict[str, int]:
         """JSON-safe model counters for trial stats / flight recorder.
-        ``incremental_solves`` is kept for readers of earlier artifacts:
-        every solve is a full one (module docstring)."""
+        ``incremental_solves`` is a constant 0 (every solve is a full
+        one, module docstring) kept only because ``perfbench/layers.py``
+        reports it as ``sim.flow.incremental_solves``;
+        ``tests/test_perfbench_targets.py`` says "delete" when it stops."""
         return {
             "flows": len(self.flows),
             "recomputes": self.recomputes,

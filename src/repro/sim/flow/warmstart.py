@@ -8,8 +8,9 @@ ends up with the same LSDB, and its routes are exactly
 :func:`repro.routing.spf.compute_routes` on it.  So this module builds
 that outcome directly:
 
-1. protocol instances are constructed exactly as
-   :func:`repro.routing.linkstate.deploy_linkstate` does — but never
+1. protocol instances come from the construction
+   :func:`repro.routing.linkstate.deploy_linkstate` uses
+   (:func:`~repro.routing.linkstate.linkstate_instances`) — but are never
    ``start()``-ed, so no flooding events exist;
 2. the converged LSDB (one seq-1 LSA per switch) is written into every
    instance;
@@ -18,7 +19,9 @@ that outcome directly:
 4. each instance's SPF engine is replaced by a shared
    :class:`BatchRouteOracle` engine, so *post-failure* SPF runs — which
    all see the same flooded LSDB — cost one batch computation for the
-   whole fabric instead of V sequential Dijkstras.
+   whole fabric instead of V sequential Dijkstras; each run is still
+   classified (and traced) against the converged fingerprint, as a
+   cold instance's would be.
 
 After warm start the simulator clock is still wherever it was and the
 event queue is untouched: failures, detection, flooding of the *change*,
@@ -40,8 +43,8 @@ spf_hold`` after the cold start's last SPF run, which
 ``DEFAULT_WARMUP`` exceeds.
 
 The module reaches into ``LinkStateProtocol``'s private warm state
-(``_seq``, ``_table``, ``_spf_engine``) deliberately — it is the
-protocol's second constructor, not an external consumer.  Nobody
+(``_seq``, ``_fingerprint``, ``_table``, ``_spf_engine``) deliberately —
+it is the protocol's second constructor, not an external consumer.  Nobody
 mutates a route table once an engine has returned it, so one object is
 what the oracle caches, what a switch (or several) holds as its
 download, and what the next batch run may hand out again.
@@ -51,15 +54,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ...net.fib import FibEntry
-from ...net.ip import Prefix
-from ...routing.linkstate import SOURCE, LinkStateProtocol
+from ...routing.linkstate import SOURCE, LinkStateProtocol, linkstate_instances
 from ...routing.lsdb import Lsa, Lsdb
 from ...routing.spf import RouteTable
 from ...routing.spf_batch import TableMemo, batch_compute_routes
-from ...routing.spf_cache import SpfRunReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...dataplane.network import Network
@@ -80,8 +81,7 @@ class BatchRouteOracle:
     before, so an origin a fault left alone keeps its table object.
     """
 
-    def __init__(self, engine: str = "auto") -> None:
-        self.engine = engine
+    def __init__(self) -> None:
         self._cache: "OrderedDict[object, Dict[str, RouteTable]]" = OrderedDict()
         self._memo: TableMemo = {}
         #: lifetime counters (deterministic; surfaced by scale trials)
@@ -97,7 +97,7 @@ class BatchRouteOracle:
             self.hits += 1
         else:
             self.batch_runs += 1
-            result = batch_compute_routes(lsdb, self.engine, self._memo)
+            result = batch_compute_routes(lsdb, self._memo)
         self._cache[fingerprint] = result
         while len(self._cache) > _MAX_CACHED:
             self._cache.popitem(last=False)
@@ -111,15 +111,16 @@ _NO_ROUTES: RouteTable = {}
 class OracleSpfEngine:
     """Drop-in for :class:`~repro.routing.spf_cache.SpfEngine`: answers
     every ``compute`` with the shared batch oracle's own table — like
-    every engine's, never to be mutated."""
+    every engine's, never to be mutated.  It asks the oracle whatever
+    the transition ``kind``: a fingerprint hit there is what the other
+    origins of one flooded database share."""
 
     def __init__(self, origin: str, oracle: BatchRouteOracle) -> None:
         self.origin = origin
         self.oracle = oracle
 
-    def compute(self, lsdb: Lsdb) -> Tuple[RouteTable, SpfRunReport]:
-        routes = self.oracle.routes(lsdb).get(self.origin, _NO_ROUTES)
-        return routes, SpfRunReport("batch")
+    def compute(self, lsdb: Lsdb, kind: str) -> RouteTable:
+        return self.oracle.routes(lsdb).get(self.origin, _NO_ROUTES)
 
 
 def warm_start_linkstate(
@@ -137,37 +138,16 @@ def warm_start_linkstate(
     loopbacks triple the FIB size without affecting any host-to-host
     path, and the scale benchmark documents that choice.
     """
-    from ...dataplane.node import SwitchNode  # local import avoids a cycle
-
     if oracle is None:
         oracle = BatchRouteOracle()
-    instances: Dict[str, LinkStateProtocol] = {}
-    for switch in network.switches():
-        spec = switch.spec
-        advertised: List[Prefix] = []
-        if spec.subnet is not None:
-            advertised.append(spec.subnet)
-        if advertise_loopbacks:
-            advertised.append(Prefix(switch.ip, 32))
-        switch_neighbors = [
-            peer
-            for peer in switch.links_by_peer
-            if isinstance(network.nodes[peer], SwitchNode)
-        ]
-        instances[switch.name] = LinkStateProtocol(
-            network.sim,
-            switch,
-            network.params,
-            switch_neighbors=switch_neighbors,
-            advertised=advertised,
-        )
+    instances = linkstate_instances(network, loopbacks=advertise_loopbacks)
 
     # the converged database: one seq-1 LSA per switch, exactly what
     # each instance's first origination would have flooded
-    lsas: List[Lsa] = []
+    reference = Lsdb()
     for name in sorted(instances):
         protocol = instances[name]
-        lsas.append(
+        reference.insert(
             Lsa(
                 origin=name,
                 seq=1,
@@ -175,10 +155,8 @@ def warm_start_linkstate(
                 prefixes=protocol.advertised,
             )
         )
-    reference = Lsdb()
-    for lsa in lsas:
-        reference.insert(lsa)
     routes_by_origin = oracle.routes(reference)
+    converged = reference.fingerprint()
 
     # switches of one pod and role route most prefixes over the same next
     # hops, so each distinct (prefix, next_hops) entry is built once and
@@ -190,6 +168,9 @@ def warm_start_linkstate(
         protocol.lsdb.load(reference)
         protocol._seq = 1
         protocol.stats.lsas_originated += 1
+        # a cold instance's last SPF run saw the converged database: the
+        # next run's transition is classified against it
+        protocol._fingerprint = converged
         protocol._spf_engine = OracleSpfEngine(name, oracle)
         routes = routes_by_origin[name]
         protocol.switch.fib.bulk_load(tuple(map(shared_entry, routes.items())))

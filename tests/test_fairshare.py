@@ -19,24 +19,32 @@ regression is attributable, not just "a property failed".
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.routing.spf_batch as spf_batch
 import repro.sim.flow.fairshare as fairshare
 from repro.sim.flow.fairshare import (
-    ENGINES,
     FairShareError,
     FlowIncidence,
     build_incidence,
-    have_numpy,
     link_loads,
     max_min_rates,
 )
+from repro.sim.flow.warmstart import BatchRouteOracle
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+#: the python water-filler: the bitwise reference no simulation path
+#: reaches, called the way max_min_rates calls the vectorized one
+python_rates = functools.partial(fairshare._allocate, fairshare._solve_python)
 
 # ------------------------------------------------------------- strategies
 #
@@ -235,23 +243,19 @@ def test_insertion_order_never_matters(instance, seed):
 
 # ----------------------------------------------- engine equivalence
 #
-# The vectorized engine's contract is *bitwise* agreement with the
+# The vectorized solver's contract is *bitwise* agreement with the
 # python reference (same freezing order, same float trajectory — see
 # the fairshare module docstring), so these compare with ==, never
 # pytest.approx.
 
 
-@needs_numpy
 @settings(max_examples=250, deadline=None)
 @given(instance=instances)
 def test_vector_engine_agrees_bitwise_with_python(instance):
     caps, paths, demands = instance
-    py = max_min_rates(paths, caps, demands, engine="python")
-    vec = max_min_rates(paths, caps, demands, engine="numpy")
-    assert vec == py
+    assert max_min_rates(paths, caps, demands) == python_rates(paths, caps, demands)
 
 
-@needs_numpy
 def test_vector_engine_agrees_on_a_structured_many_round_instance():
     """A deterministic instance shaped like the bench workload (many
     capacity classes, mixed capped/elastic, multi-hop paths) — hundreds
@@ -268,25 +272,34 @@ def test_vector_engine_agrees_on_a_structured_many_round_instance():
         for i, fid in enumerate(sorted(paths))
         if i % 3 != 0
     }
-    py = max_min_rates(paths, caps, demands, engine="python")
-    vec = max_min_rates(paths, caps, demands, engine="numpy")
-    assert vec == py
+    assert max_min_rates(paths, caps, demands) == python_rates(paths, caps, demands)
 
 
 def test_engine_contract_matches_spf_batch():
-    assert ENGINES == ("auto", "numpy", "python")
-    with pytest.raises(ValueError):
-        max_min_rates({"a": []}, {}, engine="fortran")
+    """The two numpy kernels share one contract: no engine selector.  A
+    stale ``engine=`` fails loudly instead of being honoured or ignored."""
+    for api in (max_min_rates, spf_batch.batch_compute_routes, BatchRouteOracle):
+        assert "engine" not in inspect.signature(api).parameters, api
+    for module in (fairshare, spf_batch):
+        assert not {"ENGINES", "_resolve_engine"} & set(vars(module)), module
+    with pytest.raises(TypeError):
+        max_min_rates({"a": []}, {}, engine="python")
 
 
-def test_numpy_engine_unavailable(monkeypatch):
-    """Requesting numpy without numpy is a hard error; auto silently
-    falls back to python (the spf_batch engine contract)."""
-    monkeypatch.setattr(fairshare, "_np", None)
-    with pytest.raises(RuntimeError):
-        max_min_rates({"a": ["L0"]}, {"L0": 1.0}, engine="numpy")
-    assert not fairshare.have_numpy()
-    assert max_min_rates({"a": ["L0"]}, {"L0": 1.0}, engine="auto") == {"a": 1.0}
+def test_numpy_engine_unavailable():
+    """Without numpy, ``import repro`` fails at once with one line naming
+    numpy and how to install it — no traceback from deep inside a kernel,
+    and no silent pure-python fallback."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    blocked = subprocess.run(
+        [sys.executable, "-c", 'import sys; sys.modules["numpy"] = None; import repro'],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert blocked.returncode == 1
+    assert blocked.stderr.splitlines()[-1] == (
+        "ImportError: repro requires numpy; install it with: pip install numpy"
+    )
+    assert "spf_batch" not in blocked.stderr and "fairshare" not in blocked.stderr
 
 
 # --------------------------------------------------- incidence layout
@@ -310,19 +323,27 @@ def test_incidence_validation_names_the_flow_and_link():
         build_incidence({"bad": ["nope"]}, {"L0": 1.0})
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+#: (dict-path solver, prebuilt-incidence solver) per row.  The ids are
+#: the engine names these rows once selected; ``auto`` is the fluid
+#: model's own call measured against the python reference
+SOLVER_PAIRS = [
+    pytest.param(python_rates, max_min_rates, id="auto"),
+    pytest.param(max_min_rates, max_min_rates, id="numpy"),
+    pytest.param(python_rates, python_rates, id="python"),
+]
+
+
+@pytest.mark.parametrize("reference, solve", SOLVER_PAIRS)
 @settings(max_examples=100, deadline=None)
 @given(instance=instances, seed=st.randoms(use_true_random=False))
 def test_prebuilt_incidence_with_any_column_numbering_is_bitwise_equal(
-    engine, instance, seed
+    reference, solve, instance, seed
 ):
     """The fluid model hands the solver its own incidence: rows in sorted
     flow order, columns in whatever order it interned the links, some of
     them crossed by no flow.  Rates must not notice."""
-    if engine == "numpy" and not have_numpy():
-        pytest.skip("numpy not installed")
     caps, paths, demand = instance
-    want = max_min_rates(paths, caps, demand, engine=engine)
+    want = reference(paths, caps, demand)
     routed = sorted(fid for fid, links in paths.items() if links)
     columns = sorted(caps) + ["idle"]  # a column nothing crosses
     seed.shuffle(columns)
@@ -335,9 +356,7 @@ def test_prebuilt_incidence_with_any_column_numbering_is_bitwise_equal(
         indices=tuple(itertools.chain.from_iterable(rows)),
     )
     capacity = [caps.get(link, 1.0) for link in columns]
-    got = max_min_rates(
-        inc, capacity, [demand.get(fid, math.inf) for fid in routed], engine=engine
-    )
+    got = solve(inc, capacity, [demand.get(fid, math.inf) for fid in routed])
     assert list(got) == routed
     assert {fid: rate.hex() for fid, rate in got.items()} == {
         fid: want[fid].hex() for fid in routed

@@ -1,8 +1,10 @@
 """Property tests for batched FIB delta-application.
 
-:meth:`Fib.apply_delta` is the control planes' new FIB download
-primitive: diff the previous download against the new route table, apply
-the difference as one batch, bump :attr:`Fib.generation` exactly once.
+:meth:`Fib.apply_delta` is the control planes' FIB download primitive:
+diff the previous download against the new route table
+(:meth:`FibDelta.between`, the one diff all three control planes use),
+apply the difference as one batch, bump :attr:`Fib.generation` exactly
+once.
 These tests pin the contract:
 
 1. applying the computed delta to the old FIB yields a FIB equal to a
@@ -61,15 +63,19 @@ def _build(table) -> Fib:
 
 
 def _delta_between(old, new) -> FibDelta:
-    """The diff the control planes compute: sorted withdrawals of vanished
+    """The diff every control plane downloads (``FibDelta.between``),
+    checked against its definition: sorted withdrawals of vanished
     prefixes, sorted installs of new or changed ones."""
-    withdrawals = tuple(sorted(p for p in old if p not in new))
-    installs = tuple(
-        FibEntry(p, new[p], source="test")
-        for p in sorted(new)
-        if old.get(p) != new[p]
+    delta = FibDelta.between(old, new, "test")
+    assert delta == FibDelta(
+        tuple(
+            FibEntry(p, new[p], source="test")
+            for p in sorted(new)
+            if old.get(p) != new[p]
+        ),
+        tuple(sorted(p for p in old if p not in new)),
     )
-    return FibDelta(installs, withdrawals)
+    return delta
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,12 +177,16 @@ def test_withdrawing_a_whole_length_leaves_other_chains_intact(table, data):
 
 
 def test_empty_delta_is_a_noop():
-    fib = _build({_PREFIXES[0]: ("n1",)})
+    table = {_PREFIXES[0]: ("n1",)}
+    fib = _build(table)
     generation = fib.generation
     fib.apply_delta(FibDelta())
     assert fib.generation == generation
     assert not FibDelta()
     assert len(FibDelta()) == 0
+    # route tables are immutable: the table already downloaded is "no
+    # change" without a scan
+    assert FibDelta.between(table, table, "test") == FibDelta()
 
 
 def test_withdrawing_absent_prefix_is_ignored():

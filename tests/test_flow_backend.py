@@ -23,6 +23,8 @@ FIBs.  This suite pins that along three axes:
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.check.config import generate_config
@@ -54,7 +56,7 @@ from repro.experiments.recovery import default_failed_links
 from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.fib import FibDelta, FibEntry
 from repro.net.packet import PROTO_UDP
-from repro.obs import EV_FIB_INSTALL, EV_SPF_SCHEDULE, Observability
+from repro.obs import EV_FIB_INSTALL, EV_SPF_RUN, EV_SPF_SCHEDULE, Observability
 from repro.routing.linkstate import deploy_linkstate
 from repro.routing.spf import compute_routes
 from repro.routing.spf_cache import SpfEngine
@@ -273,10 +275,10 @@ def test_shared_table_is_never_written_to(run, monkeypatch):
     handed_out = {}  # id -> (the table, kept alive; its contents then)
 
     def recording(compute):
-        def compute_and_record(self, lsdb):
-            routes, report = compute(self, lsdb)
+        def compute_and_record(self, lsdb, kind):
+            routes = compute(self, lsdb, kind)
             handed_out.setdefault(id(routes), (routes, dict(routes)))
-            return routes, report
+            return routes
         return compute_and_record
 
     for engine in (OracleSpfEngine, SpfEngine):
@@ -447,6 +449,38 @@ def test_fluid_bundle_reconverges_like_packet_bundle(build):
     # the failure was answered by shared batch runs, not per-origin SPF
     oracle = warm.route_oracle
     assert oracle.batch_runs + oracle.hits == 1 + len(schedules)
+
+
+def test_spf_runs_classify_alike_on_both_backends():
+    """Seeded fail/restore churn on a k=4 fat tree after the warm-up: the
+    fluid bundle (warm-started, computing through the batch oracle) and
+    its packet twin (cold-started, per-origin engine) trace the same
+    ``(time, node, delta)`` sequence of ``spf.run`` records — the
+    protocol classifies each transition, whatever computes the table."""
+    warm, cold = _warm_and_cold(lambda: fat_tree(4))
+    rng = random.Random(7)
+    links = sorted(
+        link.spec.key for link in cold.network.links
+        if not link.spec.key[0].startswith("host-")
+    )
+    events = []
+    for start in (seconds(0.1), seconds(3)):
+        a, b = rng.choice(links)
+        at = DEFAULT_WARMUP + start + milliseconds(rng.randrange(50))
+        events.append(FailureEvent(at, a, b, restore_at=at + seconds(1.5)))
+    for bundle in (warm, cold):
+        schedule_failures(bundle.network, events)
+        bundle.sim.run(until=DEFAULT_WARMUP + seconds(6))
+
+    def spf_runs(bundle):
+        return [
+            (event.time, event.node, event.data["delta"])
+            for event in bundle.obs.trace.events(EV_SPF_RUN)
+        ]
+
+    runs = spf_runs(cold)
+    assert spf_runs(warm) == runs
+    assert {delta for _, _, delta in runs} == {"link-down", "link-up"}
 
 
 def _cold_fluid_bundle(topology, params=None, seed=1):

@@ -97,7 +97,7 @@ def oracle_rates(model: FluidTrafficModel) -> dict[str, float]:
         )
         if not draining:
             demand[name] = spec.demand
-    return fairshare.max_min_rates(paths, capacity, demand, engine="python")
+    return fairshare._allocate(fairshare._solve_python, paths, capacity, demand)
 
 
 def _check_against_oracle_after_every_recompute(model: FluidTrafficModel) -> list[int]:

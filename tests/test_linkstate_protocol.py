@@ -251,7 +251,10 @@ class TestFibDownloadOrder:
             "~10.1.0.0/24", "~10.3.0.0/24", "+10.3.0.7/32", "+10.5.0.0/24",
         ]
         assert (event.data["installed"], event.data["withdrawn"]) == (4, 2)
-        assert proto.routes == {p: FibEntry(p, h, source=SOURCE) for p, h in routes.items()}
+        assert proto.route_table == routes
+        assert {
+            e.prefix: e.next_hops for e in switch.fib.entries() if e.source == SOURCE
+        } == routes
 
 
 #: /24s and /32s that interleave when sorted, away from fat_tree(4)'s own
@@ -298,7 +301,7 @@ def _download_twice(previous, new):
         "trace": (event.time, event.node, dict(event.data)),
         "counted": tuple(b - a for a, b in zip(before, counts())),
         "fib": [e for e in fib.entries() if e.source == SOURCE],
-        "routes": proto.routes,
+        "routes": proto.route_table,
     }
 
 
@@ -343,7 +346,7 @@ class TestFibDownloadDifferential:
             FibEntry(prefix, hops, source=SOURCE) for prefix, hops in new.items()
         ))
         assert got["fib"] == list(scratch.entries())
-        assert got["routes"] == {e.prefix: e for e in scratch.entries()}
+        assert got["routes"] == {e.prefix: e.next_hops for e in scratch.entries()}
         # ... and an equal table in a distinct object — where the identity
         # test cannot fire — is the same download from every side
         assert _download_twice(previous, dict(new)) == got

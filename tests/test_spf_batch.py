@@ -4,8 +4,9 @@
 equality with ``{origin: compute_routes(origin, lsdb)}`` — that promise
 is what lets :func:`repro.sim.flow.warmstart.warm_start_linkstate` feed
 every protocol instance from one shared computation.  This suite pins
-it across the four topology families the checker fuzzes, for both the
-numpy and pure-python engines, and the same one level up: the shared
+it across the four topology families the checker fuzzes, for the kernel
+itself, the oracle that caches it and the per-origin loop the kernel
+replaces, and the same one level up: the shared
 :class:`~repro.sim.flow.warmstart.OracleSpfEngine` a warm-started
 protocol instance computes with answers exactly what the
 :class:`~repro.routing.spf_cache.SpfEngine` of a
@@ -34,8 +35,13 @@ from repro.experiments.common import build_bundle
 from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
-from repro.routing.spf_batch import ENGINES, batch_compute_routes, have_numpy
-from repro.routing.spf_cache import SpfEngine
+from repro.routing.spf_batch import batch_compute_routes
+from repro.routing.spf_cache import (
+    INITIAL,
+    REFRESH,
+    SpfEngine,
+    compute_routes_cached,
+)
 from repro.sim.flow.warmstart import BatchRouteOracle, OracleSpfEngine
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
@@ -55,15 +61,22 @@ WIDE_TOPOLOGIES = [
     for n in (63, 64, 65)
 ]
 
-ENGINE_PARAMS = [
-    pytest.param(
-        engine,
-        marks=pytest.mark.skipif(
-            engine == "numpy" and not have_numpy(),
-            reason="numpy unavailable",
-        ),
-    )
-    for engine in ENGINES
+
+def per_origin_routes(lsdb):
+    """Every origin's table the slow way: one memoized per-origin SPF
+    each — what the packet backend and the controller compute with."""
+    origins = sorted(lsa.origin for lsa in lsdb.all())
+    return {origin: compute_routes_cached(origin, lsdb) for origin in origins}
+
+
+#: the three ways to get every origin's table at once.  The ids are the
+#: engine names these rows once selected: ``auto`` is what warm start
+#: calls (the oracle), ``numpy`` the kernel it caches, ``python`` the
+#: per-origin loop the kernel replaces
+ROUTE_COMPUTERS = [
+    pytest.param(lambda lsdb: BatchRouteOracle().routes(lsdb), id="auto"),
+    pytest.param(batch_compute_routes, id="numpy"),
+    pytest.param(per_origin_routes, id="python"),
 ]
 
 
@@ -80,10 +93,11 @@ def converged_lsdb(build):
 
 
 @pytest.mark.parametrize("build", TOPOLOGIES + WIDE_TOPOLOGIES)
-@pytest.mark.parametrize("engine", ENGINE_PARAMS)
-def test_batch_routes_equal_per_origin_oracle(build, engine):
+@pytest.mark.parametrize("routes_of", ROUTE_COMPUTERS)
+def test_batch_routes_equal_per_origin_oracle(build, routes_of):
     lsdb = converged_lsdb(build)
-    batch = batch_compute_routes(lsdb, engine=engine)
+    batch = routes_of(lsdb)
+    assert sorted(batch) == sorted(lsa.origin for lsa in lsdb.all())
     for origin in sorted(batch):
         assert batch[origin] == compute_routes(origin, lsdb), origin
 
@@ -118,7 +132,6 @@ def damaged_lsdb(topology, rng, p_remove, loopbacks):
     return lsdb
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 @pytest.mark.parametrize(
     "build", TOPOLOGIES + [pytest.param(lambda: fat_tree(6), id="fat-tree-6")]
 )
@@ -131,7 +144,7 @@ def test_batch_routes_equal_oracle_on_damaged_lsdbs(build):
         for loopbacks in (False, True):
             for _ in range(4):
                 lsdb = damaged_lsdb(topology, rng, p_remove, loopbacks)
-                batch = batch_compute_routes(lsdb, engine="numpy")
+                batch = batch_compute_routes(lsdb)
                 assert sorted(batch) == sorted(lsa.origin for lsa in lsdb.all())
                 for origin in sorted(batch):
                     assert batch[origin] == compute_routes(origin, lsdb), (
@@ -165,7 +178,6 @@ def dented(lsdb, rng):
     return copy
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 @pytest.mark.parametrize(
     "build", TOPOLOGIES + [pytest.param(lambda: fat_tree(6), id="fat-tree-6")]
 )
@@ -177,7 +189,7 @@ def test_oracle_sequence_of_damaged_lsdbs_equals_per_origin_oracle(build):
     origin's table equals the from-scratch one after every run."""
     topology = build()
     rng = random.Random(f"dented-lsdb:{topology.name}")
-    oracle = BatchRouteOracle(engine="numpy")
+    oracle = BatchRouteOracle()
     carried = 0
     previous = {}
     for damaged in damaged_lsdbs(topology):
@@ -202,12 +214,13 @@ def _lsdb(*lsas):
     return lsdb
 
 
-def _runs(engine, *lsdbs):
-    """Each database through one oracle in turn; every answer checked."""
-    oracle = BatchRouteOracle(engine=engine)
+def _runs(*lsdbs, routes_of=None):
+    """Each database through one oracle in turn (or through
+    ``routes_of``); every answer checked."""
+    routes_of = routes_of or BatchRouteOracle().routes
     answers = []
     for lsdb in lsdbs:
-        answers.append(oracle.routes(lsdb))
+        answers.append(routes_of(lsdb))
         for origin, table in answers[-1].items():
             assert table == compute_routes(origin, lsdb), origin
     return answers
@@ -216,14 +229,12 @@ def _runs(engine, *lsdbs):
 P, Q, R = Prefix("10.0.1.0/24"), Prefix("10.0.2.0/24"), Prefix("10.0.3.0/24")
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 def test_shared_table_within_a_run_and_across_an_unrelated_change():
     """Two spines over the same leaves hold one table; a leaf gaining a
     prefix-free stub neighbor moves no spine's row, so both keep it."""
     leaves = [("l1", ["s1", "s2"], [P]), ("l2", ["s1", "s2"], [Q])]
     spines = [("s1", ["l1", "l2"], []), ("s2", ["l1", "l2"], [])]
     before, after = _runs(
-        "numpy",
         _lsdb(*leaves, *spines),
         _lsdb(("l1", ["s1", "s2", "x"], [P]), leaves[1], *spines, ("x", ["l1"], [])),
     )
@@ -233,7 +244,6 @@ def test_shared_table_within_a_run_and_across_an_unrelated_change():
     assert after["l1"] == before["l1"] and after["l1"] is not before["l1"]
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 def test_shared_table_misses_on_equal_rows_under_other_neighbors():
     """``a`` and ``b`` both reach P and Q through their first (only)
     neighbor — bit 0 in both rows, byte for byte — but through
@@ -246,14 +256,13 @@ def test_shared_table_misses_on_equal_rows_under_other_neighbors():
             ("t", [hop_a, "n"], [P, Q]),
         )
 
-    first, second = _runs("numpy", chain("m"), chain("k"))
+    first, second = _runs(chain("m"), chain("k"))
     assert first["a"] == {P: ("m",), Q: ("m",)}
     assert first["b"] == {P: ("n",), Q: ("n",)}
     assert second["a"] == {P: ("k",), Q: ("k",)}
     assert second["b"] is first["b"]
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 def test_shared_table_misses_when_the_column_list_changes():
     """One advertiser withdraws a prefix while another brings a new one:
     ``a``'s neighbors and its row, byte for byte, are what they were —
@@ -265,7 +274,7 @@ def test_shared_table_misses_when_the_column_list_changes():
         )
 
     both, shifted, only_r, again = _runs(
-        "numpy", fabric(P, Q), fabric(Q, R), fabric(R), fabric(R, Q)
+        fabric(P, Q), fabric(Q, R), fabric(R), fabric(R, Q)
     )
     assert both["a"] == {P: ("m",), Q: ("m",)}
     assert shifted["a"] == {Q: ("m",), R: ("m",)}
@@ -275,12 +284,11 @@ def test_shared_table_misses_when_the_column_list_changes():
     assert again["a"] == shifted["a"] and again["a"] is not shifted["a"]
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 def test_shared_table_never_above_one_bitmask_of_neighbors():
     """A 64-leaf spine is answered per origin — a new table every run,
     right every run — while its 64 leaves go on sharing."""
     lsdb = converged_lsdb(lambda: leaf_spine(64, 2))
-    first, second = _runs("numpy", lsdb, _copy_with_stub(lsdb))
+    first, second = _runs(lsdb, _copy_with_stub(lsdb))
     wide = [o for o in first if len(list(lsdb.two_way_neighbors(o))) > 63]
     assert len(wide) == 2
     for origin in sorted(first):
@@ -303,14 +311,16 @@ def _copy_with_stub(lsdb):
 
 
 def test_shared_table_never_on_the_python_engine():
-    """``engine="python"`` answers equally and shares nothing, even for
-    origins that are interchangeable."""
+    """The per-origin path (the engine the batch kernel replaced, still
+    the packet backend's) answers equally and shares nothing, even for
+    origins that are interchangeable: its memo is keyed by origin and
+    fingerprint."""
     leaves = [("l1", ["s1", "s2"], [P]), ("l2", ["s1", "s2"], [Q])]
     spines = [("s1", ["l1", "l2"], []), ("s2", ["l1", "l2"], [])]
     first, second = _runs(
-        "python",
         _lsdb(*leaves, *spines),
         _lsdb(*leaves, *spines, ("x", [], [])),
+        routes_of=per_origin_routes,
     )
     assert first["s1"] == first["s2"] and first["s1"] is not first["s2"]
     for origin in sorted(first):
@@ -319,32 +329,28 @@ def test_shared_table_never_on_the_python_engine():
 
 
 @pytest.mark.parametrize("build", TOPOLOGIES)
-@pytest.mark.parametrize("engine", ENGINE_PARAMS)
-def test_batch_states_equal_full_state(build, engine):
+@pytest.mark.parametrize("routes_of", ROUTE_COMPUTERS)
+def test_batch_states_equal_full_state(build, routes_of):
     """The SPF engine of a warm-started instance is a drop-in for the
     cold-started one: for every origin, the oracle engine's route table
-    equals the per-origin engine's and the from-scratch oracle's,
-    reported as a ``batch`` run — at one batch computation per fabric."""
+    equals the per-origin engine's and the row's whole-fabric computer's
+    — at one batch computation per fabric."""
     lsdb = converged_lsdb(build)
-    oracle = BatchRouteOracle(engine=engine)
+    oracle = BatchRouteOracle()
+    expected = routes_of(lsdb)
     origins = sorted(lsa.origin for lsa in lsdb.all())
     for origin in origins:
-        routes, report = OracleSpfEngine(origin, oracle).compute(lsdb)
-        assert routes == compute_routes(origin, lsdb), origin
-        assert routes == SpfEngine(origin).compute(lsdb)[0], origin
-        assert (report.delta, report.edge) == ("batch", None)
+        routes = OracleSpfEngine(origin, oracle).compute(lsdb, INITIAL)
+        assert routes == expected[origin], origin
+        assert routes == SpfEngine(origin).compute(lsdb, INITIAL), origin
     assert (oracle.batch_runs, oracle.hits) == (1, len(origins) - 1)
+    # a refresh asks the oracle too: scale trials count its hits
+    OracleSpfEngine(origins[0], oracle).compute(lsdb, REFRESH)
+    assert (oracle.batch_runs, oracle.hits) == (1, len(origins))
 
 
-@pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
 def test_numpy_and_python_engines_agree():
+    """The kernel against the per-origin loop it replaced: the same
+    origins, the same tables."""
     lsdb = converged_lsdb(lambda: fat_tree(4))
-    assert batch_compute_routes(lsdb, engine="numpy") == batch_compute_routes(
-        lsdb, engine="python"
-    )
-
-
-def test_unknown_engine_rejected():
-    lsdb = converged_lsdb(lambda: fat_tree(4))
-    with pytest.raises(ValueError):
-        batch_compute_routes(lsdb, engine="cuda")
+    assert batch_compute_routes(lsdb) == per_origin_routes(lsdb)

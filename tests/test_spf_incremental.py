@@ -11,13 +11,13 @@ SPF patching; they are the suite's floor ids):
    link fail/restore events on all four topology families (f2tree,
    fat-tree, leaf-spine, VL2): after every LSDB delta, each switch's
    :class:`SpfEngine` table equals :func:`compute_routes` and
-   :func:`batch_compute_routes` under both engines, multi-edge batches
-   and advertisement changes included.
+   :func:`batch_compute_routes`, multi-edge batches and advertisement
+   changes included.
 2. **Classification** — the logical delta taxonomy (refresh / cosmetic /
    link-down / link-up / structural) matches the actual fingerprint
-   transition, ``refresh`` and ``cosmetic`` hand back the table object
-   already held, and the reported taxonomy does not depend on how the
-   table was computed (it feeds byte-identical traces).
+   transition, an engine handed ``refresh`` or ``cosmetic`` hands back
+   the table object already held, and the taxonomy does not depend on
+   how the table was computed (it feeds byte-identical traces).
 3. **Whole-system traces** — a full recovery check trial with the memo
    disabled everywhere produces a byte-identical obs trace: no
    observable behaviour depends on it.
@@ -34,7 +34,7 @@ from repro.core.f2tree import f2tree
 from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
-from repro.routing.spf_batch import batch_compute_routes, have_numpy
+from repro.routing.spf_batch import batch_compute_routes
 from repro.routing.spf_cache import (
     COSMETIC,
     INITIAL,
@@ -105,19 +105,17 @@ def _lsdb(env, down: set, extra_prefixes: dict, seq: int) -> Lsdb:
     return db
 
 
-#: the batch kernel's engines this box can run
-_BATCH_ENGINES = ("numpy", "python") if have_numpy() else ("python",)
-
-
-def _assert_equals_oracle(engines, cache, db, context):
-    batches = [batch_compute_routes(db, engine) for engine in _BATCH_ENGINES]
+def _assert_equals_oracle(engines, cache, previous, db, context):
+    """Every engine fed ``db`` as the protocol feeds it (the transition
+    from ``previous`` classified first) answers the oracle's table."""
+    batch = batch_compute_routes(db)
+    kind = classify_transition(previous, db.fingerprint()).kind
     for name, engine in engines.items():
         oracle = compute_routes(name, db)
-        routes, report = engine.compute(db)
-        assert routes == oracle, (context, name, report)
-        for batch in batches:
-            assert batch[name] == oracle, (context, name)
+        assert engine.compute(db, kind) == oracle, (context, name, kind)
+        assert batch[name] == oracle, (context, name)
         assert cache.compute(name, db) == oracle, (context, name)
+    return db.fingerprint()
 
 
 # ------------------------------------------ 1. three-way equality under churn
@@ -149,7 +147,7 @@ def test_incremental_equals_full_spf_under_churn(family, steps):
     extra: dict = {}
 
     db = _lsdb(env, down, extra, next(seq))
-    _assert_equals_oracle(engines, cache, db, (family, "initial"))
+    seen = _assert_equals_oracle(engines, cache, None, db, (family, "initial"))
 
     for index, step in enumerate(steps):
         if step[0] == "flip":
@@ -167,7 +165,7 @@ def test_incremental_equals_full_spf_under_churn(family, steps):
             else:
                 extra[name] = (Prefix(0x0B000000 + (step[1] % 200) * 256, 24),)
         db = _lsdb(env, down, extra, next(seq))
-        _assert_equals_oracle(engines, cache, db, (family, index, step))
+        seen = _assert_equals_oracle(engines, cache, seen, db, (family, index, step))
 
 
 def test_cache_eviction_keeps_results_correct():
@@ -239,19 +237,18 @@ def test_cosmetic_transition_detected():
 
     origin = env["switches"][0]
     engine = SpfEngine(origin)
-    _, report = engine.compute(db)
-    assert report.delta == INITIAL
-    mid, report = engine.compute(half)
-    assert report.delta == LINK_DOWN
-    final, report = engine.compute(both)
-    assert report.delta == COSMETIC
-    assert mid == final == compute_routes(origin, both)
+    assert classify_transition(None, base).kind == INITIAL
+    engine.compute(db, INITIAL)
+    mid = engine.compute(half, LINK_DOWN)
+    final = engine.compute(both, COSMETIC)
+    assert mid is final
+    assert final == compute_routes(origin, both)
 
 
 def test_report_taxonomy_is_execution_independent(monkeypatch):
-    """The reported ``(delta, edge)`` sequence — it feeds byte-identical
-    traces — and the tables are the same with the shared memo cold,
-    warm, or swapped for plain ``compute_routes``."""
+    """The ``(delta, edge)`` sequence — it feeds byte-identical traces —
+    and the tables are the same with the shared memo cold, warm, or
+    swapped for plain ``compute_routes``."""
     import repro.routing.spf_cache as spf_cache_module
 
     env = _environment("fat-tree")
@@ -267,10 +264,11 @@ def test_report_taxonomy_is_execution_independent(monkeypatch):
     def run(compute):
         monkeypatch.setattr(spf_cache_module, "compute_routes_cached", compute)
         engine = SpfEngine(env["switches"][0])
-        out = []
+        out, previous = [], None
         for db in scripts:
-            routes, report = engine.compute(db)
-            out.append((routes, report.delta, report.edge))
+            delta = classify_transition(previous, db.fingerprint())
+            previous = db.fingerprint()
+            out.append((engine.compute(db, delta.kind), delta.kind, delta.edge))
         return out
 
     memo = SpfCache()
@@ -286,9 +284,9 @@ def test_report_taxonomy_is_execution_independent(monkeypatch):
 
 
 def test_engine_refresh_reuses_state():
-    """``refresh`` and ``cosmetic`` leave every route alone, so the engine
-    hands back the table object it already holds — the identity the FIB
-    download reads as "no change"."""
+    """``refresh`` and ``cosmetic`` leave every route alone, so an engine
+    handed either hands back the table object it already holds — the
+    identity the FIB download reads as "no change"."""
     env = _environment("vl2")
     origin = env["switches"][0]
     a, b = env["edges"][0]
@@ -301,15 +299,19 @@ def test_engine_refresh_reuses_state():
     lsa = half.get(a)
     half.insert(Lsa(a, 4, tuple(p for p in lsa.neighbors if p != b), lsa.prefixes))
     both = _lsdb(env, {(a, b)}, {}, 5)
-    first, report1 = engine.compute(db1)
-    second, report2 = engine.compute(db2)
-    third, report3 = engine.compute(half)
-    fourth, report4 = engine.compute(both)
-    assert report1.delta == INITIAL
-    assert report2.delta == REFRESH
+    deltas, previous = [], None
+    for db in (db1, db2, half, both):
+        deltas.append(classify_transition(previous, db.fingerprint()))
+        previous = db.fingerprint()
+    assert [delta.kind for delta in deltas] == [
+        INITIAL, REFRESH, LINK_DOWN, COSMETIC,
+    ]
+    assert deltas[2].edge == (a, b)
+    first, second, third, fourth = (
+        engine.compute(db, delta.kind)
+        for db, delta in zip((db1, db2, half, both), deltas)
+    )
     assert first is second  # the exact same table object is reused
-    assert (report3.delta, report3.edge) == (LINK_DOWN, (a, b))
-    assert report4.delta == COSMETIC
     assert third is fourth
     assert fourth == compute_routes(origin, both)
 
