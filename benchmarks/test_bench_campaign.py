@@ -7,8 +7,9 @@ of :mod:`repro.campaign`:
 * **determinism**: the deterministic JSON reports are byte-identical;
 * **speedup**: whenever the hardware has more than one core the parallel
   run must actually be faster — >= 1.5x on four or more cores, >= 1.15x
-  on two or three (chunked dispatch + warm workers are what make small
-  grids clear the bar instead of losing to pool overhead).
+  on two or three.  The runner submits one future per trial; each trial
+  simulates for seconds, so pool start-up and per-trial pickling are a
+  small fraction of the work it spreads over the cores.
 
 The measurement is recorded in ``BENCH_campaign.json`` at the repo root
 so CI runs leave an auditable record of the hardware they measured on.

@@ -11,10 +11,6 @@ Dijkstra — so the bars mean the same thing on any hardware:
   (lower floor: the reference calls the live ``Fib.matches``, so the
   hash FIB sped the *naive* side up by a third — see ``RATIO_FLOORS``),
 * memoized SPF oracle:      >= 3x recomputing Dijkstra,
-* same-timestamp batching:  >= 1.8x the naive loop (lower floor by
-  construction: timestamp ties cost the optimized list entries extra
-  element compares while the dataclass reference always paid full
-  tuple construction — see ``bench_event_batch``'s docstring),
 * vectorized fair share:    >= 5x the pure-python water-filling
   reference at bench scale (>= 10k flows; the engines agree bitwise,
   so this is pure speed),
@@ -44,7 +40,6 @@ RATIO_FLOOR = 3.0
 
 #: per-section overrides of the default floor
 RATIO_FLOORS = {
-    "event_batch": 1.8,
     # the naive reference walks the live Fib.matches per packet while
     # the optimized side runs on the caches, so a faster FIB lowers the
     # ratio for a good reason: the length-indexed hash FIB took naive
@@ -81,9 +76,9 @@ def test_bench_hotpath(emit):
 
     BENCH_FILE.write_text(to_json(result))
 
-    ev, eb, fw, spf, fair, flow = (
-        result["event_loop"], result["event_batch"], result["forwarding"],
-        result["spf"], result["fairshare_vector"], result["flow_backend"],
+    ev, fw, spf, fair, flow = (
+        result["event_loop"], result["forwarding"], result["spf"],
+        result["fairshare_vector"], result["flow_backend"],
     )
     assert fair.get("numpy"), (
         "fairshare_vector: numpy unavailable — the recorded baseline "
@@ -93,9 +88,6 @@ def test_bench_hotpath(emit):
         "Hot-path throughput (optimized vs in-harness naive reference):\n"
         f"  event loop: {ev['optimized_eps']:>10,} events/s  "
         f"naive {ev['naive_eps']:>9,}/s  -> {ev['ratio']:.1f}x\n"
-        f"  batching:   {eb['optimized_eps']:>10,} events/s  "
-        f"naive {eb['naive_eps']:>9,}/s  -> {eb['ratio']:.1f}x "
-        f"({eb['batch_ratio']:.2f}x over unbatched)\n"
         f"  forwarding: {fw['optimized_pps']:>10,} packets/s "
         f"naive {fw['naive_pps']:>9,}/s  -> {fw['ratio']:.1f}x "
         f"(chain cache {fw['cache']['hit_rate']:.1%} hits)\n"

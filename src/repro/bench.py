@@ -15,9 +15,6 @@ pre-optimization code path:
   the caches, so a faster FIB *lowers* this ratio;
 * ``spf`` — the fingerprint-keyed :mod:`~repro.routing.spf_cache` vs.
   recomputing Dijkstra for every oracle query;
-* ``event_batch`` — a same-timestamp-heavy workload (the shape failure
-  storms produce) on the batch-draining loop vs. the former dataclass
-  heap, with an honest unbatched-list-entry row alongside;
 * ``fairshare_vector`` — the fluid backend's vectorized max-min
   water-filling (:mod:`repro.sim.flow.fairshare`, numpy engine) vs. the
   pure-python reference solver on a bench-scale instance (tens of
@@ -63,7 +60,6 @@ GATED_SECTIONS = (
     "event_loop",
     "forwarding",
     "spf",
-    "event_batch",
     "fairshare_vector",
     "flow_backend",
 )
@@ -217,92 +213,6 @@ def bench_event_loop(events: int, repeats: int) -> Dict[str, Any]:
         "optimized_eps": round(events / fast_s),
         "naive_eps": round(events / slow_s),
         "ratio": round(slow_s / fast_s, 2),
-    }
-
-
-def bench_event_batch(events: int, repeats: int) -> Dict[str, Any]:
-    """Dispatch rate when events pile onto shared timestamps.
-
-    Failure storms produce exactly this shape: detection, flooding, and
-    delivery events land on a few distinct instants, and the batched
-    loop drains each instant without re-checking the clock or the
-    ``until`` boundary per event.  The gated ratio is against the
-    former dataclass heap (the same yardstick as ``event_loop``);
-    ``unbatched_s``/``batch_ratio`` additionally record — honestly —
-    what batch draining alone buys over the optimized list-entry loop
-    popping one event at a time.
-
-    Note the gated ratio on this section sits *below* ``event_loop``'s
-    by construction: timestamp ties make every heap comparison fall
-    through to the sequence slot, which costs the list entries extra
-    element compares while the dataclass reference always paid for full
-    tuple construction anyway.  The acceptance floor in
-    ``benchmarks/test_bench_hotpath.py`` is set per-section
-    accordingly.
-    """
-    from .sim.engine import _DONE, Simulator
-
-    distinct = max(1, events // 64)
-
-    def noop() -> None:
-        return None
-
-    def fill(sim: Any) -> None:
-        # pseudorandom arrival order over few distinct timestamps: big
-        # same-instant batches on a realistically shuffled heap
-        for i in range(events):
-            sim.schedule(((i * 7919) % distinct) * 4096, noop)
-
-    def optimized() -> Tuple[float, int]:
-        sim = Simulator()
-        fill(sim)
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim.events_processed
-
-    def unbatched() -> Tuple[float, int]:
-        # the PR 5 loop verbatim: list entries, hoisted pop, but one
-        # pop/clock-store/lifecycle-flip cycle per event — no batching
-        sim = Simulator()
-        fill(sim)
-        queue = sim._queue
-        pop = heapq.heappop
-        done = _DONE
-        executed = 0
-        t0 = time.perf_counter()
-        while queue:
-            entry = pop(queue)
-            callback = entry[3]
-            if callback is None:
-                sim._cancelled_pending -= 1
-                continue
-            sim._now = entry[0]
-            entry[3] = done
-            callback(*entry[4])
-            executed += 1
-        return time.perf_counter() - t0, executed
-
-    def naive() -> Tuple[float, int]:
-        sim = _NaiveSimulator()
-        fill(sim)
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim._events_processed
-
-    fast_s, fast_n = _best_of(repeats, optimized)
-    flat_s, flat_n = _best_of(repeats, unbatched)
-    slow_s, slow_n = _best_of(repeats, naive)
-    assert fast_n == flat_n == slow_n == events
-    return {
-        "events": events,
-        "distinct_timestamps": distinct,
-        "optimized_s": round(fast_s, 6),
-        "unbatched_s": round(flat_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_eps": round(events / fast_s),
-        "naive_eps": round(events / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-        "batch_ratio": round(flat_s / fast_s, 2),
     }
 
 
@@ -768,7 +678,6 @@ def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, A
         result: Dict[str, Any] = {
             "quick": True,
             "event_loop": bench_event_loop(events=20_000, repeats=2),
-            "event_batch": bench_event_batch(events=20_000, repeats=2),
             "forwarding": bench_forwarding(packets=4_000, repeats=2),
             "spf": bench_spf(rounds=6, repeats=2),
             # quick still runs >= 10k flows: the fairshare gate's floor
@@ -781,7 +690,6 @@ def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, A
         result = {
             "quick": False,
             "event_loop": bench_event_loop(events=20_000, repeats=5),
-            "event_batch": bench_event_batch(events=20_000, repeats=5),
             "forwarding": bench_forwarding(packets=10_000, repeats=3),
             "spf": bench_spf(rounds=10, repeats=3),
             "fairshare_vector": bench_fairshare_vector(flows=16_000, repeats=2),
@@ -863,13 +771,6 @@ def render(result: Dict[str, Any]) -> str:
         f"  event loop: {ev['optimized_eps']:>10,} events/s "
         f"(naive {ev['naive_eps']:,}/s) -> {ev['ratio']:.1f}x"
     )
-    eb = result.get("event_batch")
-    if eb:
-        lines.append(
-            f"  batching:   {eb['optimized_eps']:>10,} events/s "
-            f"(naive {eb['naive_eps']:,}/s) -> {eb['ratio']:.1f}x, "
-            f"{eb['batch_ratio']:.2f}x over unbatched"
-        )
     fw = result["forwarding"]
     lines.append(
         f"  forwarding: {fw['optimized_pps']:>10,} packets/s "

@@ -6,7 +6,9 @@ any process, in any order, and still produce the results a serial run
 would.  The runner adds the robustness a long sweep needs:
 
 * **per-trial timeout** — enforced *inside* the executing process with an
-  interval timer, so a wedged trial cannot poison the worker pool;
+  interval timer, so a wedged trial cannot poison the worker pool; a
+  timeout that cannot be armed (a serial run off the main thread) fails
+  the trial instead of being dropped;
 * **one retry on crash** — a trial that raises is re-run once (crashes of
   the worker process itself are also retried once);
 * **partial results** — failed/timed-out trials are recorded in the
@@ -67,18 +69,22 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`TrialTimeout` if the block runs longer than ``seconds``.
 
     Uses ``SIGALRM`` + ``setitimer``, which only works in a main thread on
-    POSIX; elsewhere the deadline is not enforced (the trial still runs).
-    Worker processes execute trials in their main thread, so the pool path
-    always enforces.
+    POSIX; elsewhere a requested deadline raises :class:`CampaignError`
+    before the block runs, so the trial fails instead of running without
+    its timeout.  Worker processes execute trials in their main thread,
+    so the pool path always enforces.
     """
-    if (
-        seconds is None
-        or seconds <= 0
-        or threading.current_thread() is not threading.main_thread()
-        or not hasattr(signal, "setitimer")
-    ):
+    if seconds is None or seconds <= 0:
         yield
         return
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or not hasattr(signal, "setitimer")
+    ):
+        raise CampaignError(
+            f"cannot arm the {seconds:g}s trial timeout: SIGALRM interval "
+            "timers only work in the main thread on POSIX"
+        )
 
     def _on_alarm(signum: int, frame: object) -> None:
         raise TrialTimeout(f"trial exceeded its {seconds:g}s timeout")
@@ -163,29 +169,6 @@ def execute_trial(
         )
 
 
-def execute_trials(
-    specs: Sequence[TrialSpec],
-    default_timeout: Optional[float] = None,
-    telemetry: bool = False,
-) -> List[TrialOutcome]:
-    """Run a chunk of trials in the current process.
-
-    This is the unit the parallel path ships to a worker: one pickle /
-    IPC round trip per *chunk* instead of per trial, which is where
-    small grids were losing their parallelism to pool overhead.
-    """
-    return [
-        execute_trial(spec, default_timeout, telemetry) for spec in specs
-    ]
-
-
-def _warm_worker() -> None:
-    """Pool initializer: pull in the trial-runner registry (and with it
-    the bulk of the package) once per worker at pool start-up, so the
-    first chunk a worker receives does not pay the import bill."""
-    from . import trials  # noqa: F401 — imported for its registrations
-
-
 def run_campaign(
     specs: Sequence[TrialSpec],
     name: str = "campaign",
@@ -259,12 +242,6 @@ def _run_serial(
     return records
 
 
-#: strided chunks per worker and round: >1 so one slow chunk cannot idle
-#: the rest of the pool, small enough that a little grid still ships a
-#: handful of chunks rather than one future per trial
-_CHUNKS_PER_WORKER = 2
-
-
 def _run_parallel(
     specs: Sequence[TrialSpec],
     workers: int,
@@ -275,47 +252,37 @@ def _run_parallel(
     records: List[TrialRecord] = []
     attempts: Dict[str, int] = {spec.trial_id: 0 for spec in specs}
     remaining = list(specs)
-    # Each round chunks every not-yet-settled trial over warm workers; a
-    # fresh pool per round also recovers from a worker process dying
-    # hard (BrokenPool marks every in-flight future, and the next round
-    # starts clean).  Results are order-independent — the report sorts
-    # records by trial_id — so strided chunking changes nothing the
-    # determinism tests can observe.
+    # One future per not-yet-settled trial and round; a fresh pool per
+    # round recovers from a worker process dying hard (BrokenPool marks
+    # every in-flight future, and the next round starts clean).  Results
+    # are order-independent: the report sorts records by trial_id.
     while remaining:
-        chunk_count = min(len(remaining), workers * _CHUNKS_PER_WORKER)
-        chunks = [remaining[i::chunk_count] for i in range(chunk_count)]
-        remaining = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_warm_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(execute_trials, chunk, timeout, telemetry): chunk
-                for chunk in chunks
+                pool.submit(execute_trial, spec, timeout, telemetry): spec
+                for spec in remaining
             }
+            remaining = []
             for future in as_completed(futures):
-                chunk = futures[future]
+                spec = futures[future]
                 try:
-                    outcomes = future.result()
+                    outcome = future.result()
                 except BaseException as exc:  # worker died / result unpicklable
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    outcomes = [
-                        TrialOutcome(
-                            trial_id=spec.trial_id,
-                            status=STATUS_FAILED,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        for spec in chunk
-                    ]
-                for spec, outcome in zip(chunk, outcomes):
-                    attempts[spec.trial_id] += 1
-                    if (
-                        outcome.status == STATUS_FAILED
-                        and attempts[spec.trial_id] <= retries
-                    ):
-                        remaining.append(spec)
-                    else:
-                        records.append(
-                            _record(spec, outcome, attempts[spec.trial_id])
-                        )
+                    outcome = TrialOutcome(
+                        trial_id=spec.trial_id,
+                        status=STATUS_FAILED,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                attempts[spec.trial_id] += 1
+                if (
+                    outcome.status == STATUS_FAILED
+                    and attempts[spec.trial_id] <= retries
+                ):
+                    remaining.append(spec)
+                else:
+                    records.append(
+                        _record(spec, outcome, attempts[spec.trial_id])
+                    )
     return records

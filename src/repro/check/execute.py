@@ -295,16 +295,9 @@ def execute_check(
     if model is not None:
         model.finalize()
 
-    # fold the fabric's FIB match-chain counters into the trial's metrics
-    # so cache hit rates travel with the outcome (deterministic sums)
-    chain_hits = 0
-    chain_misses = 0
-    for switch in bundle.network.switches():
-        chain_hits += switch.fib.chain_hits
-        chain_misses += switch.fib.chain_misses
-    if chain_hits or chain_misses:
-        sim.obs.metrics.counter("fib.chain.hits").inc(chain_hits)
-        sim.obs.metrics.counter("fib.chain.misses").inc(chain_misses)
+    chain_hits, chain_misses = bundle.network.fold_fib_chain_counters(
+        sim.obs.metrics
+    )
     snapshot = sim.obs.metrics.snapshot()
 
     if probe_flow is not None:

@@ -564,7 +564,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _write_json(out: Optional[pathlib.Path], text: str, what: str) -> None:
+    """Write ``text`` (a JSON document ending in a newline) to ``--out``,
+    when given, creating its directory first."""
+    if out is None:
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"wrote {what} to {out}", file=sys.stderr)
+
+
+def _run_sweep(args: argparse.Namespace, telemetry: bool) -> int:
+    """Run the ``args.sweep`` campaign: ``repro sweep`` and ``repro trace
+    --sweep`` (which adds ``telemetry``) share every option."""
     from .campaign.runner import run_campaign
     from .campaign.sweeps import SWEEPS
 
@@ -582,13 +594,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout=args.timeout,
         campaign_seed=args.seed,
+        telemetry=telemetry,
     )
-    text = report.to_json() if args.json else report.render()
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(report.to_json() + "\n")
-        print(f"wrote campaign report to {args.out}", file=sys.stderr)
+    print(report.to_json() if args.json else report.render())
+    _write_json(
+        args.out, report.to_json() + "\n",
+        "telemetry report" if telemetry else "campaign report",
+    )
     return 0 if not report.failed else 1
 
 
@@ -695,10 +707,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         quick=args.quick, campaign=not args.no_campaign
     )
     print(to_json(result) if args.json else render(result))
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(to_json(result))
-        print(f"wrote bench result to {args.out}", file=sys.stderr)
+    _write_json(args.out, to_json(result), "bench result")
     if args.baseline is not None:
         try:
             import json as _json
@@ -762,10 +771,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"cannot build topology: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.render())
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(report.to_json() + "\n")
-        print(f"wrote verification report to {args.out}", file=sys.stderr)
+    _write_json(args.out, report.to_json() + "\n", "verification report")
     return 0 if report.certified else 1
 
 
@@ -798,31 +804,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     if args.sweep is not None:
-        from .campaign.runner import run_campaign
-        from .campaign.sweeps import SWEEPS
-
-        sweep = SWEEPS[args.sweep]
-        ports = args.ports if args.ports is not None else sweep.default_ports
-        specs = sweep.build(ports, args.seed, args.timeout)
-        if args.limit is not None:
-            specs = specs[: max(0, args.limit)]
-        if not specs:
-            print("sweep selected no trials", file=sys.stderr)
-            return 2
-        report = run_campaign(
-            specs,
-            name=args.sweep,
-            workers=args.workers,
-            timeout=args.timeout,
-            campaign_seed=args.seed,
-            telemetry=True,
-        )
-        print(report.to_json() if args.json else report.render())
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(report.to_json() + "\n")
-            print(f"wrote telemetry report to {args.out}", file=sys.stderr)
-        return 0 if not report.failed else 1
+        return _run_sweep(args, telemetry=True)
 
     from .experiments.testbed import run_testbed
 
@@ -861,7 +843,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "sweep":
-        return _cmd_sweep(args)
+        return _run_sweep(args, telemetry=False)
     if args.command == "check":
         return _cmd_check(args)
     if args.command == "bench":

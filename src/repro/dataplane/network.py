@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..net.fib import FibEntry, LOCAL
 from ..net.packet import DEFAULT_TTL, Packet, PROTO_UDP
+from ..obs.registry import MetricsRegistry
 from ..sim.engine import PRIORITY_CONTROL, Simulator
 from ..sim.units import Time
 from ..topology.addressing import AddressPlan, assign_addresses
@@ -121,6 +122,23 @@ class Network:
         for node in self.nodes.values():
             total.update(node.drops)
         return total
+
+    def fold_fib_chain_counters(self, metrics: MetricsRegistry) -> Tuple[int, int]:
+        """Add the fabric's FIB match-chain cache counters to ``metrics``.
+
+        Sums every switch's ``chain_hits`` / ``chain_misses`` into the
+        ``fib.chain.hits`` / ``fib.chain.misses`` counters (left
+        unregistered when both are zero), so cache hit rates travel with
+        a trial's metrics; returns the ``(hits, misses)`` totals.
+        """
+        hits = misses = 0
+        for switch in self.switches():
+            hits += switch.fib.chain_hits
+            misses += switch.fib.chain_misses
+        if hits or misses:
+            metrics.counter("fib.chain.hits").inc(hits)
+            metrics.counter("fib.chain.misses").inc(misses)
+        return hits, misses
 
     # ------------------------------------------------------------- failures
 

@@ -80,8 +80,6 @@ class NetworkNode:
         self.adjacency_epoch = 0
         #: peer -> live links, valid for the current adjacency epoch
         self._live_links_cache: Dict[str, List[RuntimeLink]] = {}
-        #: peer -> liveness bool, valid for the current adjacency epoch
-        self._alive_cache: Dict[str, bool] = {}
         #: peer -> (out channel, peer ip) of :meth:`SwitchNode.send_control`,
         #: valid for the current adjacency epoch (empty on hosts)
         self._control_routes: Dict[str, tuple] = {}
@@ -106,7 +104,6 @@ class NetworkNode:
         """Invalidate every liveness-derived cache on this node."""
         self.adjacency_epoch += 1
         self._live_links_cache.clear()
-        self._alive_cache.clear()
         self._control_routes.clear()
         for listener in self.epoch_listeners:
             listener()
@@ -132,19 +129,14 @@ class NetworkNode:
     def neighbor_alive(self, peer: str) -> bool:
         """True while at least one link to ``peer`` is detected up.
 
-        Short-circuits on the first detected-up link — no list is built
-        on the per-packet path — and memoizes per adjacency epoch.
+        Uncached: its hot callers memoise per adjacency epoch above it
+        (the switch resolve cache, the protocol's live-neighbour list).
         """
-        alive = self._alive_cache.get(peer)
-        if alive is None:
-            alive = False
-            name = self.name
-            for link in self.links_by_peer.get(peer, ()):
-                if link.detected_up_by(name):
-                    alive = True
-                    break
-            self._alive_cache[peer] = alive
-        return alive
+        name = self.name
+        return any(
+            link.detected_up_by(name)
+            for link in self.links_by_peer.get(peer, ())
+        )
 
     def register_handler(self, protocol: int, port: int, handler: PacketHandler) -> None:
         """Register a transport handler; ``port=0`` catches every port."""

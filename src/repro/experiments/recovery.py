@@ -238,17 +238,7 @@ def run_recovery(
             failure_time=failure_time,
         )
     if obs is not None:
-        # aggregate FIB match-chain cache counters across the fabric so
-        # cache hit rates show up next to spf.cache.* in reports (cold
-        # path: once per run, deterministic sums)
-        chain_hits = 0
-        chain_misses = 0
-        for switch in network.switches():
-            chain_hits += switch.fib.chain_hits
-            chain_misses += switch.fib.chain_misses
-        if chain_hits or chain_misses:
-            obs.metrics.counter("fib.chain.hits").inc(chain_hits)
-            obs.metrics.counter("fib.chain.misses").inc(chain_misses)
+        network.fold_fib_chain_counters(obs.metrics)
     return result
 
 

@@ -383,8 +383,7 @@ class SimTimeEqRule(Rule):
         """Arithmetic or a call anywhere in the operand: the value is
         *derived*, so float equality depends on rounding history.
         Comparisons between stored timestamps (names, attributes,
-        subscripts) stay exact and are the engine's legitimate
-        same-timestamp draining idiom."""
+        subscripts) stay exact and legal."""
         return any(
             isinstance(sub, (ast.BinOp, ast.Call)) for sub in ast.walk(expr)
         )

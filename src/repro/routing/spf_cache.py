@@ -12,7 +12,7 @@ Three consumers ask one origin at a time and share the memo:
 
 * the distributed protocol (:mod:`repro.routing.linkstate`) — through
   its per-instance :class:`SpfEngine`, so an A→B→A flap and every trial
-  after the first of a campaign chunk find their tables already there;
+  a campaign worker runs after its first find their tables already there;
 * the centralized controller (:mod:`repro.routing.centralized`);
 * the convergence-agreement invariant (:mod:`repro.check.invariants`) —
   on purpose: on a fluid trial the protocol computes through the batch
@@ -28,7 +28,7 @@ to what :func:`compute_routes` would return (nobody mutates a route
 table an engine has returned, the engine included: the protocol holds
 this very object as its download).  Eviction is LRU over a
 deterministic access sequence, hence itself deterministic.  The memo is
-per-process; campaign workers warm it across the trials of their chunk,
+per-process; campaign workers warm it across the trials they run,
 and the 1-vs-N-worker byte-identity tests pin that sharing changes
 nothing observable.
 
@@ -118,7 +118,7 @@ def classify_transition(
 # ----------------------------------------------------------------- memo
 
 #: default bound: a 40-switch grid trial needs ~40 entries per distinct
-#: surviving graph; 4096 covers the trials of one campaign chunk
+#: surviving graph; 4096 covers the trials one campaign worker runs
 _MAX_ENTRIES = 4096
 
 _Key = Tuple[str, tuple]

@@ -14,6 +14,11 @@ Design notes
   so that, e.g., a link-down event at time *t* takes effect before packet
   deliveries scheduled for the same *t*.
 * The ``sequence`` counter makes ordering total and deterministic.
+* :meth:`Simulator.run` is one per-event loop for every call shape
+  (drain, ``until``, ``max_events``, observability on or off): each
+  iteration pops one entry, so events run in exactly the heap's
+  ``(time, priority, sequence)`` order, and :meth:`Simulator.step`
+  driven one event at a time produces the identical trace.
 * Heap entries are plain 5-slot lists ``[time, priority, sequence,
   callback, args]`` — comparison is C-level list comparison that never
   reaches the callback slot (``sequence`` is unique), which is what makes
@@ -237,11 +242,13 @@ class Simulator:
         Events scheduled exactly at ``until`` do **not** run; the clock is
         left at ``until`` (or at the last event time if the queue drained).
 
-        The loop body is the hottest code in the repository: ``heappop``
-        and the queue are hoisted into locals, entries are plain lists
-        (no attribute lookups), and with observability disabled nothing
-        is allocated per event.  ``events_processed`` is published once
-        on exit (no model code reads it mid-run).
+        One event per iteration, in heap order: pop the head, skip it if
+        cancelled, stop (pushing it back) once ``until`` is reached, run
+        it, count it.  ``heappop`` and the queue are hoisted into locals,
+        entries are plain lists (no attribute lookups), and with
+        observability disabled nothing is allocated per event.
+        ``events_processed`` is published once on exit (no model code
+        reads it mid-run).
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -249,110 +256,34 @@ class Simulator:
         executed = 0
         obs = self.obs
         enabled = obs.enabled
+        if enabled:
+            executed_ctr = obs.metrics.counter("sim.events_executed")
+            cancelled_ctr = obs.metrics.counter("sim.cancelled_skipped")
+            depth_gauge = obs.metrics.gauge("sim.queue_depth")
         queue = self._queue
         pop = _heappop
         done = _DONE
         try:
-            # Every path drains *batches*: after executing one event, all
-            # further events sharing its timestamp run in an inner loop
-            # that skips the clock store and the ``until`` boundary check
-            # (times are equal, so both are already decided).  Execution
-            # order is untouched — the inner loop pops from the same heap
-            # the outer loop would, including events a callback schedules
-            # *at* the current instant (delay-0 cascades stay in batch).
-            # Failure storms make these batches big: detection, flooding,
-            # and delivery events pile onto shared timestamps.
-            if not enabled and max_events is None and until is None:
-                # drain-to-empty fast path (the most common call shape):
-                # pop-first — no head peek, no boundary check, zero
-                # allocations per event
-                while queue:
-                    entry = pop(queue)
-                    callback = entry[3]
-                    if callback is None:
-                        self._cancelled_pending -= 1
-                        continue
-                    now = entry[0]
-                    self._now = now
-                    entry[3] = done
-                    callback(*entry[4])
-                    executed += 1
-                    while queue and queue[0][0] == now:
-                        entry = pop(queue)
-                        callback = entry[3]
-                        if callback is None:
-                            self._cancelled_pending -= 1
-                            continue
-                        entry[3] = done
-                        callback(*entry[4])
-                        executed += 1
-            elif enabled or max_events is not None:
+            while queue:
+                entry = pop(queue)
+                callback = entry[3]
+                if callback is None:
+                    self._cancelled_pending -= 1
+                    if enabled:
+                        cancelled_ctr.inc()
+                    continue
+                if until is not None and entry[0] >= until:
+                    _heappush(queue, entry)
+                    break
+                self._now = entry[0]
+                entry[3] = done
+                callback(*entry[4])
+                executed += 1
                 if enabled:
-                    executed_ctr = obs.metrics.counter("sim.events_executed")
-                    cancelled_ctr = obs.metrics.counter("sim.cancelled_skipped")
-                    depth_gauge = obs.metrics.gauge("sim.queue_depth")
-                while queue:
-                    entry = queue[0]
-                    callback = entry[3]
-                    if callback is None:
-                        pop(queue)
-                        self._cancelled_pending -= 1
-                        if enabled:
-                            cancelled_ctr.inc()
-                        continue
-                    if until is not None and entry[0] >= until:
-                        self._now = until
-                        return
-                    pop(queue)
-                    now = entry[0]
-                    self._now = now
-                    while True:
-                        entry[3] = done
-                        callback(*entry[4])
-                        executed += 1
-                        if enabled:
-                            executed_ctr.inc()
-                            depth_gauge.set(len(queue))
-                        if max_events is not None and executed >= max_events:
-                            return
-                        while queue and queue[0][0] == now:
-                            entry = pop(queue)
-                            callback = entry[3]
-                            if callback is not None:
-                                break
-                            self._cancelled_pending -= 1
-                            if enabled:
-                                cancelled_ctr.inc()
-                        else:
-                            break
-            else:
-                # obs-disabled run-until path: one cancellation check,
-                # one boundary check per timestamp, zero allocations
-                while queue:
-                    entry = queue[0]
-                    callback = entry[3]
-                    if callback is None:
-                        pop(queue)
-                        self._cancelled_pending -= 1
-                        continue
-                    if until is not None and entry[0] >= until:
-                        self._now = until
-                        return
-                    pop(queue)
-                    now = entry[0]
-                    self._now = now
-                    entry[3] = done
-                    callback(*entry[4])
-                    executed += 1
-                    while queue and queue[0][0] == now:
-                        entry = pop(queue)
-                        callback = entry[3]
-                        if callback is None:
-                            self._cancelled_pending -= 1
-                            continue
-                        entry[3] = done
-                        callback(*entry[4])
-                        executed += 1
+                    executed_ctr.inc()
+                    depth_gauge.set(len(queue))
+                if max_events is not None and executed >= max_events:
+                    return
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
-
-from .graph import Topology
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,6 @@ class CompactGraph:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    @property
-    def n_edges(self) -> int:
-        """Undirected edge count (each edge appears in two rows)."""
-        return len(self.indices) // 2
-
-    def neighbors(self, node: int) -> "array[int]":
-        """Neighbor indices of ``node`` (sorted)."""
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
     def degree(self, node: int) -> int:
         return self.indptr[node + 1] - self.indptr[node]
@@ -71,37 +60,3 @@ class CompactGraph:
             indices.extend(row)
             indptr.append(len(indices))
         return cls(names=names, index=index, indptr=indptr, indices=indices)
-
-    @classmethod
-    def from_topology(
-        cls, topology: Topology, switches_only: bool = True
-    ) -> "CompactGraph":
-        """Flatten a built topology (by default its switch-to-switch graph,
-        which is what routing operates on)."""
-        adjacency: Dict[str, List[str]] = {}
-        for node in topology.nodes.values():
-            if switches_only and not node.kind.is_switch:
-                continue
-            adjacency[node.name] = []
-        for link in topology.links.values():
-            a, b = link.key
-            if a in adjacency and b in adjacency:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-        return cls.from_adjacency(adjacency)
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """Undirected edges as sorted name pairs (sorted list)."""
-        result: List[Tuple[str, str]] = []
-        for i in range(len(self.names)):
-            for j in self.neighbors(i):
-                if i < j:
-                    result.append((self.names[i], self.names[j]))
-        return result
-
-
-def pack_paths(paths: Sequence[Sequence[str]], graph: CompactGraph) -> List["array[int]"]:
-    """Convert name paths to index paths (bulk helper for the flow model)."""
-    return [
-        array("l", [graph.index[name] for name in path]) for path in paths
-    ]

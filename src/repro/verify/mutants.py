@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..check.mutants import _invert_fib_tie_break, _withdraw_static_routes
 from ..net.fib import FibEntry
 from ..net.ip import Prefix
 from ..topology.graph import Link, LinkKind, NodeKind, Topology
@@ -143,30 +144,6 @@ def _model_ring_order_swapped(model: StaticNetworkModel) -> None:
 # ----------------------------------------------------------- dynamic twins
 
 
-def _dynamic_withdraw_statics(bundle: Any) -> None:
-    for switch in bundle.network.switches():
-        for entry in [
-            e for e in switch.fib.entries() if e.source == "static"
-        ]:
-            switch.fib.withdraw(entry.prefix)
-
-
-def _dynamic_invert_tie_break(bundle: Any) -> None:
-    """Shortest-prefix-first ``Fib.matches`` — identical instance patch
-    to ``repro.check.mutants._invert_fib_tie_break``."""
-    for switch in bundle.network.switches():
-        fib = switch.fib
-
-        def shortest_first(address: Any, _fib: Any = fib) -> Any:
-            matching = [
-                e for e in _fib.entries() if e.prefix.contains(address)
-            ]
-            matching.sort(key=lambda e: e.prefix.length)
-            return iter(matching)
-
-        fib.matches = shortest_first
-
-
 def _dynamic_prefix_too_long(bundle: Any) -> None:
     for switch in bundle.network.switches():
         statics = [
@@ -237,7 +214,7 @@ _register(VerifyMutant(
     description="every ring backup entry stripped from the FIBs; "
                 "downward failures have no fall-through",
     mutate_model=_model_withdraw_statics,
-    apply_dynamic=_dynamic_withdraw_statics,
+    apply_dynamic=_withdraw_static_routes,
     check_equivalent="backup-routes-disabled",
 ))
 
@@ -256,7 +233,7 @@ _register(VerifyMutant(
     description="LPM chain order inverted to shortest-prefix-first; the "
                 "short statics shadow every learned route",
     shortest_first=True,
-    apply_dynamic=_dynamic_invert_tie_break,
+    apply_dynamic=_invert_fib_tie_break,
     check_equivalent="fib-tiebreak-inverted",
 ))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -69,6 +70,14 @@ def _trial_flaky(ctx, marker=""):
             fh.write("attempted")
         raise RuntimeError("first attempt always fails")
     return {"recovered": True}
+
+
+@register_trial("t-die")
+def _trial_die(ctx, delay=0.5):
+    """Kills its worker process outright (no exception, no outcome).  The
+    delay lets the pool's other trials settle before the pool breaks."""
+    time.sleep(delay)
+    os._exit(3)
 
 
 # ------------------------------------------------------------------- specs
@@ -288,6 +297,48 @@ class TestWorkerFailures:
         record = report.record(specs[0].trial_id)
         assert record.attempts == 2
         assert record.payload == {"recovered": True}
+
+    def test_dying_worker_retried_once_without_sinking_others(self):
+        others = [TrialSpec.make("t-draw", seed=s, scale=10) for s in (1, 2, 3)]
+        dying = TrialSpec.make("t-die", seed=1)
+        report = run_campaign([dying, *others], workers=2)
+        record = report.record(dying.trial_id)
+        assert record.status == "failed"
+        assert record.attempts == 2
+        assert "BrokenProcessPool" in record.error
+        serial = run_campaign(others, workers=1)
+        assert len(report.succeeded) == len(others)
+        assert {
+            r.spec.trial_id: r.payload for r in report.succeeded
+        } == {r.spec.trial_id: r.payload for r in serial.succeeded}
+
+    def test_timeout_off_main_thread_fails_instead_of_running_unarmed(self):
+        reports = {}
+
+        def campaigns():
+            reports["armed"] = run_campaign(
+                [TrialSpec.make("t-sleep", seed=1, duration=5.0)],
+                workers=1, timeout=0.2,
+            )
+            for timeout in (None, 0):
+                reports[timeout] = run_campaign(
+                    [TrialSpec.make("t-draw", seed=1, scale=10)],
+                    workers=1, timeout=timeout,
+                )
+
+        started = time.monotonic()
+        worker = threading.Thread(target=campaigns)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        (record,) = reports["armed"].records
+        assert record.status == "failed"
+        assert "cannot arm the 0.2s trial timeout" in record.error
+        # the trial body never ran: no 5 s sleep per attempt
+        assert time.monotonic() - started < 5.0
+        # no timeout requested: nothing to arm, the trial runs as before
+        assert reports[None].records[0].ok
+        assert reports[0].records[0].ok
 
     def test_retries_zero_disables_retry(self):
         report = run_campaign(

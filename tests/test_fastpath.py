@@ -320,13 +320,6 @@ def _disable_all_caches(monkeypatch):
 
     monkeypatch.setattr(Fib, "chain", uncached_chain)
 
-    def neighbor_alive(self, peer):
-        name = self.name
-        return any(
-            link.detected_up_by(name)
-            for link in self.links_by_peer.get(peer, ())
-        )
-
     def live_links_to(self, peer):
         name = self.name
         return [
@@ -346,7 +339,6 @@ def _disable_all_caches(monkeypatch):
         self._control_routes.clear()  # every send re-derives its route
         return memoised_send_control(self, peer, payload, size_bytes)
 
-    monkeypatch.setattr(NetworkNode, "neighbor_alive", neighbor_alive)
     monkeypatch.setattr(NetworkNode, "live_links_to", live_links_to)
     monkeypatch.setattr(SwitchNode, "_resolve_indexed", resolve_indexed)
     # the link hop's memos: control route and live-neighbour list per

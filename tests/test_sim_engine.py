@@ -311,7 +311,7 @@ class TestHeapCompaction:
 
 class TestCancelledHeadUntil:
     """Interaction of cancelled events with the ``until`` boundary: the
-    run loops peek the head before checking the boundary, so a cancelled
+    run loop pops the head before checking the boundary, so a cancelled
     entry sitting at or past ``until`` must be drained (or left) without
     ever moving the clock to its timestamp."""
 
@@ -562,15 +562,15 @@ class TestTimer:
 
 
 class TestSameTimestampBatching:
-    """run() drains every event sharing a timestamp in one inner batch
-    (no clock re-store, no boundary re-check).  These tests pin that the
-    batching is invisible: ordering, cancellation bookkeeping,
-    ``max_events``, ``until``, and observability counters behave exactly
-    as the unbatched per-event loop did."""
+    """Many events sharing one timestamp (the shape failure storms
+    produce): ordering, cancellation bookkeeping, ``max_events``,
+    ``until`` and observability counters all treat them one event at a
+    time, in ``(time, priority, sequence)`` order."""
 
     def test_delay_zero_cascade_stays_in_batch_order(self):
-        """Events scheduled *at* the current instant from inside a batch
-        join the same batch, in (priority, sequence) heap order."""
+        """Events scheduled *at* the current instant from inside a
+        callback run at that instant, in (priority, sequence) heap order
+        among the events already waiting there."""
         sim = Simulator()
         order = []
 
@@ -586,9 +586,9 @@ class TestSameTimestampBatching:
         sim.schedule(10, order.append, ("sibling", 10))
         sim.schedule(20, order.append, ("later", 20))
         sim.run()
-        # pure (time, priority, sequence) heap order, exactly as the
-        # unbatched loop would pop: the control-priority cascade overtakes
-        # the normal-priority sibling, the normal cascade queues behind it
+        # pure (time, priority, sequence) heap order: the control-priority
+        # cascade overtakes the normal-priority sibling, the normal
+        # cascade queues behind it
         assert order == [
             ("head", 10),
             ("cascade-control", 10),
@@ -609,8 +609,8 @@ class TestSameTimestampBatching:
         assert sim.events_processed == 4
 
     def test_head_cancelling_rest_of_its_batch(self):
-        """A batch member cancelling later same-timestamp events must
-        keep ``_cancelled_pending`` exact through the inner drain."""
+        """An event cancelling later same-timestamp events must keep
+        ``_cancelled_pending`` exact as the loop skips them."""
         sim = Simulator()
         order = []
         later = []
@@ -667,8 +667,8 @@ class TestSameTimestampBatching:
         assert sim.events_processed == 4
 
     def test_step_semantics_unchanged_by_batching(self):
-        """step() still executes exactly one event even when several
-        share the head timestamp."""
+        """step() executes exactly one event even when several share
+        the head timestamp."""
         sim = Simulator()
         order = []
         for tag in range(3):
@@ -680,65 +680,61 @@ class TestSameTimestampBatching:
         assert order == [0, 1, 2]
 
 
-def _unbatched_run(self, until=None, max_events=None):
-    """The per-event reference loop (no same-timestamp batch draining):
-    clock store and boundary check on every single event.  Semantically
-    the engine before batching; the differential below pins that batching
-    changed nothing observable."""
-    from repro.sim.engine import _DONE, SimulationError as SimError, _heappop
+def _drain_by_step(sim):
+    """Drain the queue one :meth:`Simulator.step` call at a time."""
+    while sim.step():
+        pass
 
-    if self._running:
-        raise SimError("simulator is already running (re-entrant run())")
-    self._running = True
-    executed = 0
-    obs = self.obs
-    enabled = obs.enabled
+
+def _stepped_run(self, until=None, max_events=None):
+    """``run()`` with every event executed by one :meth:`Simulator.step`
+    call: the second executor the differential compares ``run()``
+    against.  Only the ``until`` boundary, ``max_events`` and the obs
+    counters ``run()`` keeps live here; which event runs, and when, is
+    ``step()``'s decision."""
+    import heapq
+
+    from repro.sim.engine import _CALLBACK, _TIME
+
+    metrics = self.obs.metrics if self.obs.enabled else None
+    if metrics is not None:
+        executed_ctr = metrics.counter("sim.events_executed")
+        cancelled_ctr = metrics.counter("sim.cancelled_skipped")
+        depth_gauge = metrics.gauge("sim.queue_depth")
     queue = self._queue
-    pop = _heappop
-    done = _DONE
-    try:
-        if enabled:
-            executed_ctr = obs.metrics.counter("sim.events_executed")
-            cancelled_ctr = obs.metrics.counter("sim.cancelled_skipped")
-            depth_gauge = obs.metrics.gauge("sim.queue_depth")
-        while queue:
-            entry = queue[0]
-            callback = entry[3]
-            if callback is None:
-                pop(queue)
-                self._cancelled_pending -= 1
-                if enabled:
-                    cancelled_ctr.inc()
-                continue
-            if until is not None and entry[0] >= until:
-                self._now = until
-                return
-            pop(queue)
-            self._now = entry[0]
-            entry[3] = done
-            callback(*entry[4])
-            executed += 1
-            if enabled:
-                executed_ctr.inc()
-                depth_gauge.set(len(queue))
-            if max_events is not None and executed >= max_events:
-                return
-        if until is not None and until > self._now:
-            self._now = until
-    finally:
-        self._events_processed += executed
-        self._running = False
+    executed = 0
+    while queue and (max_events is None or executed < max_events):
+        head = queue[0]
+        if head[_CALLBACK] is None:
+            # step() would skip it too, but uncounted: pop it here so the
+            # cancelled-skip counter sees it
+            heapq.heappop(queue)
+            self._cancelled_pending -= 1
+            if metrics is not None:
+                cancelled_ctr.inc()
+            continue
+        if until is not None and head[_TIME] >= until:
+            break
+        assert self.step()
+        executed += 1
+        if metrics is not None:
+            executed_ctr.inc()
+            depth_gauge.set(len(queue))
+    if until is not None and until > self.now:
+        self._now = until
 
 
 class TestBatchingDifferential:
-    """Batched vs. per-event draining must be observably identical."""
+    """``run()`` and a ``step()``-driven drain must be observably
+    identical: same events, same order, same clock, same counters."""
 
     @given(st.data())
     def test_random_workload_equivalence(self, data):
         """Random schedules (heavy timestamp collisions, cancellations,
         delay-0 cascades) posted through all three scheduling calls fire
-        in the identical order with identical final state under both
-        loops — and in ``(time, priority, posting order)`` order: the
+        in the identical order with identical final state under ``run()``
+        and under ``step()`` called until the queue is empty — and in
+        ``(time, priority, posting order)`` order: the
         three calls draw from one sequence counter, so events sharing a
         ``(time, priority)`` run FIFO whichever call posted them."""
         ops = data.draw(st.lists(
@@ -780,9 +776,9 @@ class TestBatchingDifferential:
             run_impl(sim)
             return order, sim.now, sim.events_processed, sim.pending_events
 
-        batched = execute(lambda sim: sim.run())
-        unbatched = execute(lambda sim: _unbatched_run(sim))
-        assert batched == unbatched
+        ran = execute(lambda sim: sim.run())
+        stepped = execute(_drain_by_step)
+        assert ran == stepped
         # everything is posted at now = 0, so delay = absolute time and
         # the op's index is its sequence number
         expected = sorted(
@@ -790,12 +786,13 @@ class TestBatchingDifferential:
             for tag, (delay, priority, cancel, _cascade, how) in enumerate(ops)
             if how == "call_at" or not cancel
         )
-        fired = [entry for entry in batched[0] if len(entry) == 2]
+        fired = [entry for entry in ran[0] if len(entry) == 2]
         assert fired == [(tag, delay) for delay, _priority, tag in expected]
 
     def test_recovery_trial_trace_identical_without_batching(self, monkeypatch):
         """A full traced recovery check produces byte-identical traces,
-        spans, stats, and violations with batching monkeypatched off."""
+        spans, stats, and violations when every event is executed by
+        ``step()`` instead of ``run()``'s loop."""
         import json
 
         from repro.check.config import TrialConfig, fast_overrides
@@ -805,14 +802,14 @@ class TestBatchingDifferential:
             "f2tree", 6, profile="scenario", scenario="C3",
             overrides=fast_overrides(), warmup=milliseconds(500),
         )
-        batched = execute_check(config, traced=True)
+        ran = execute_check(config, traced=True)
         with monkeypatch.context() as patches:
-            patches.setattr(Simulator, "run", _unbatched_run)
-            unbatched = execute_check(config, traced=True)
+            patches.setattr(Simulator, "run", _stepped_run)
+            stepped = execute_check(config, traced=True)
 
-        assert batched.violations == unbatched.violations == []
-        assert batched.stats == unbatched.stats
-        assert json.dumps(batched.trace, sort_keys=True) == \
-            json.dumps(unbatched.trace, sort_keys=True)
-        assert json.dumps(batched.spans, sort_keys=True) == \
-            json.dumps(unbatched.spans, sort_keys=True)
+        assert ran.violations == stepped.violations == []
+        assert ran.stats == stepped.stats
+        assert json.dumps(ran.trace, sort_keys=True) == \
+            json.dumps(stepped.trace, sort_keys=True)
+        assert json.dumps(ran.spans, sort_keys=True) == \
+            json.dumps(stepped.spans, sort_keys=True)
