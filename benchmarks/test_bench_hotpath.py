@@ -1,29 +1,20 @@
-"""Hot-path throughput: the PR-level acceptance bars, recorded.
+"""Measured throughput floors, recorded.
 
 Runs :func:`repro.bench.run_hotpath_bench` (the same harness behind
-``repro bench``) and enforces the optimization floor as **ratios**
-against the in-harness naive reference implementations — the former
-dataclass event loop, the uncached per-packet resolve and the per-query
-Dijkstra — so the bars mean the same thing on any hardware:
+``repro bench``) and enforces :func:`repro.bench.check_floors`:
 
-* event loop dispatch:      >= 3x the naive loop,
-* per-packet resolution:    >= 2x the uncached LPM walk per packet
-  (lower floor: the reference calls the live ``Fib.matches``, so the
-  hash FIB sped the *naive* side up by a third — see ``RATIO_FLOORS``),
-* memoized SPF oracle:      >= 3x recomputing Dijkstra,
-* vectorized fair share:    >= 5x the pure-python water-filling
-  reference at bench scale (>= 10k flows; the engines agree bitwise,
-  so this is pure speed),
-* fluid backend at k=48:    >= 10x the packet backend's extrapolated
-  cost (the ISSUE's scale-win acceptance bar; the extrapolation is
-  deliberately conservative — see ``bench_flow_backend``'s docstring),
-  and the k=48 fluid trial itself must finish inside its absolute
-  wall-clock budget.
+* vectorized fair share:  >= 5x the pure-python water-filling reference
+  at bench scale (>= 10k flows; the engines agree bitwise, so this is
+  pure speed);
+* fluid backend:          >= 10x the packet backend's wall on the same
+  recovery trial (``run_recovery`` on a k=12 fat tree, UDP), measured on
+  both backends after asserting they recover in the same class;
+* k=48 fluid trial:       inside its absolute wall-clock budget, with
+  its peak RSS recorded.
 
-The absolute events/packets/tables per second land in
-``BENCH_hotpath.json`` at the repo root — the committed copy is the
-baseline the CI perf-smoke gate (``repro bench --quick --baseline``)
-compares fresh ratios against.
+The result lands in ``BENCH_hotpath.json`` at the repo root as a record;
+nothing gates against the committed copy — every floor is absolute and
+measured on the box that runs it.
 """
 
 from __future__ import annotations
@@ -31,87 +22,27 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bench import GATED_SECTIONS, run_hotpath_bench, to_json
+from repro.bench import check_floors, render, run_hotpath_bench, to_json
 
 BENCH_FILE = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
 
-#: default acceptance floor on every optimized/naive ratio
-RATIO_FLOOR = 3.0
-
-#: per-section overrides of the default floor
-RATIO_FLOORS = {
-    # the naive reference walks the live Fib.matches per packet while
-    # the optimized side runs on the caches, so a faster FIB lowers the
-    # ratio for a good reason: the length-indexed hash FIB took naive
-    # 84k -> 111k pps with optimized unmoved (268k -> 262k pps), ratio
-    # 3.17 -> 2.35 on one box, interleaved runs.  The floor guards the
-    # resolve/chain caches, not the table behind them.
-    "forwarding": 2.0,
-    "fairshare_vector": 5.0,
-    "flow_backend": 10.0,
-}
-
-#: a section below the floor is re-measured this many extra times (a
+#: a result below a floor is re-measured this many extra times (a
 #: noisy-neighbor CI box can depress one sample; a real regression
 #: cannot pass repeatedly)
 RETRIES = 2
 
 
-def _floor(section: str) -> float:
-    return RATIO_FLOORS.get(section, RATIO_FLOOR)
-
-
 def test_bench_hotpath(emit):
     result = run_hotpath_bench(quick=False, campaign=False)
     for _ in range(RETRIES):
-        if all(
-            result[section].get("ratio", 0.0) >= _floor(section)
-            for section in GATED_SECTIONS
-        ):
+        if not check_floors(result):
             break
         retry = run_hotpath_bench(quick=False, campaign=False)
-        for section in GATED_SECTIONS:
-            if retry[section].get("ratio", 0.0) > result[section].get("ratio", 0.0):
-                result[section] = retry[section]
+        if len(check_floors(retry)) < len(check_floors(result)):
+            result = retry
 
     BENCH_FILE.write_text(to_json(result))
+    emit(f"{render(result)}\n  recorded in {BENCH_FILE.name}")
 
-    ev, fw, spf, fair, flow = (
-        result["event_loop"], result["forwarding"], result["spf"],
-        result["fairshare_vector"], result["flow_backend"],
-    )
-    assert fair.get("numpy"), (
-        "fairshare_vector: numpy unavailable — the recorded baseline "
-        "must include the vector engine's ratio"
-    )
-    emit(
-        "Hot-path throughput (optimized vs in-harness naive reference):\n"
-        f"  event loop: {ev['optimized_eps']:>10,} events/s  "
-        f"naive {ev['naive_eps']:>9,}/s  -> {ev['ratio']:.1f}x\n"
-        f"  forwarding: {fw['optimized_pps']:>10,} packets/s "
-        f"naive {fw['naive_pps']:>9,}/s  -> {fw['ratio']:.1f}x "
-        f"(chain cache {fw['cache']['hit_rate']:.1%} hits)\n"
-        f"  SPF oracle: {spf['optimized_sps']:>10,} tables/s  "
-        f"naive {spf['naive_sps']:>9,}/s  -> {spf['ratio']:.1f}x\n"
-        f"  fair share: {fair['optimized_fps']:>10,} flows/s  "
-        f"python {fair['naive_fps']:>8,}/s  -> {fair['ratio']:.1f}x "
-        f"at {fair['flows']:,} flows\n"
-        f"  fluid k={flow['target_ports']}: {flow['flow_s']:.1f}s measured vs "
-        f"{flow['projected_packet_s']:.0f}s projected packet "
-        f"-> {flow['ratio']:.1f}x "
-        f"(events^{flow['fit_exponent']:.2f} fit, "
-        f"budget {flow['budget_s']:.0f}s, "
-        f"{flow['peak_rss_mb']:.0f} MiB peak RSS)\n"
-        f"  recorded in {BENCH_FILE.name}"
-    )
-
-    for section in GATED_SECTIONS:
-        assert result[section].get("ratio", 0.0) >= _floor(section), (
-            f"{section}: {result[section].get('ratio', 0.0):.2f}x is below "
-            f"the {_floor(section)}x acceptance floor\n"
-            + json.dumps(result[section], indent=2)
-        )
-    assert flow["within_budget"], (
-        f"flow_backend: the k={flow['target_ports']} fluid trial took "
-        f"{flow['flow_s']}s, over the {flow['budget_s']}s budget"
-    )
+    failures = check_floors(result)
+    assert not failures, "\n".join(failures) + "\n" + json.dumps(result, indent=2)

@@ -19,7 +19,7 @@ from repro.sim.units import microseconds, milliseconds
 from repro.transport.udp import UdpSender, UdpSink
 
 
-def test_bench_event_loop(benchmark):
+def test_bench_simulator_dispatch(benchmark):
     """Schedule+execute 10k no-op events."""
 
     def run() -> int:

@@ -1,35 +1,28 @@
-"""Hot-path throughput benchmarks and the perf-regression gate.
+"""Throughput benchmarks gated on absolute, measured floors.
 
-Measures the three loops every experiment's wall-clock time is made of —
-event dispatch, per-packet LPM resolution, repeated SPF — each against a
-**naive in-module reference** that faithfully reimplements the
-pre-optimization code path:
+Every ratio this module reports compares two pieces of code the repo
+still runs, on the same input, on the same box:
 
-* ``event_loop`` — the optimized list-entry :class:`~repro.sim.engine.
-  Simulator` vs. the former ``order=True`` dataclass heap (generated
-  ``__lt__`` on every sift, per-event attribute traffic);
-* ``forwarding`` — the cached ``SwitchNode._resolve_indexed`` vs. an
-  uncached LPM walk per packet with full ``live_links``-style list
-  allocation (the old steady-state path).  The reference calls the live
-  :meth:`~repro.net.fib.Fib.matches` while the optimized side runs on
-  the caches, so a faster FIB *lowers* this ratio;
-* ``spf`` — the fingerprint-keyed :mod:`~repro.routing.spf_cache` vs.
-  recomputing Dijkstra for every oracle query;
 * ``fairshare_vector`` — the fluid backend's vectorized max-min
   water-filling (:mod:`repro.sim.flow.fairshare`, numpy engine) vs. the
   pure-python reference solver on a bench-scale instance (tens of
   thousands of flows, thousands of links, hundreds of freezing rounds).
   Both engines return bitwise-identical rates, so the section asserts
   agreement before it reports speed;
-* ``flow_backend`` — a warm-started fluid recovery trial at k=48
-  against the packet backend's extrapolated event cost.
+* ``flow_backend`` — one recovery trial
+  (:func:`~repro.experiments.recovery.run_recovery` on a k=12 fat tree,
+  UDP) timed on each backend through the same ``build_bundle`` path.
+  Both runs must land in the same recovery class before the measured
+  packet/fluid wall ratio is reported.  Beside it, the k=48 fluid scale
+  trial (:func:`~repro.experiments.flowscale.run_flow_scale_trial`) with
+  its wall time and peak RSS against an absolute budget — the packet
+  backend cannot run that fabric, so no ratio is claimed there;
+* ``campaign`` — serial vs. parallel wall-clock (full mode only;
+  honest about ``cpu_count``).
 
-Reporting **ratios** against in-harness references makes the acceptance
-thresholds hardware-independent: a 3x bar means the same thing on a
-laptop and in CI.  Absolute events/packets/tables per second are
-recorded alongside for the audit trail, as is an optional campaign
-serial-vs-parallel measurement (full mode only; honest about
-``cpu_count``).
+:func:`check_floors` gates the first two on absolute floors; ``repro
+bench`` exits 1 when one fails.  Where a real trial spends its time,
+layer by layer, is ``perfbench/``'s job, not this module's.
 
 This module is the one place under ``src/repro`` allowed to read
 ``time.perf_counter`` (the determinism lint allowlists it): nothing the
@@ -38,56 +31,29 @@ simulator executes ever observes these timings — they only gate CI.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .dataplane.node import SwitchNode
-    from .net.fib import FibEntry
-    from .net.packet import Packet
-
-#: regression gate: a fresh ratio below (1 - tolerance) x baseline fails
-DEFAULT_TOLERANCE = 0.30
-
-#: the committed-baseline/bench artifact at the repo root
-BENCH_FILENAME = "BENCH_hotpath.json"
-
-#: sections whose ratios the regression gate compares
-GATED_SECTIONS = (
-    "event_loop",
-    "forwarding",
-    "spf",
-    "fairshare_vector",
-    "flow_backend",
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: wall-clock budget for the flow backend's k=48 scale trial — the CI
 #: smoke fails if the fluid backend can no longer finish inside it
 FLOW_SCALE_BUDGET_S = 120.0
 
-#: absolute acceptance floor on the flow backend's projected speedup
-#: (the ISSUE's ">= 10x faster than the packet backend's extrapolated
-#: cost"); gated directly, not baseline-relative — see check_regression
+#: absolute floor on the measured packet/fluid wall ratio of one
+#: recovery trial run on both backends
 FLOW_MIN_RATIO = 10.0
 
-#: absolute acceptance floor on the vectorized fair-share engine's
-#: speedup over the python reference at bench scale (>= 10k flows);
-#: gated directly like flow_backend — a python/numpy ratio measured on
-#: one box is its own yardstick
+#: absolute floor on the vectorized fair-share engine's speedup over the
+#: python reference at bench scale (>= 10k flows): a python/numpy ratio
+#: measured on one box is its own yardstick
 FAIRSHARE_MIN_RATIO = 5.0
 
+#: the fabric both backends run for the measured ratio (k=8 measures
+#: only ~10x, too close to the floor to gate)
+RATIO_PORTS = 12
 
-def _hit_rate_dict(hits: int, misses: int) -> Dict[str, Any]:
-    """Counter pair + derived hit rate, as reports render it."""
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": round(hits / total, 4) if total else 0.0,
-    }
+#: the production-scale fabric only the fluid backend runs
+SCALE_PORTS = 48
 
 
 def _best_of(repeats: int, fn: Callable[[], Tuple[float, int]]) -> Tuple[float, int]:
@@ -99,349 +65,6 @@ def _best_of(repeats: int, fn: Callable[[], Tuple[float, int]]) -> Tuple[float, 
             best = result
     assert best is not None
     return best
-
-
-# --------------------------------------------------------------- event loop
-
-
-@dataclass(order=True)
-class _NaiveEvent:
-    """The pre-optimization heap entry: comparison runs generated
-    dataclass ``__lt__`` (attribute loads + tuple building per call)."""
-
-    time: int
-    priority: int
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
-
-
-class _NaiveHandle:
-    """The former EventHandle, against the dataclass event."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _NaiveEvent, sim: "_NaiveSimulator") -> None:
-        self._event = event
-        self._sim = sim
-
-
-class _NaiveSimulator:
-    """Faithful reimplementation of the former event loop: dataclass
-    entries (generated ``__lt__`` on every heap comparison), head peek +
-    pop with per-iteration ``self`` attribute traffic, per-event counter
-    update, ``schedule`` delegating to ``schedule_at``."""
-
-    def __init__(self) -> None:
-        self._queue: List[_NaiveEvent] = []
-        self._now = 0
-        self._sequence = 0
-        self._events_processed = 0
-
-    def schedule(
-        self, delay: int, callback: Callable[..., None], *args: Any
-    ) -> _NaiveHandle:
-        if delay < 0:
-            raise ValueError(delay)
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_at(
-        self, when: int, callback: Callable[..., None], *args: Any
-    ) -> _NaiveHandle:
-        if when < self._now:
-            raise ValueError(when)
-        event = _NaiveEvent(when, 10, self._sequence, callback, args)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
-        return _NaiveHandle(event, self)
-
-    def run(self) -> None:
-        enabled = False
-        while self._queue:
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            heapq.heappop(self._queue)
-            self._now = event.time
-            event.done = True
-            event.callback(*event.args)
-            self._events_processed += 1
-            if enabled:  # pragma: no cover - obs disabled in benchmarks
-                pass
-
-
-def bench_event_loop(events: int, repeats: int) -> Dict[str, Any]:
-    """Dispatch rate: drain a prefilled heap of ``events`` no-op events.
-
-    Scheduling happens outside the timed region, so the measurement
-    isolates the loop the tentpole rewrote — heap pop, lifecycle flip,
-    dispatch — against the former dataclass-entry loop, at a heap depth
-    where the ``__lt__``-per-sift cost of the old entries is what a long
-    campaign actually paid.
-    """
-    from .sim.engine import Simulator
-
-    def noop() -> None:
-        return None
-
-    def optimized() -> Tuple[float, int]:
-        sim = Simulator()
-        for i in range(events):
-            sim.schedule((i * 7919) % 65536, noop)
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim.events_processed
-
-    def naive() -> Tuple[float, int]:
-        sim = _NaiveSimulator()
-        for i in range(events):
-            sim.schedule((i * 7919) % 65536, noop)
-        t0 = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - t0, sim._events_processed
-
-    fast_s, fast_n = _best_of(repeats, optimized)
-    slow_s, slow_n = _best_of(repeats, naive)
-    assert fast_n == slow_n == events
-    return {
-        "events": events,
-        "optimized_s": round(fast_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_eps": round(events / fast_s),
-        "naive_eps": round(events / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-    }
-
-
-# --------------------------------------------------------------- forwarding
-
-
-def _naive_neighbor_alive(node: "SwitchNode", peer: str) -> bool:
-    """The pre-optimization liveness check: build the full live-link
-    list for the peer, then test it for truthiness."""
-    name = node.name
-    live = [
-        link
-        for link in node.links_by_peer.get(peer, ())
-        if link.detected_up_by(name)
-    ]
-    return bool(live)
-
-
-def _naive_resolve_indexed(
-    switch: "SwitchNode", packet: "Packet"
-) -> "Tuple[Optional[FibEntry], Optional[str], int]":
-    """The pre-optimization resolve: uncached LPM walk per packet, full
-    list allocation at every pruning step."""
-    from .net.ecmp import select_next_hop
-    from .net.fib import LOCAL
-
-    depth = 0
-    for entry in switch.fib.matches(packet.dst):
-        live = [
-            nh
-            for nh in entry.next_hops
-            if nh == LOCAL or _naive_neighbor_alive(switch, nh)
-        ]
-        if live:
-            return entry, select_next_hop(live, packet.flow_key, switch.salt), depth
-        depth += 1
-    return None, None, depth
-
-
-#: detection flaps interleaved into each timed forwarding pass
-_FORWARDING_PHASES = 4
-
-
-def bench_forwarding(packets: int, repeats: int) -> Dict[str, Any]:
-    """Per-packet resolution on a converged F²Tree aggregation switch.
-
-    Measures exactly the per-packet work ``SwitchNode.forward`` does to
-    pick (entry, next hop): LPM fall-through plus liveness pruning plus
-    ECMP.  The packet set sprays many flows over every rack prefix, so
-    both paths see the realistic destination mix.
-
-    Each timed pass replays the packet set across ``_FORWARDING_PHASES``
-    phases separated by a detection flap (``force_detection`` down/up on
-    one of the switch's links — no simulator events, no routing-agent
-    notification).  A flap bumps the adjacency epoch, which is exactly
-    the production invalidation pattern: the per-destination resolve
-    cache must re-prune liveness, but the FIB generation is untouched,
-    so the re-walk is served by the :meth:`repro.net.fib.Fib.chain`
-    match-chain cache.  Without the flaps the resolve cache absorbs
-    every repeat and the chain cache's reported hit rate is a
-    meaningless 0.0 — with them, both cache layers do the work they do
-    in a failure-churn experiment, and both fns see identical phases so
-    the ratio stays fair.
-    """
-    from .core.f2tree import f2tree
-    from .experiments.common import build_bundle
-    from .net.packet import PROTO_UDP, Packet
-    from .topology.graph import NodeKind
-
-    topo = f2tree(8, hosts_per_tor=1)
-    bundle = build_bundle(topo)
-    bundle.converge()
-    switch = bundle.network.switch(topo.pod_members(NodeKind.AGG, 0)[0].name)
-    src_ip = bundle.network.host(
-        [h for h in topo.nodes.values() if h.kind == NodeKind.HOST][0].name
-    ).ip
-    tors = [t for t in topo.tors() if t.subnet is not None]
-    probe = []
-    for i in range(packets):
-        tor = tors[i % len(tors)]
-        probe.append(
-            Packet(
-                src=src_ip,
-                dst=tor.subnet.address(2),
-                protocol=PROTO_UDP,
-                size_bytes=1500,
-                sport=10_000 + (i % 97),
-                dport=7_000 + (i % 31),
-            )
-        )
-    # the flapped link: detection drops and immediately recovers between
-    # phases, so every phase forwards over the same live topology
-    flap_link = switch.links_by_peer[sorted(switch.links_by_peer)[0]][0]
-    total = packets * _FORWARDING_PHASES
-
-    def optimized() -> Tuple[float, int]:
-        resolve = switch._resolve_indexed
-        t0 = time.perf_counter()
-        n = 0
-        for phase in range(_FORWARDING_PHASES):
-            if phase:
-                flap_link.force_detection(False)
-                flap_link.force_detection(True)
-            for packet in probe:
-                entry, _hop, _depth = resolve(packet)
-                if entry is not None:
-                    n += 1
-        return time.perf_counter() - t0, n
-
-    def naive() -> Tuple[float, int]:
-        t0 = time.perf_counter()
-        n = 0
-        for phase in range(_FORWARDING_PHASES):
-            if phase:
-                flap_link.force_detection(False)
-                flap_link.force_detection(True)
-            for packet in probe:
-                entry, _hop, _depth = _naive_resolve_indexed(switch, packet)
-                if entry is not None:
-                    n += 1
-        return time.perf_counter() - t0, n
-
-    fast_s, fast_n = _best_of(repeats, optimized)
-    slow_s, slow_n = _best_of(repeats, naive)
-    assert fast_n == slow_n == total
-    fib = switch.fib
-    return {
-        "packets": packets,
-        "phases": _FORWARDING_PHASES,
-        "resolutions": total,
-        "optimized_s": round(fast_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_pps": round(total / fast_s),
-        "naive_pps": round(total / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-        # lifetime match-chain cache counters over the whole section
-        # (convergence warm-up + every timed pass); nonzero hits because
-        # the detection flaps invalidate the resolve cache while the FIB
-        # generation — the chain cache's key — holds
-        "cache": _hit_rate_dict(fib.chain_hits, fib.chain_misses),
-    }
-
-
-# ---------------------------------------------------------------------- SPF
-
-
-def bench_spf(rounds: int, repeats: int) -> Dict[str, Any]:
-    """Repeated oracle queries over a stable graph, cached vs. not.
-
-    The workload is what the convergence-agreement invariant, the
-    centralized controller and an LSA-refresh storm all do: recompute
-    every switch's route table while the two-way graph hasn't changed.
-    Sequence numbers are bumped between rounds to prove the cache keys
-    on content, not freshness.
-    """
-    from .core.f2tree import f2tree
-    from .net.ip import Prefix
-    from .routing.lsdb import Lsa, Lsdb
-    from .routing.spf import compute_routes
-    from .routing.spf_cache import SpfCache
-    from .topology.addressing import assign_addresses
-
-    topo = f2tree(8, hosts_per_tor=1)
-    assign_addresses(topo)
-    switches = sorted(
-        n.name for n in topo.nodes.values() if n.kind.is_switch
-    )
-
-    def build_lsdb(seq: int) -> Lsdb:
-        lsdb = Lsdb()
-        for name in switches:
-            node = topo.node(name)
-            prefixes = []
-            if node.subnet is not None:
-                prefixes.append(node.subnet)
-            assert node.ip is not None
-            prefixes.append(Prefix(node.ip, 32))
-            neighbors = tuple(sorted({
-                peer
-                for peer in topo.neighbors(name)
-                if topo.node(peer).kind.is_switch
-            }))
-            lsdb.insert(Lsa(name, seq, neighbors, tuple(prefixes)))
-        return lsdb
-
-    tables = rounds * len(switches)
-
-    def optimized() -> Tuple[float, int]:
-        cache = SpfCache()
-        t0 = time.perf_counter()
-        n = 0
-        for seq in range(1, rounds + 1):
-            lsdb = build_lsdb(seq)  # seq-only refresh: same fingerprint
-            for name in switches:
-                if cache.compute(name, lsdb):
-                    n += 1
-        return time.perf_counter() - t0, n
-
-    def naive() -> Tuple[float, int]:
-        t0 = time.perf_counter()
-        n = 0
-        for seq in range(1, rounds + 1):
-            lsdb = build_lsdb(seq)
-            for name in switches:
-                if compute_routes(name, lsdb):
-                    n += 1
-        return time.perf_counter() - t0, n
-
-    fast_s, fast_n = _best_of(repeats, optimized)
-    slow_s, slow_n = _best_of(repeats, naive)
-    assert fast_n == slow_n == tables
-    # physical cache counters, measured on a dedicated pass of the same
-    # workload (the timed passes each use a throwaway cache)
-    stats_cache = SpfCache()
-    for seq in range(1, rounds + 1):
-        lsdb = build_lsdb(seq)
-        for name in switches:
-            stats_cache.compute(name, lsdb)
-    return {
-        "rounds": rounds,
-        "switches": len(switches),
-        "tables": tables,
-        "optimized_s": round(fast_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_sps": round(tables / fast_s),
-        "naive_sps": round(tables / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-        "cache": _hit_rate_dict(stats_cache.hits, stats_cache.misses),
-    }
 
 
 # ------------------------------------------------------- fair-share solver
@@ -462,10 +85,7 @@ def bench_fairshare_vector(flows: int, repeats: int) -> Dict[str, Any]:
     The python side is the fairshare module's reference water-filler,
     which no simulation path reaches.  The two agree **bitwise** (the
     module's contract; asserted here before any timing is reported), so
-    the ratio is pure speed — no accuracy trade is being measured.  Gated
-    as an absolute floor (``FAIRSHARE_MIN_RATIO``) at >= 10k flows, not
-    against the committed baseline: python-vs-numpy on one box is its
-    own yardstick.
+    the ratio is pure speed — no accuracy trade is being measured.
     """
     from .sim.flow.fairshare import _allocate, _solve_numpy, _solve_python
 
@@ -519,107 +139,82 @@ def bench_fairshare_vector(flows: int, repeats: int) -> Dict[str, Any]:
 # ------------------------------------------------------------- flow backend
 
 
-def bench_flow_backend(quick: bool = False) -> Dict[str, Any]:
-    """The fluid backend's scale win, measured against an extrapolation.
+def _loss_ms(loss: Optional[int]) -> Optional[float]:
+    return round(loss / 1e6, 3) if loss is not None else None
 
-    The packet backend cannot *run* a k=48 recovery trial in bench time
-    (cold-start LSA flooding alone is Θ(V·E) events), so the comparison
-    is honest about being an extrapolation — and the extrapolation is
-    built on the one observable that is both deterministic and actually
-    drives the cost: **events processed**.  Wall-clock at small k is
-    useless as a fit basis (it is dominated by the constant per-trial
-    probe traffic, so k=4 and k=6 measure the same); event counts of
-    traffic-free cold-start convergence + failure reconvergence trials
-    (:func:`repro.experiments.flowscale.run_packet_control_trial`) scale
-    cleanly (≈ switches^2.6 in the measured range) and fit a power law
-    ``events = c * switches^p`` exactly in log-log space.
 
-    The projection is then deliberately conservative on *both* axes:
-    projected packet seconds = fitted events at k=48 divided by the
-    **fastest** measured packet event throughput, and the probe
-    traffic's own events (~375k for 25000 packets) are omitted entirely
-    — every simplification underestimates the packet cost, so the gated
-    ``ratio`` (projected packet / measured fluid wall including all of
-    its setup) is a floor on the true speedup.  ``within_budget``
-    additionally enforces an absolute wall-clock ceiling on the k=48
-    fluid trial so the ratio can't be "won" by both sides slowing down.
+def bench_flow_backend() -> Dict[str, Any]:
+    """The fluid backend's speed, measured where both backends can run.
 
-    k=48 (2880 switches, 56k links, 3.3M FIB entries) is the scale bar
-    this section moved to once the vectorized fair-share engine and the
-    bulk warm-start loaders (``Lsdb.load``, ``Fib.bulk_load``, the
-    fabric-wide canonical prefix order) landed; it is the largest fabric
-    in the paper's production-scale discussion.
+    Runs :func:`~repro.experiments.recovery.run_recovery` on
+    ``fat_tree(RATIO_PORTS, hosts_per_tor=1)`` (UDP, the paper's
+    downward rack-link failure) once per backend: the packet bundle
+    cold-starts and floods, the fluid one warm-starts, and everything
+    after — failure, detection, SPF hold, FIB download — runs the same
+    control plane.  Each wall clock includes the whole trial, set-up
+    included, but not the topology build.  Both runs must agree on
+    :func:`~repro.check.differential.classify_recovery_time` before the
+    ratio means anything, so that is asserted first.
+
+    The k=48 scale trial runs on the fluid backend alone and is reported
+    as a wall time and peak RSS against ``FLOW_SCALE_BUDGET_S``.
     """
-    import math
+    import gc
     import resource
 
-    from .experiments.flowscale import (
-        run_flow_scale_trial,
-        run_packet_control_trial,
-    )
+    from .check.differential import classify_recovery_time
+    from .dataplane.params import NetworkParams
+    from .experiments.flowscale import run_flow_scale_trial
+    from .experiments.recovery import run_recovery
+    from .topology.fattree import fat_tree
 
-    packet_ports = (4, 6, 8) if quick else (4, 6, 8, 10)
-    target_ports = 48
-
-    measured: List[Dict[str, Any]] = []
-    for ports in packet_ports:
+    params = NetworkParams()
+    walls: Dict[str, float] = {}
+    runs: Dict[str, Dict[str, Any]] = {}
+    for backend in ("packet", "flow"):
+        topology = fat_tree(RATIO_PORTS, hosts_per_tor=1)
+        # each side starts from a collected heap, so neither pays for
+        # the previous section's garbage
+        gc.collect()
         t0 = time.perf_counter()
-        switches, links, events = run_packet_control_trial(ports)
-        wall = time.perf_counter() - t0
-        measured.append({
-            "ports": ports,
-            "switches": switches,
-            "links": links,
-            "events": events,
-            "wall_s": round(wall, 3),
-            "events_per_s": round(events / wall),
-        })
-
-    # least-squares power-law fit of events(switches) in log-log space
-    xs = [math.log(m["switches"]) for m in measured]
-    ys = [math.log(m["events"]) for m in measured]
-    n = len(measured)
-    mean_x, mean_y = sum(xs) / n, sum(ys) / n
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    exponent = (
-        sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var_x
+        trial = run_recovery(
+            topology, "udp", params=params.with_overrides(backend=backend)
+        )
+        walls[backend] = time.perf_counter() - t0
+        runs[backend] = {
+            "class": classify_recovery_time(trial.connectivity_loss, params),
+            "loss_ms": _loss_ms(trial.connectivity_loss),
+            "packets": f"{trial.packets_received}/{trial.packets_sent}",
+        }
+    assert runs["packet"]["class"] == runs["flow"]["class"], (
+        "backend disagreement: the two backends recover the same trial in "
+        f"different classes ({runs['packet']} vs {runs['flow']}) — a "
+        "fidelity bug, not a perf regression"
     )
-    intercept = mean_y - exponent * mean_x
-    target_switches = 5 * target_ports * target_ports // 4
-    projected_events = math.exp(
-        intercept + exponent * math.log(target_switches)
-    )
-    best_eps = max(m["events_per_s"] for m in measured)
-    projected_s = projected_events / best_eps
 
     t0 = time.perf_counter()
-    scale = run_flow_scale_trial(ports=target_ports)
-    flow_s = time.perf_counter() - t0
+    scale = run_flow_scale_trial(ports=SCALE_PORTS)
+    scale_s = time.perf_counter() - t0
     # the process high-water mark: the k=48 fabric dwarfs every other
     # section, so this is the scale trial's footprint (KiB on Linux)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     return {
-        "packet_trials": measured,
-        "fit_exponent": round(exponent, 3),
-        "target_ports": target_ports,
-        "target_switches": target_switches,
-        "projected_packet_events": round(projected_events),
-        "packet_events_per_s": best_eps,
-        "projected_packet_s": round(projected_s, 1),
-        "flow_s": round(flow_s, 3),
-        "peak_rss_mb": round(peak_rss_mb, 1),
-        "ratio": round(projected_s / flow_s, 2),
-        "budget_s": FLOW_SCALE_BUDGET_S,
-        "within_budget": flow_s <= FLOW_SCALE_BUDGET_S,
+        "ports": RATIO_PORTS,
+        "packet_s": round(walls["packet"], 3),
+        "flow_s": round(walls["flow"], 3),
+        "ratio": round(walls["packet"] / walls["flow"], 2),
+        "packet": runs["packet"],
+        "flow": runs["flow"],
         "scale_trial": {
+            "ports": SCALE_PORTS,
             "switches": scale.n_switches,
             "links": scale.n_links,
-            "loss_ms": (
-                round(scale.connectivity_loss / 1e6, 3)
-                if scale.connectivity_loss is not None
-                else None
-            ),
+            "wall_s": round(scale_s, 3),
+            "peak_rss_mb": round(peak_rss_mb, 1),
+            "budget_s": FLOW_SCALE_BUDGET_S,
+            "within_budget": scale_s <= FLOW_SCALE_BUDGET_S,
+            "loss_ms": _loss_ms(scale.connectivity_loss),
             "packets": f"{scale.packets_received}/{scale.packets_sent}",
             "events_processed": scale.events_processed,
             "batch_spf_runs": scale.batch_spf_runs,
@@ -670,140 +265,86 @@ def bench_campaign(workers: int) -> Dict[str, Any]:
 
 
 def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, Any]:
-    """Run every section; ``quick`` shrinks the workloads for CI smoke
-    (and drops the campaign comparison, which dominates wall-clock)."""
+    """Run every section; ``quick`` shrinks the fair-share instance for CI
+    smoke (and drops the campaign comparison, which dominates wall-clock).
+    ``flow_backend`` is the same in both modes."""
     import os
 
-    if quick:
-        result: Dict[str, Any] = {
-            "quick": True,
-            "event_loop": bench_event_loop(events=20_000, repeats=2),
-            "forwarding": bench_forwarding(packets=4_000, repeats=2),
-            "spf": bench_spf(rounds=6, repeats=2),
-            # quick still runs >= 10k flows: the fairshare gate's floor
-            # is only meaningful at a scale where rounds are plentiful
-            "fairshare_vector": bench_fairshare_vector(flows=10_000, repeats=1),
-            "flow_backend": bench_flow_backend(quick=True),
-        }
-        campaign = False
-    else:
-        result = {
-            "quick": False,
-            "event_loop": bench_event_loop(events=20_000, repeats=5),
-            "forwarding": bench_forwarding(packets=10_000, repeats=3),
-            "spf": bench_spf(rounds=10, repeats=3),
-            "fairshare_vector": bench_fairshare_vector(flows=16_000, repeats=2),
-            "flow_backend": bench_flow_backend(quick=False),
-        }
-    result["cpu_count"] = os.cpu_count() or 1
-    if campaign:
+    result: Dict[str, Any] = {
+        "quick": quick,
+        # quick still runs >= 10k flows: the fairshare floor is only
+        # meaningful at a scale where rounds are plentiful
+        "fairshare_vector": bench_fairshare_vector(
+            flows=10_000 if quick else 16_000, repeats=1 if quick else 2
+        ),
+        "flow_backend": bench_flow_backend(),
+        "cpu_count": os.cpu_count() or 1,
+    }
+    if campaign and not quick:
         result["campaign"] = bench_campaign(
             workers=min(4, os.cpu_count() or 1)
         )
     return result
 
 
-def check_regression(
-    fresh: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> List[str]:
-    """Ratio-based regression check; returns human-readable failures.
-
-    Only the optimized-vs-naive *ratios* are compared — both runs of a
-    section execute on the same machine, so the ratio cancels hardware
-    out and a committed baseline from any box is a valid yardstick.
-    """
+def check_floors(result: Dict[str, Any]) -> List[str]:
+    """The absolute floors ``repro bench`` gates on; returns one
+    human-readable line per failure (empty when every floor holds)."""
     failures: List[str] = []
-    for section in GATED_SECTIONS:
-        if section in ("flow_backend", "fairshare_vector"):
-            # gated against absolute floors below, not the baseline:
-            # flow_backend's ratio compares a measurement against a
-            # same-box projection, and fairshare_vector's python/numpy
-            # ratio is its own yardstick — a committed baseline from
-            # other hardware adds nothing to either
-            continue
-        base = baseline.get(section, {}).get("ratio")
-        got = fresh.get(section, {}).get("ratio")
-        if base is None or got is None:
-            failures.append(f"{section}: missing ratio (baseline={base}, fresh={got})")
-            continue
-        floor = (1.0 - tolerance) * base
-        if got < floor:
-            failures.append(
-                f"{section}: ratio {got:.2f} fell below {floor:.2f} "
-                f"(baseline {base:.2f}, tolerance {tolerance:.0%})"
-            )
-    fair = fresh.get("fairshare_vector")
+    fair = result.get("fairshare_vector")
     if fair is None:
-        failures.append("fairshare_vector: section missing from fresh result")
+        failures.append("fairshare_vector: section missing from the result")
     elif fair["ratio"] < FAIRSHARE_MIN_RATIO:
         failures.append(
             f"fairshare_vector: speedup {fair['ratio']:.1f}x at "
             f"{fair['flows']:,} flows is below the "
-            f"{FAIRSHARE_MIN_RATIO:.0f}x acceptance floor"
+            f"{FAIRSHARE_MIN_RATIO:.0f}x floor"
         )
-    flow = fresh.get("flow_backend")
+    flow = result.get("flow_backend")
     if flow is None:
-        failures.append("flow_backend: section missing from fresh result")
-    else:
-        if flow["ratio"] < FLOW_MIN_RATIO:
-            failures.append(
-                f"flow_backend: projected speedup {flow['ratio']:.1f}x is "
-                f"below the {FLOW_MIN_RATIO:.0f}x acceptance floor"
-            )
-        if not flow.get("within_budget", True):
-            failures.append(
-                f"flow_backend: k={flow.get('target_ports')} fluid trial took "
-                f"{flow.get('flow_s')}s, over the {flow.get('budget_s')}s budget"
-            )
+        failures.append("flow_backend: section missing from the result")
+        return failures
+    if flow["ratio"] < FLOW_MIN_RATIO:
+        failures.append(
+            f"flow_backend: measured packet/fluid ratio {flow['ratio']:.1f}x "
+            f"on k={flow['ports']} is below the {FLOW_MIN_RATIO:.0f}x floor"
+        )
+    scale = flow["scale_trial"]
+    if not scale["within_budget"]:
+        failures.append(
+            f"flow_backend: k={scale['ports']} fluid trial took "
+            f"{scale['wall_s']}s, over the {scale['budget_s']}s budget"
+        )
     return failures
 
 
 def render(result: Dict[str, Any]) -> str:
     """Human-readable summary of a bench result."""
     lines = [
-        "Hot-path benchmarks (optimized vs naive reference"
+        "Throughput benchmarks (measured floors"
         f"{', quick' if result.get('quick') else ''}):"
     ]
-    ev = result["event_loop"]
-    lines.append(
-        f"  event loop: {ev['optimized_eps']:>10,} events/s "
-        f"(naive {ev['naive_eps']:,}/s) -> {ev['ratio']:.1f}x"
-    )
-    fw = result["forwarding"]
-    lines.append(
-        f"  forwarding: {fw['optimized_pps']:>10,} packets/s "
-        f"(naive {fw['naive_pps']:,}/s) -> {fw['ratio']:.1f}x"
-    )
-    spf = result["spf"]
-    lines.append(
-        f"  SPF oracle: {spf['optimized_sps']:>10,} tables/s "
-        f"(naive {spf['naive_sps']:,}/s) -> {spf['ratio']:.1f}x"
-    )
-    spf_cache = spf.get("cache")
-    fw_cache = fw.get("cache")
-    if spf_cache and fw_cache:
-        lines.append(
-            f"  caches:     SPF {spf_cache['hit_rate']:.1%} hit rate "
-            f"({spf_cache['hits']:,}/{spf_cache['hits'] + spf_cache['misses']:,}), "
-            f"FIB chain {fw_cache['hit_rate']:.1%} "
-            f"({fw_cache['hits']:,}/{fw_cache['hits'] + fw_cache['misses']:,})"
-        )
     fair = result.get("fairshare_vector")
     if fair:
         lines.append(
             f"  fair share: {fair['optimized_fps']:>10,} flows/s "
             f"(python {fair['naive_fps']:,}/s) -> {fair['ratio']:.1f}x "
-            f"at {fair['flows']:,} flows"
+            f"at {fair['flows']:,} flows (floor {FAIRSHARE_MIN_RATIO:.0f}x)"
         )
     flow = result.get("flow_backend")
     if flow:
         lines.append(
-            f"  fluid k={flow['target_ports']}: {flow['flow_s']:.1f}s measured "
-            f"vs {flow['projected_packet_s']:.0f}s projected packet "
-            f"-> {flow['ratio']:.1f}x (budget {flow['budget_s']:.0f}s, "
-            f"{'within' if flow['within_budget'] else 'OVER'})"
+            f"  recovery k={flow['ports']}: packet {flow['packet_s']:.2f}s, "
+            f"fluid {flow['flow_s']:.2f}s -> {flow['ratio']:.1f}x "
+            f"(both {flow['flow']['class']}, {flow['packet']['loss_ms']} / "
+            f"{flow['flow']['loss_ms']} ms; floor {FLOW_MIN_RATIO:.0f}x)"
+        )
+        scale = flow["scale_trial"]
+        lines.append(
+            f"  fluid k={scale['ports']}: {scale['wall_s']:.1f}s wall, "
+            f"{scale['peak_rss_mb']:.0f} MiB peak RSS "
+            f"(budget {scale['budget_s']:.0f}s, "
+            f"{'within' if scale['within_budget'] else 'OVER'})"
         )
     camp = result.get("campaign")
     if camp:

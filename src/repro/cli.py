@@ -360,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="hot-path throughput benchmarks (event loop, forwarding, "
-        "SPF) with a ratio-based perf-regression gate",
+        help="throughput benchmarks (fair-share solver, measured "
+        "fluid/packet ratio, k=48 fluid trial); exit 1 when an absolute "
+        "floor fails",
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -370,16 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-campaign", action="store_true",
         help="skip the serial-vs-parallel campaign comparison",
-    )
-    bench.add_argument(
-        "--baseline", type=pathlib.Path, default=None,
-        help="committed BENCH_hotpath.json to gate against; exit 1 when "
-        "any optimized/naive ratio regressed past --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed fractional ratio regression vs the baseline "
-        "(default 0.30)",
     )
     bench.add_argument(
         "--json", action="store_true",
@@ -517,11 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from .experiments.testbed import run_testbed
-    from .obs import Observability, render_breakdown
+    from .obs import Observability, TraceAnalysisError, render_breakdown
     from .sim.units import to_microseconds
 
     obs = Observability(enabled=True)
-    result = run_testbed(args.topology, args.transport, obs=obs)
+    try:
+        result = run_testbed(args.topology, args.transport, obs=obs)
+    except TraceAnalysisError as exc:
+        print(f"cannot attribute the recovery: {exc}", file=sys.stderr)
+        return 2
     assert result.breakdown is not None
     if args.json:
         print(result.breakdown.to_json())
@@ -695,41 +690,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        DEFAULT_TOLERANCE,
-        check_regression,
-        render,
-        run_hotpath_bench,
-        to_json,
-    )
+    from .bench import check_floors, render, run_hotpath_bench, to_json
 
     result = run_hotpath_bench(
         quick=args.quick, campaign=not args.no_campaign
     )
     print(to_json(result) if args.json else render(result))
     _write_json(args.out, to_json(result), "bench result")
-    if args.baseline is not None:
-        try:
-            import json as _json
-
-            baseline = _json.loads(args.baseline.read_text())
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-        tolerance = (
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        )
-        failures = check_regression(result, baseline, tolerance)
-        for failure in failures:
-            print(f"PERF REGRESSION {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(
-            f"no perf regression vs {args.baseline} "
-            f"(tolerance {tolerance:.0%})",
-            file=sys.stderr,
-        )
-    return 0
+    failures = check_floors(result)
+    for failure in failures:
+        print(f"BELOW FLOOR {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

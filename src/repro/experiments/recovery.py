@@ -109,7 +109,9 @@ def run_recovery(
     ``routing`` selects the control plane (see
     :func:`repro.experiments.common.build_bundle`).  Passing an *enabled*
     ``obs`` records a trace and fills ``result.breakdown`` with the
-    per-phase recovery attribution.
+    per-phase recovery attribution (on the packet backend; raises
+    :class:`~repro.obs.TraceAnalysisError` when the trace ring wrapped
+    past the failure).
     """
     if transport not in ("udp", "tcp"):
         raise ValueError(f"unknown transport {transport!r}")

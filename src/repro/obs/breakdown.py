@@ -182,6 +182,8 @@ def analyze_recovery(
     loaded from JSONL).  ``dst``/``dport`` select the monitored flow's
     delivery events (default: the node receiving the most deliveries, any
     port).  ``failure_time`` overrides the first ``link.fail`` event.
+    Raises :class:`TraceAnalysisError` when the trace begins after the
+    failure (a wrapped ring lost the run-up to the outage).
     """
     evts = list(events)
     evts.sort(key=lambda e: e.time)
@@ -191,6 +193,14 @@ def analyze_recovery(
         if not fails:
             raise TraceAnalysisError("trace has no link.fail event")
         failure_time = fails[0].time
+    if evts and evts[0].time > failure_time:
+        # a wrapped ring evicted the run-up to the outage: the phases
+        # would be attributed from whatever survived, silently wrong
+        raise TraceAnalysisError(
+            f"trace begins at {evts[0].time / _MILLISECOND:.3f} ms, after "
+            f"the failure at {failure_time / _MILLISECOND:.3f} ms — the "
+            "trace ring wrapped; record with a larger capacity"
+        )
     failed_links = tuple(e.node for e in fails if e.time >= failure_time)
 
     if dst is None:

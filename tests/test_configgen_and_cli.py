@@ -160,6 +160,24 @@ class TestCliRecoverReport:
         text = capsys.readouterr().out
         assert "fast-reroute" in text and "detect" in text
 
+    def test_recover_with_a_wrapped_ring_exits_2(self, monkeypatch, capsys):
+        """A 20k-event ring evicts the fat-tree run's first ~5k events,
+        the failure among them: one diagnostic line and exit 2, not a
+        breakdown with mechanism ``none``."""
+        import functools
+
+        import repro.obs
+
+        monkeypatch.setattr(
+            repro.obs, "Observability",
+            functools.partial(repro.obs.Observability, capacity=20_000),
+        )
+        assert main(["recover", "--topology", "fat-tree"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "ring wrapped" in err[0]
+
     def test_report_rejects_undecipherable_trace(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

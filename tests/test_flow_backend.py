@@ -16,7 +16,8 @@ FIBs.  This suite pins that along three axes:
   failure — for bare networks, and for whole bundles: a fluid bundle
   (warm) against its packet twin (cold, the reference) on all four
   fuzz families, and a fluid Fig 6 cell against the same cell on a
-  cold-started fluid network;
+  cold-started fluid network; and the hand-built scale trial
+  (``run_flow_scale_trial``) against the bundle path at k=8;
 * the seeded ``flow-fairshare-corrupted`` mutant proves the harness
   would actually notice a broken fluid solver.
 """
@@ -52,7 +53,8 @@ from repro.experiments.common import (
     leftmost_host,
     rightmost_host,
 )
-from repro.experiments.recovery import default_failed_links
+from repro.experiments.flowscale import run_flow_scale_trial
+from repro.experiments.recovery import default_failed_links, run_recovery
 from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.fib import FibDelta, FibEntry
 from repro.net.packet import PROTO_UDP
@@ -537,6 +539,23 @@ def test_fig6_cell_is_the_same_from_a_cold_started_fluid_network(
         "batch_spf_hits": -warm.backend_stats["batch_spf_hits"],
     }
     assert 0 < warm.backend_stats["batch_spf_runs"] < warm.backend_stats["batch_spf_hits"]
+
+
+def test_flow_scale_trial_matches_the_fluid_recovery_bundle():
+    """``run_flow_scale_trial`` builds its network by hand; at k=8 it
+    must report what ``run_recovery`` reports for the same trial through
+    ``build_bundle`` on the fluid backend (warm start, 200 ms warm-up)."""
+    scale = run_flow_scale_trial(ports=8)
+    bundled = run_recovery(
+        fat_tree(8, hosts_per_tor=1), "udp",
+        params=NetworkParams(backend="flow"), warmup=milliseconds(200),
+    )
+    assert scale.failed_links == bundled.failed_links
+    assert scale.failure_time == bundled.failure_time
+    assert scale.connectivity_loss == bundled.connectivity_loss == 270_134_000
+    assert (scale.packets_received, scale.packets_sent) == (22_295, 25_000)
+    assert (bundled.packets_received, bundled.packets_sent) == (22_295, 25_000)
+    assert scale.path_after_complete and bundled.path_after[1]
 
 
 # --------------------------------------------------------- seeded mutant

@@ -33,6 +33,7 @@ from repro.obs.trace import (
     EV_SPF_RUN,
     EV_SPF_SCHEDULE,
     TraceEvent,
+    replay,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -165,6 +166,20 @@ class TestAnalyzerSelectors:
     def test_missing_deliveries_raises(self):
         with pytest.raises(TraceAnalysisError):
             analyze_recovery([TraceEvent(ms(1), EV_LINK_FAIL, "x<->y")])
+
+    def test_wrapped_ring_raises_instead_of_misattributing(self):
+        """A ring that evicted everything up to past the failure holds
+        only post-outage deliveries: without the check it reports
+        mechanism ``none`` with no phases."""
+        recorder = replay(spf_trace(), capacity=20)
+        assert recorder.evicted > 0
+        assert next(iter(recorder)).time > ms(10)
+        with pytest.raises(TraceAnalysisError, match="ring wrapped"):
+            analyze_recovery(recorder, failure_time=ms(10))
+
+    def test_trace_starting_at_the_failure_is_complete(self):
+        events = [e for e in spf_trace() if e.time >= ms(10)]
+        assert analyze_recovery(events, failure_time=ms(10)).failure_time == ms(10)
 
 
 @pytest.fixture(scope="module")
