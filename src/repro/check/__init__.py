@@ -37,7 +37,6 @@ from .invariants import (
     InvariantSuite,
     Violation,
     canonical_violations,
-    find_cycles,
 )
 from .mutants import MUTANTS, FaultMutant, MutantResult, check_mutant, render_selftest, run_selftest
 from .shrink import shrink_config
@@ -64,7 +63,6 @@ __all__ = [
     "check_mutant",
     "concretize",
     "execute_check",
-    "find_cycles",
     "generate_config",
     "load_bundle",
     "quiescence_bound",

@@ -9,8 +9,10 @@ Six invariants, each with a precise statement of *when* it applies:
     way", but the prefix-length fall-through rule guarantees a switch
     only uses a static ring route when every more-preferred ring
     neighbor is detected dead — so a cycle is a violation exactly when
-    one of its static edges is *unjustified* (a more-preferred ring
-    neighbor is still alive).  At quiescence the bar is higher: any
+    one of its static edges is *unjustified* under
+    :func:`~repro.core.backup_routes.ring_preference_violation` (a
+    more-preferred ring neighbor still alive, a hop off the ring, or a
+    static on a ring-less switch).  At quiescence the bar is higher: any
     cycle from which the destination is physically reachable is a
     violation, because converged routed state must win over statics.
 ``frr-window``
@@ -28,7 +30,9 @@ Six invariants, each with a precise statement of *when* it applies:
     ``Fib.matches`` enumerates exactly the entries containing the
     address in strictly longest-prefix-first order, and the switch's
     indexed resolver picks the first live match with the deterministic
-    ECMP hash over its live next hops.
+    ECMP hash over its live next hops — the differential between the
+    data plane's own walk and the checkers' shared
+    :func:`~repro.net.forwarding.live_match`.
 ``convergence-agreement``
     At quiescence every link-state router's installed routes equal the
     routes a centralized global-SPF oracle computes from an idealized
@@ -46,20 +50,22 @@ Six invariants, each with a precise statement of *when* it applies:
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, TYPE_CHECKING, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Sequence, Set, TYPE_CHECKING, Tuple
 
-from ..core.backup_routes import ring_neighbors_of
+from ..core.backup_routes import ring_neighbors_of, ring_preference_violation
 from ..net.ecmp import select_next_hop
-from ..net.fib import LOCAL, Fib, FibEntry
+from ..net.fib import Fib, FibEntry
+from ..net.forwarding import LOOP, Defect, forwarding_graph, live_match, scan
 from ..net.packet import PROTO_UDP, Packet
 from ..routing.lsdb import Lsa, Lsdb
 from ..routing.spf_cache import compute_routes_cached
 from ..sim.units import Time
-from ..topology.graph import NodeKind
+from ..topology.graph import NodeKind, reachable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dataplane.link import RuntimeLink
     from ..failures.scenarios import ConditionScenario
     from ..net.ip import IPv4Address
     from .execute import CheckEnv
@@ -82,6 +88,8 @@ ALL_INVARIANTS = (
 
 #: source tag of the ring backup routes
 _STATIC = "static"
+#: forwarding loops reported per destination and check
+MAX_LOOPS = 5
 
 
 @dataclass(frozen=True)
@@ -112,63 +120,9 @@ def canonical_violations(violations: Sequence[Violation]) -> str:
     )
 
 
-#: forwarding graph: switch name -> [(next hop, entry used)]
-ForwardingEdges = Dict[str, List[Tuple[str, FibEntry]]]
-
-
-def find_cycles(
-    edges: ForwardingEdges, limit: int = 5
-) -> List[List[Tuple[str, str, FibEntry]]]:
-    """Cycles in a forwarding graph, as lists of (node, next hop, entry).
-
-    Iterative colored DFS from every node in sorted order; deterministic
-    and bounded (at most ``limit`` cycles reported).
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[str, int] = {}
-    cycles: List[List[Tuple[str, str, FibEntry]]] = []
-
-    def entry_for(node: str, successor: str) -> FibEntry:
-        for next_hop, entry in edges[node]:
-            if next_hop == successor:
-                return entry
-        raise KeyError((node, successor))
-
-    for root in sorted(edges):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        stack = [iter(edges[root])]
-        while stack:
-            advanced = False
-            for next_hop, _entry in stack[-1]:
-                state = color.get(next_hop, WHITE)
-                if next_hop not in edges:
-                    # terminal (host-facing or routeless) node
-                    color[next_hop] = BLACK
-                    continue
-                if state == GRAY:
-                    start = path.index(next_hop)
-                    members = path[start:]
-                    cycle = [
-                        (node, members[(i + 1) % len(members)],
-                         entry_for(node, members[(i + 1) % len(members)]))
-                        for i, node in enumerate(members)
-                    ]
-                    cycles.append(cycle)
-                    if len(cycles) >= limit:
-                        return cycles
-                elif state == WHITE:
-                    color[next_hop] = GRAY
-                    path.append(next_hop)
-                    stack.append(iter(edges[next_hop]))
-                    advanced = True
-                    break
-            if not advanced:
-                color[path.pop()] = BLACK
-                stack.pop()
-    return cycles
+def _actually_up(link: "RuntimeLink", _near: str, _far: str) -> bool:
+    """Ground truth, not detector belief."""
+    return link.actually_up
 
 
 class InvariantSuite:
@@ -204,85 +158,32 @@ class InvariantSuite:
         matching.sort(key=lambda e: -e.prefix.length)
         return matching
 
-    def _forwarding_edges(self, address: "IPv4Address") -> ForwardingEdges:
-        """The effective forwarding graph toward ``address``: for every
-        switch, the live next hops of its first live match (the entries
-        ECMP could spray over)."""
-        edges: ForwardingEdges = {}
-        for switch in self.env.network.switches():
-            for entry in self._reference_chain(switch.fib, address):
-                live = [
-                    nh for nh in entry.next_hops
-                    if nh == LOCAL or switch.neighbor_alive(nh)
-                ]
-                if live:
-                    edges[switch.name] = [
-                        (nh, entry) for nh in live if nh != LOCAL
-                    ]
-                    break
-        return edges
+    def _loops(self, address: "IPv4Address") -> List[Defect]:
+        """The first :data:`MAX_LOOPS` forwarding loops toward
+        ``address``, every switch resolving its brute-force chain."""
+        edges, delivers = forwarding_graph(
+            (switch.name, live_match(
+                self._reference_chain(switch.fib, address),
+                switch.neighbor_alive,
+            ))
+            for switch in self.env.network.switches()
+        )
+        loops = (
+            defect for defect in scan(edges.get, sorted(edges), delivers)
+            if defect.kind == LOOP
+        )
+        return list(islice(loops, MAX_LOOPS))
 
-    def _static_edge_unjustified(
-        self, switch_name: str, next_hop: str, entry: FibEntry
-    ) -> bool:
-        """A static ring edge is unjustified when a more-preferred ring
-        neighbor (earlier in the rightward-first order) is still alive —
-        the prefix-length fall-through rule would never take it."""
-        if entry.source != _STATIC:
-            return False
-        ring = ring_neighbors_of(self.env.topo, switch_name)
-        if ring is None:
-            return False
-        node = self.env.network.switch(switch_name)
-        for preferred in ring.ordered:
-            if preferred == next_hop:
-                return False
-            if node.neighbor_alive(preferred):
-                return True
-        return False
-
-    def _physical_component(self, start: str) -> Set[str]:
-        """Node names reachable from ``start`` over links that are
-        *actually* up (ground truth, not detector belief)."""
-        network = self.env.network
-        adjacency: Dict[str, List[str]] = {}
-        for link in network.links:
-            if not link.actually_up:
-                continue
-            a, b = link.spec.key
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for peer in adjacency.get(node, ()):
-                if peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return seen
-
-    def _detected_switch_graph_connected(self) -> bool:
-        """Whether the switch-to-switch graph is connected over links both
-        endpoints currently detect as up."""
-        network = self.env.network
-        switches = [s.name for s in network.switches()]
-        switch_set = set(switches)
-        adjacency: Dict[str, List[str]] = {name: [] for name in switches}
-        for link in network.links:
-            a, b = link.spec.key
-            if a in switch_set and b in switch_set:
-                if link.detected_up_by(a) and link.detected_up_by(b):
-                    adjacency[a].append(b)
-                    adjacency[b].append(a)
-        seen = {switches[0]}
-        queue = deque([switches[0]])
-        while queue:
-            for peer in adjacency[queue.popleft()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return len(seen) == len(switches)
+    def _component(
+        self, start: str, up: Callable[["RuntimeLink", str, str], bool]
+    ) -> Set[str]:
+        """Node names reachable from ``start`` over the links ``up(link,
+        near end, far end)`` keeps."""
+        nodes = self.env.network.nodes
+        return reachable(start, lambda name: [
+            peer for peer, links in nodes[name].links_by_peer.items()
+            if any(up(link, name, peer) for link in links)
+        ])
 
     # ------------------------------------------------------- loop freedom
 
@@ -290,19 +191,23 @@ class InvariantSuite:
         """Mid-convergence loop check: flags cycles containing an
         unjustified static edge (see class docstring)."""
         self._count(LOOP_FREEDOM)
+        topo, network = self.env.topo, self.env.network
         for dest_host, dest_ip in self._dests:
-            edges = self._forwarding_edges(dest_ip)
-            for cycle in find_cycles(edges):
+            for loop in self._loops(dest_ip):
                 bad = [
-                    (node, nh) for node, nh, entry in cycle
-                    if self._static_edge_unjustified(node, nh, entry)
+                    (node, nh) for node, nh, entry in loop.cycle
+                    if entry.source == _STATIC
+                    and ring_preference_violation(
+                        ring_neighbors_of(topo, node), node, nh,
+                        network.switch(node).neighbor_alive,
+                    ) is not None
                 ]
                 if bad:
                     self._record(
                         LOOP_FREEDOM,
                         dest_host,
                         "transient cycle with unjustified static edge(s) "
-                        f"{bad} through {[node for node, _, _ in cycle]}",
+                        f"{bad} through {list(loop.nodes)}",
                     )
 
     def check_loop_freedom_quiescent(self) -> None:
@@ -310,10 +215,9 @@ class InvariantSuite:
         destination is physically reachable."""
         self._count(LOOP_FREEDOM)
         for dest_host, dest_ip in self._dests:
-            edges = self._forwarding_edges(dest_ip)
-            for cycle in find_cycles(edges):
-                members = [node for node, _, _ in cycle]
-                if dest_host in self._physical_component(members[0]):
+            for loop in self._loops(dest_ip):
+                members = list(loop.nodes)
+                if dest_host in self._component(members[0], _actually_up):
                     self._record(
                         LOOP_FREEDOM,
                         dest_host,
@@ -399,7 +303,7 @@ class InvariantSuite:
         if a physical path survives."""
         self._count(BLACKHOLE_BOUND)
         env = self.env
-        if env.dst not in self._physical_component(env.src):
+        if env.dst not in self._component(env.src, _actually_up):
             return
         path, completed = env.network.trace_route(
             env.src, env.dst, PROTO_UDP, env.probe_sport, env.probe_dport,
@@ -444,20 +348,13 @@ class InvariantSuite:
                     protocol=PROTO_UDP, size_bytes=64,
                     sport=env.probe_sport, dport=env.probe_dport,
                 )
-                expected_entry = expected_hop = None
-                expected_depth = 0
-                for depth, entry in enumerate(reference):
-                    live = [
-                        nh for nh in entry.next_hops
-                        if nh == LOCAL or switch.neighbor_alive(nh)
-                    ]
-                    if live:
-                        expected_entry = entry
-                        expected_hop = select_next_hop(
-                            live, packet.flow_key, switch.salt
-                        )
-                        expected_depth = depth
-                        break
+                expected_entry, live, expected_depth = live_match(
+                    reference, switch.neighbor_alive
+                )
+                expected_hop = (
+                    select_next_hop(live, packet.flow_key, switch.salt)
+                    if live else None
+                )
                 got_entry, got_hop, got_depth = switch._resolve_indexed(packet)
                 if (got_entry, got_hop) != (expected_entry, expected_hop) or (
                     expected_entry is not None and got_depth != expected_depth
@@ -478,7 +375,11 @@ class InvariantSuite:
         oracle fed an idealized LSDB of detected adjacency."""
         self._count(CONVERGENCE_AGREEMENT)
         env = self.env
-        if not self._detected_switch_graph_connected():
+        switches = {switch.name for switch in env.network.switches()}
+        detected = self._component(min(switches), lambda link, a, b: (
+            b in switches and link.detected_up_by(a) and link.detected_up_by(b)
+        ))
+        if detected != switches:
             return
         oracle = Lsdb()
         for switch in env.network.switches():

@@ -19,7 +19,7 @@ covering prefixes: right distance-2 gets ``/14``, left distance-2 ``/13``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dataplane.network import Network
 from ..net.ip import Prefix
@@ -89,6 +89,26 @@ def ring_neighbors_of(topo: Topology, switch: str) -> Optional[RingNeighbors]:
             f"ring positions {[n.name for n in ring]}"
         )
     return RingNeighbors(tuple(ordered))
+
+
+def ring_preference_violation(
+    ring: Optional[RingNeighbors], switch: str, next_hop: str, alive: Callable[[str], bool]
+) -> Optional[str]:
+    """Why the fall-through rule would never take ``switch``'s static
+    edge to ``next_hop``, or None when it is justified: ``next_hop`` is a
+    ring neighbor and every more-preferred one is dead.  A ring-less
+    switch or a hop off the ring is never justified."""
+    if ring is None:
+        return f"static edge {switch}->{next_hop} on a ring-less switch"
+    for preferred in ring.ordered:
+        if preferred == next_hop:
+            return None
+        if alive(preferred):
+            return (
+                f"unjustified static edge {switch}->{next_hop}: more-preferred "
+                f"ring neighbor {preferred} is still alive"
+            )
+    return f"static edge {switch}->{next_hop} leaves the ring entirely"
 
 
 def backup_prefix_chain(count: int, dcn_prefix: Prefix = DCN_PREFIX) -> List[Prefix]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.ip import IPv4Address, Prefix
 
@@ -244,18 +244,22 @@ class Topology:
 
     def connected_component(self, start: str) -> set[str]:
         """Names reachable from ``start`` (links assumed healthy)."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for peer in self.neighbors(current):
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        return seen
+        return reachable(start, self.neighbors)
 
     def __str__(self) -> str:
         return (
             f"Topology({self.name!r}: {len(self.nodes)} nodes, "
             f"{len(self.links)} links)"
         )
+
+
+def reachable(start: str, neighbours: Callable[[str], Iterable[str]]) -> Set[str]:
+    """Every node a walk from ``start`` reaches (``start`` included)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for peer in neighbours(frontier.pop()):
+            if peer not in seen:
+                seen.add(peer)
+                frontier.append(peer)
+    return seen

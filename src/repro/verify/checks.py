@@ -34,13 +34,20 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import islice
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
-from ..core.backup_routes import RING_KINDS, backup_prefix_chain
-from ..net.fib import LOCAL, FibEntry
+from ..core.backup_routes import RING_KINDS, backup_prefix_chain, ring_preference_violation
+from ..net.fib import LOCAL, FibEntry, NextHop
+from ..net.forwarding import (
+    LOOP, Defect, ForwardingEdges, Match, Successors, forwarding_graph, live_match, out_edges,
+    scan,
+)
 from ..sim.randomness import RandomStreams
-from ..topology.graph import Link, LinkKind, NodeKind, Topology
+from ..topology.graph import Link, LinkKind, Topology, reachable
 from .model import (
     _LAYER_RANK,
     DestSpec,
@@ -250,35 +257,61 @@ class _Analysis:
         self.dests: List[DestSpec] = model.dests
         #: switch -> [LPM chain per destination index]
         self.chains: Dict[str, List[List[FibEntry]]] = {}
-        #: switch -> [baseline (entry, live hops) per destination index]
-        self.base: Dict[str, List[Tuple[Optional[FibEntry], Tuple[str, ...]]]] = {}
+        #: switch -> [baseline live match per destination index]
+        self.base: Dict[str, List[Match]] = {}
         #: switch -> [frozenset of baseline hops per destination index]
-        self.base_hops: Dict[str, List[FrozenSet[str]]] = {}
+        self.base_hops: Dict[str, List[FrozenSet[NextHop]]] = {}
         #: switch -> peer -> destination indices whose baseline entry
         #: depends *solely* on that peer (the fall-through triggers)
         self.sole_dep: Dict[str, Dict[str, List[int]]] = {}
-        #: per destination: switch -> [(next hop, entry), ...]
-        self.base_edges: List[Dict[str, List[Tuple[str, FibEntry]]]] = [
-            {} for _ in self.dests
-        ]
-        no_failures: Dict[LinkKey, int] = {}
         for switch in model.switches:
             chains = [model.chain(switch, d.address) for d in self.dests]
             self.chains[switch] = chains
             resolved = [
-                model.resolve(switch, chain, no_failures) for chain in chains
+                live_match(chain, model.alive(switch, {}))
+                for chain in chains
             ]
             self.base[switch] = resolved
-            self.base_hops[switch] = [frozenset(hops) for _, hops in resolved]
+            self.base_hops[switch] = [frozenset(hops) for _, hops, _ in resolved]
             deps: Dict[str, List[int]] = {}
-            for j, (entry, hops) in enumerate(resolved):
-                if entry is not None:
-                    self.base_edges[j][switch] = [
-                        (nh, entry) for nh in hops if nh != LOCAL
-                    ]
+            for j, (_entry, hops, _depth) in enumerate(resolved):
                 if len(hops) == 1 and hops[0] != LOCAL:
-                    deps.setdefault(hops[0], []).append(j)
+                    deps.setdefault(str(hops[0]), []).append(j)
             self.sole_dep[switch] = deps
+        #: per destination: the baseline forwarding graph and the
+        #: switches that deliver (the destination ToR)
+        self.base_edges: List[ForwardingEdges] = []
+        self.base_delivers: List[Set[str]] = []
+        for j in range(len(self.dests)):
+            edges, delivers = forwarding_graph(
+                (switch, self.base[switch][j]) for switch in model.switches
+            )
+            self.base_edges.append(edges)
+            self.base_delivers.append(delivers)
+
+    def defects(
+        self, j: int, failed: FailedLinks, changed: Tuple[str, ...], roots: Sequence[str]
+    ) -> Iterator[Defect]:
+        """The first :data:`MAX_DEFECTS_PER_SCAN` loops and dead ends of
+        destination ``j``'s forwarding graph under ``failed``, walked
+        from ``roots``.  Only the ``changed`` switches (failed-link
+        endpoints) re-resolve; every other switch keeps its baseline
+        edges.  No re-resolution moves a switch off or onto a ``LOCAL``
+        entry, so the baseline delivering set stands."""
+        override = {
+            switch: out_edges(live_match(
+                self.chains[switch][j], self.model.alive(switch, failed)
+            ))
+            for switch in changed
+        }
+        base = self.base_edges[j]
+        succ: Successors = (
+            lambda name: override[name] if name in override
+            else base.get(name)
+        )
+        return islice(
+            scan(succ, roots, self.base_delivers[j]), MAX_DEFECTS_PER_SCAN
+        )
 
 
 def _check_baseline(analysis: _Analysis, rec: _Recorder) -> None:
@@ -286,9 +319,8 @@ def _check_baseline(analysis: _Analysis, rec: _Recorder) -> None:
     forwarding graph is a DAG whose only sink is the destination ToR."""
     model = analysis.model
     for j, dest in enumerate(analysis.dests):
-        edges = analysis.base_edges[j]
         for switch in model.switches:
-            entry, hops = analysis.base[switch][j]
+            entry, _hops, _depth = analysis.base[switch][j]
             if entry is None:
                 rec.add(Finding(
                     COVERAGE, "baseline-unroutable", SEV_ERROR, switch,
@@ -303,122 +335,13 @@ def _check_baseline(analysis: _Analysis, rec: _Recorder) -> None:
                     f"static {entry.prefix} via {entry.next_hops} instead "
                     f"of a learned route",
                 ))
-        for defect in _scan(
-            analysis, j, {}, endpoints=(), roots=tuple(model.switches)
-        ):
+        for defect in analysis.defects(j, {}, (), model.switches):
             # dead ends are already reported per switch above
-            if defect.kind == "loop":
+            if defect.kind == LOOP:
                 rec.add(_defect_finding(
                     COVERAGE, defect, dest, {}, severity=SEV_ERROR,
                     defect_names=("baseline-cycle", "baseline-unroutable"),
                 ))
-
-
-# ===================================================================
-# forwarding-graph walk under a failure set
-# ===================================================================
-
-
-@dataclass(frozen=True)
-class _ScanDefect:
-    kind: str  # "loop" | "blackhole"
-    nodes: Tuple[str, ...]
-    #: for loops: the (node, next hop, entry) triples of the cycle
-    cycle: Tuple[Tuple[str, str, FibEntry], ...] = ()
-
-
-def _scan(
-    analysis: _Analysis,
-    j: int,
-    failed: FailedLinks,
-    endpoints: Tuple[str, ...],
-    roots: Tuple[str, ...],
-) -> List[_ScanDefect]:
-    """Walk destination ``j``'s forwarding graph under ``failed``.
-
-    Only ``endpoints`` (the failed links' switches) can resolve
-    differently from baseline; ``roots`` are the switches to walk from.
-    Returns loops and dead ends, deterministically ordered.
-    """
-    model = analysis.model
-    base_edges = analysis.base_edges[j]
-    dest = analysis.dests[j].tor
-    override: Dict[str, Optional[List[Tuple[str, FibEntry]]]] = {}
-    for switch in endpoints:
-        entry, live = model.resolve(switch, analysis.chains[switch][j], failed)
-        if entry is None:
-            override[switch] = None
-        else:
-            override[switch] = [(nh, entry) for nh in live if nh != LOCAL]
-
-    def succ(name: str) -> Optional[List[Tuple[str, FibEntry]]]:
-        if name in override:
-            return override[name]
-        return base_edges.get(name)
-
-    defects: List[_ScanDefect] = []
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[str, int] = {dest: BLACK}
-
-    for root in roots:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        root_succ = succ(root)
-        if root_succ is None:
-            defects.append(_ScanDefect("blackhole", (root,)))
-            color[root] = BLACK
-            if len(defects) >= MAX_DEFECTS_PER_SCAN:
-                return defects
-            continue
-        color[root] = GRAY
-        path = [root]
-        stack: List[Iterator[Tuple[str, FibEntry]]] = [iter(root_succ)]
-        while stack:
-            advanced = False
-            for nh, _entry in stack[-1]:
-                state = color.get(nh, WHITE)
-                if state == GRAY:
-                    start = path.index(nh)
-                    members = tuple(path[start:])
-                    cycle = tuple(
-                        (node, members[(i + 1) % len(members)],
-                         _edge_entry(succ, node, members[(i + 1) % len(members)]))
-                        for i, node in enumerate(members)
-                    )
-                    defects.append(_ScanDefect("loop", members, cycle))
-                    if len(defects) >= MAX_DEFECTS_PER_SCAN:
-                        return defects
-                elif state == WHITE:
-                    nh_succ = succ(nh)
-                    if nh_succ is None or (not nh_succ and nh != dest):
-                        defects.append(
-                            _ScanDefect("blackhole", tuple(path) + (nh,))
-                        )
-                        color[nh] = BLACK
-                        if len(defects) >= MAX_DEFECTS_PER_SCAN:
-                            return defects
-                        continue
-                    if not nh_succ:
-                        color[nh] = BLACK  # delivered
-                        continue
-                    color[nh] = GRAY
-                    path.append(nh)
-                    stack.append(iter(nh_succ))
-                    advanced = True
-                    break
-            if not advanced:
-                color[path.pop()] = BLACK
-                stack.pop()
-    return defects
-
-
-def _edge_entry(
-    succ: Callable[[str], Any], node: str, successor: str
-) -> FibEntry:
-    for next_hop, entry in succ(node) or ():
-        if next_hop == successor:
-            return entry
-    raise KeyError((node, successor))
 
 
 def _classify_cycle(
@@ -429,33 +352,22 @@ def _classify_cycle(
     """(severity, reason) for a forwarding cycle.
 
     The paper's accepted transient loop is one in which *every* edge is
-    a static ring route that the fall-through preference rule genuinely
-    takes — each more-preferred ring neighbor is dead under the failure
-    set.  Anything else (a routed edge, or a static edge taken while a
-    more-preferred neighbor lives) violates loop-freedom outright.
+    a static ring route that the fall-through preference rule
+    (:func:`~repro.core.backup_routes.ring_preference_violation`)
+    genuinely takes.  Anything else — a routed edge, or a static edge
+    the rule would not take — violates loop-freedom outright.
     """
     for node, nh, entry in cycle:
         if entry.source != "static":
             return SEV_ERROR, (
                 f"cycle uses routed edge {node}->{nh} ({entry.prefix})"
             )
-        ring = model.ring_neighbors.get(node)
-        if ring is None:
-            return SEV_ERROR, f"static edge {node}->{nh} on a ring-less switch"
-        justified = False
-        for preferred in ring.ordered:
-            if preferred == nh:
-                justified = True
-                break
-            if model.alive(node, preferred, failed):
-                return SEV_ERROR, (
-                    f"unjustified static edge {node}->{nh}: more-preferred "
-                    f"ring neighbor {preferred} is still alive"
-                )
-        if not justified:
-            return SEV_ERROR, (
-                f"static edge {node}->{nh} leaves the ring entirely"
-            )
+        reason = ring_preference_violation(
+            model.ring_neighbors.get(node), node, nh,
+            model.alive(node, failed),
+        )
+        if reason is not None:
+            return SEV_ERROR, reason
     return SEV_CAVEAT, (
         "every edge is a justified static ring route — the paper's "
         "documented transient multi-failure ring loop"
@@ -471,7 +383,7 @@ def _failed_pairs(failed: FailedLinks) -> Tuple[LinkKey, ...]:
 
 def _defect_finding(
     check: str,
-    defect: _ScanDefect,
+    defect: Defect,
     dest: DestSpec,
     failed: FailedLinks,
     severity: str,
@@ -485,9 +397,9 @@ def _defect_finding(
         destination=dest.tor,
         subnet=str(dest.subnet),
         nodes=defect.nodes,
-        at=defect.nodes[0] if defect.kind == "loop" else defect.nodes[-1],
+        at=defect.nodes[0] if defect.kind == LOOP else defect.nodes[-1],
     )
-    if defect.kind == "loop":
+    if defect.kind == LOOP:
         text = detail or f"forwarding cycle {'->'.join(defect.nodes)}"
         return Finding(
             check, loop_name, severity, witness.at,
@@ -537,8 +449,9 @@ def _check_coverage(analysis: _Analysis, rec: _Recorder) -> Dict[str, Any]:
             failed = {link_key(switch, peer): 1}
             endpoints = (switch, peer)
             for j in served:
-                entry, live = model.resolve(
-                    switch, analysis.chains[switch][j], failed
+                entry, _live, _depth = live_match(
+                    analysis.chains[switch][j],
+                    model.alive(switch, failed),
                 )
                 dest = analysis.dests[j]
                 if entry is None:
@@ -559,15 +472,12 @@ def _check_coverage(analysis: _Analysis, rec: _Recorder) -> Dict[str, Any]:
                         ),
                     ))
                     continue
-                base_entry, _ = analysis.base[switch][j]
-                if entry is base_entry:
+                if entry is analysis.base[switch][j][0]:
                     covered["ecmp"] += 1
                     continue
                 covered["backup" if entry.source == "static" else "reroute"] += 1
-                for defect in _scan(
-                    analysis, j, failed, endpoints, roots=(switch,)
-                ):
-                    if defect.kind == "loop":
+                for defect in analysis.defects(j, failed, endpoints, (switch,)):
+                    if defect.kind == LOOP:
                         severity, reason = _classify_cycle(
                             model, defect.cycle, failed
                         )
@@ -618,7 +528,8 @@ def _examine_failure_set(
         peers = {
             link.other(switch) for link in links if switch in (link.a, link.b)
         }
-        dead = {p for p in peers if not model.alive(switch, p, failed)}
+        alive = model.alive(switch, failed)
+        dead = {p for p in peers if not alive(p)}
         if dead:
             killed[switch] = dead
     if not killed:
@@ -639,13 +550,33 @@ def _examine_failure_set(
     if not fallen_by_dest:
         return  # edges only shrink: no new cycle, no black hole
 
+    # the live fabric's components under this failure set, walked once
+    # per component and shared by every destination's dead ends; a
+    # switch's dead peers are exactly the ``killed`` ones
+    component: Dict[str, Set[str]] = {}
+
+    def component_of(node: str) -> Set[str]:
+        if node not in component:
+            members = reachable(node, lambda switch: (
+                model.link_count[switch].keys() - killed[switch]
+                if switch in killed else model.link_count[switch].keys()
+            ))
+            component.update(dict.fromkeys(members, members))
+        return component[node]
+
     k = len(links)
     for j in sorted(fallen_by_dest):
         stats["fallthrough_states"] += 1
         roots = tuple(sorted(fallen_by_dest[j]))
         dest = analysis.dests[j]
-        for defect in _scan(analysis, j, failed, endpoints, roots):
-            if defect.kind == "loop":
+        # an endpoint that kept every baseline hop toward j keeps its
+        # baseline match, so only the others re-resolve
+        changed = tuple(
+            switch for switch, dead in killed.items()
+            if not dead.isdisjoint(analysis.base_hops[switch][j])
+        )
+        for defect in analysis.defects(j, failed, changed, roots):
+            if defect.kind == LOOP:
                 severity, reason = _classify_cycle(model, defect.cycle, failed)
                 if k == 1:
                     severity = SEV_ERROR  # single failures must never loop
@@ -665,7 +596,7 @@ def _examine_failure_set(
                 if k == 1:
                     severity = SEV_ERROR if protected else SEV_WARNING
                     name = "blackhole"
-                elif _physically_partitioned(model, hole, dest.tor, failed):
+                elif dest.tor not in component_of(hole):
                     stats["partitioned"] += 1
                     continue  # no scheme can forward across a cut
                 else:
@@ -677,26 +608,6 @@ def _examine_failure_set(
                     severity=severity,
                     defect_names=("forwarding-loop", name),
                 ))
-
-
-def _physically_partitioned(
-    model: StaticNetworkModel,
-    start: str,
-    dest: str,
-    failed: FailedLinks,
-) -> bool:
-    """True when no live fabric path joins ``start`` to ``dest``."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        if current == dest:
-            return False
-        for peer in model.link_count.get(current, ()):
-            if peer not in seen and model.alive(current, peer, failed):
-                seen.add(peer)
-                frontier.append(peer)
-    return dest not in seen
 
 
 def _check_loop_freedom(

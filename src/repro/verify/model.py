@@ -12,19 +12,19 @@ the running system holds once converged:
 * **static** entries — the F²Tree backup routes of
   :func:`repro.core.backup_routes.backup_routes_for`.
 
-On top of those it offers the one primitive all checks share:
-:meth:`resolve` — walk the LPM chain for an address, pruning next hops
-whose every parallel link is in the failure set, and stop at the first
-entry with a live hop.  That is a faithful, symbolic copy of
-``SwitchNode._resolve_indexed`` minus the ECMP hash: the checks reason
-over the *set* of live hops ECMP could spray over, so a certificate
-holds for every hash outcome.
+On top of those it offers the two inputs of the checkers' shared walk,
+:func:`repro.net.forwarding.live_match`: :meth:`chain`, the LPM chain
+for an address, and :meth:`alive`, which prunes next hops whose every
+parallel link is in the failure set.  The walk stops at the first entry
+with a live hop, as the data plane does, but keeps no ECMP hash: the
+checks reason over the *set* of live hops ECMP could spray over, so a
+certificate holds for every hash outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.backup_routes import (
     RING_KINDS,
@@ -208,32 +208,17 @@ class StaticNetworkModel:
         )
         return matching
 
-    def alive(self, switch: str, peer: str, failed: FailedLinks) -> bool:
-        """Whether ``switch`` still sees ``peer`` up: at least one of the
-        parallel links between them is outside the failure set.  A next
-        hop that is not a neighbor at all (miswired statics) is dead."""
-        count = self.link_count.get(switch, {}).get(peer, 0)
-        if count == 0:
-            return False
-        return count > failed.get(link_key(switch, peer), 0)
+    def alive(self, switch: str, failed: FailedLinks) -> Callable[[str], bool]:
+        """Whether ``switch`` still sees a peer up under ``failed``, as a
+        predicate on the peer: at least one of the parallel links between
+        them is outside the failure set.  A next hop that is not a
+        neighbor at all (miswired statics) is dead."""
+        counts = self.link_count.get(switch, {})
 
-    def resolve(
-        self,
-        switch: str,
-        chain: List[FibEntry],
-        failed: FailedLinks,
-    ) -> Tuple[Optional[FibEntry], Tuple[str, ...]]:
-        """First entry of ``chain`` with a live next hop, plus its live
-        hops (``LOCAL`` counts as live — delivery).  ``(None, ())`` is a
-        forwarding black hole."""
-        for entry in chain:
-            live = tuple(
-                nh for nh in entry.next_hops
-                if nh == LOCAL or self.alive(switch, str(nh), failed)
-            )
-            if live:
-                return entry, live
-        return None, ()
+        def peer_alive(peer: str) -> bool:
+            return counts.get(peer, 0) > failed.get(link_key(switch, peer), 0)
+
+        return peer_alive
 
     # ----------------------------------------------------------- queries
 
@@ -256,17 +241,6 @@ class StaticNetworkModel:
             self.ring_neighbors.get(switch) is not None
             or self.topo.node(switch).kind in self.protected_kinds
         )
-
-    def ring_switches(self) -> List[str]:
-        """Switches holding at least one across link, sorted by name."""
-        return [
-            name
-            for name in self.switches
-            if self.ring_neighbors.get(name) is not None
-        ]
-
-    def static_entries_of(self, switch: str) -> List[FibEntry]:
-        return [e for e in self.fibs[switch] if e.source == "static"]
 
 
 def build_verify_topology(

@@ -8,30 +8,31 @@ witness's links, and — once the failure-detection window has passed but
 before SPF reconvergence can repair anything — observe the predicted
 loop or black hole in the *live* forwarding graph.
 
-The forwarding graph is read through each switch's real ``Fib.matches``
-and ``neighbor_alive``, not through any reference model, so a
-reproduced witness means the deployed data plane misbehaves, not just
-the verifier's abstraction of it.
+The forwarding graph is built by the checkers' shared walk
+(:mod:`repro.net.forwarding`) over each switch's real, possibly
+instance-patched ``Fib.matches`` and ``neighbor_alive`` — not over the
+static model — so a reproduced witness means the deployed data plane
+misbehaves, not just the verifier's abstraction of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING, Tuple
+from itertools import islice
+from typing import Callable, List, Optional, TYPE_CHECKING, Tuple
 
-from ..net.fib import LOCAL, FibEntry
-from ..net.ip import IPv4Address, Prefix
+from ..net.forwarding import LOOP, forwarding_graph, live_match, scan
+from ..net.ip import Prefix
 from ..dataplane.params import NetworkParams
 from ..sim.units import milliseconds
-from ..topology.graph import Topology
+from ..topology.graph import Topology, reachable
 from .checks import Witness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataplane.network import Network
 
-#: forwarding graph: switch -> [(next hop, entry)] of its first live match
-_Edges = Dict[str, List[Tuple[str, FibEntry]]]
-
+#: live loops examined for one that touches the predicted cycle
+_MAX_LOOPS = 5
 #: control-plane warmup before the witness failures fire
 _WARMUP = milliseconds(500)
 #: failures fire this long after warmup (same offset execute_check uses)
@@ -48,88 +49,36 @@ class ReplayResult:
     timing_violations: int = 0
 
 
-def _live_forwarding(
-    network: "Network", address: IPv4Address
-) -> Tuple[_Edges, Set[str]]:
-    """The effective forwarding graph toward ``address`` right now, plus
-    the switches that deliver locally.  Reads the patched ``fib.matches``
-    so instance-level mutations (e.g. inverted tie-break) are honoured."""
-    edges: _Edges = {}
-    delivers: Set[str] = set()
-    for switch in network.switches():
-        for entry in switch.fib.matches(address):
-            live = [
-                nh for nh in entry.next_hops
-                if nh == LOCAL or switch.neighbor_alive(str(nh))
-            ]
-            if not live:
-                continue
-            if LOCAL in live:
-                delivers.add(switch.name)
-            edges[switch.name] = [
-                (str(nh), entry) for nh in live if nh != LOCAL
-            ]
-            break
-    return edges, delivers
-
-
-def _reaches_delivery(edges: _Edges, delivers: Set[str], start: str) -> bool:
-    """Whether some live next-hop walk from ``start`` can deliver."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        if current in delivers:
-            return True
-        for nh, _entry in edges.get(current, ()):
-            if nh not in seen:
-                seen.add(nh)
-                frontier.append(nh)
-    return False
-
-
-def _observe(
-    network: "Network", witness: Witness, observations: List[ReplayResult]
-) -> None:
-    from ..check.invariants import find_cycles
-
+def _observe(network: "Network", witness: Witness) -> Tuple[bool, str]:
+    """(reproduced, detail) of ``witness`` on the live forwarding state."""
     address = Prefix(witness.subnet).address(2)
-    edges, delivers = _live_forwarding(network, address)
-    if witness.kind == "loop":
-        predicted = set(witness.nodes)
-        for cycle in find_cycles(edges):
-            members = {node for node, _, _ in cycle}
-            if members & predicted:
-                observations.append(ReplayResult(
-                    True,
-                    "live forwarding cycle "
-                    f"{'->'.join(node for node, _, _ in cycle)} toward "
-                    f"{witness.destination} (predicted {list(witness.nodes)})",
-                ))
-                return
-        observations.append(ReplayResult(
-            False,
-            f"no live cycle touching {list(witness.nodes)} toward "
-            f"{witness.destination}",
+    edges, delivers = forwarding_graph(
+        (switch.name, live_match(
+            switch.fib.matches(address), switch.neighbor_alive
         ))
-        return
+        for switch in network.switches()
+    )
+    toward = f"toward {witness.destination}"
+    if witness.kind == LOOP:
+        loops = (
+            defect for defect in scan(edges.get, sorted(edges), delivers)
+            if defect.kind == LOOP
+        )
+        for loop in islice(loops, _MAX_LOOPS):
+            if set(witness.nodes).intersection(loop.nodes):
+                return True, (
+                    f"live forwarding cycle {'->'.join(loop.nodes)} {toward} "
+                    f"(predicted {list(witness.nodes)})"
+                )
+        return False, f"no live cycle touching {list(witness.nodes)} {toward}"
     # blackhole: the witness switch must be unable to reach delivery
     if witness.at not in edges:
-        observations.append(ReplayResult(
-            True,
-            f"{witness.at} has no live route toward {witness.destination}",
-        ))
-    elif not _reaches_delivery(edges, delivers, witness.at):
-        observations.append(ReplayResult(
-            True,
-            f"every live walk from {witness.at} toward "
-            f"{witness.destination} dead-ends",
-        ))
-    else:
-        observations.append(ReplayResult(
-            False,
-            f"packets from {witness.at} still reach {witness.destination}",
-        ))
+        return True, f"{witness.at} has no live route {toward}"
+    if delivers.isdisjoint(reachable(
+        witness.at, lambda node: [nh for nh, _ in edges.get(node, ())]
+    )):
+        return True, f"every live walk from {witness.at} {toward} dead-ends"
+    return False, f"packets from {witness.at} still reach {witness.destination}"
 
 
 def replay_witness(
@@ -171,15 +120,11 @@ def replay_witness(
     else:
         observe_at = _WARMUP + milliseconds(2)
 
-    observations: List[ReplayResult] = []
+    observations: List[Tuple[bool, str]] = []
     sim.schedule_at(
-        observe_at, _observe, bundle.network, witness, observations,
+        observe_at, lambda: observations.append(_observe(bundle.network, witness)),
         priority=PRIORITY_CHECK,
     )
     sim.run(until=observe_at + milliseconds(1))
-    result = observations[0]
-    return ReplayResult(
-        reproduced=result.reproduced,
-        detail=result.detail,
-        timing_violations=len(sim.timing_violations),
-    )
+    reproduced, detail = observations[0]
+    return ReplayResult(reproduced, detail, len(sim.timing_violations))

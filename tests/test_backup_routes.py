@@ -10,6 +10,8 @@ from repro.core.backup_routes import (
     configure_backup_routes,
     render_routing_table,
     ring_neighbors_of,
+    ring_preference_violation,
+    RingNeighbors,
 )
 from repro.core.f2tree import f2tree
 from repro.dataplane.network import Network
@@ -47,6 +49,41 @@ class TestRingNeighbors:
         neighbors = ring_neighbors_of(topo, members[0])
         # ring of 4 with distance-2 links: right-1, opposite(right-2), left-1
         assert neighbors.ordered == (members[1], members[2], members[3])
+
+
+class TestRingPreferenceRule:
+    """The one reading of §II-B's fall-through preference both loop
+    checkers apply: a static edge is justified only toward a ring
+    neighbor whose more-preferred siblings are all dead."""
+
+    RING = RingNeighbors(("right", "left"))
+
+    def test_first_preference_is_always_justified(self):
+        assert ring_preference_violation(
+            self.RING, "s", "right", lambda peer: True
+        ) is None
+
+    def test_later_preference_needs_earlier_ones_dead(self):
+        assert ring_preference_violation(
+            self.RING, "s", "left", lambda peer: peer != "right"
+        ) is None
+        assert ring_preference_violation(
+            self.RING, "s", "left", lambda peer: True
+        ) == (
+            "unjustified static edge s->left: more-preferred ring "
+            "neighbor right is still alive"
+        )
+
+    def test_ring_less_switch_is_never_justified(self):
+        assert ring_preference_violation(
+            None, "s", "right", lambda peer: False
+        ) == "static edge s->right on a ring-less switch"
+
+    def test_hop_off_the_ring_is_never_justified(self):
+        # even once every ring neighbor is dead
+        assert ring_preference_violation(
+            self.RING, "s", "core", lambda peer: False
+        ) == "static edge s->core leaves the ring entirely"
 
 
 class TestPrefixChain:

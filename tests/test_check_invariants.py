@@ -6,19 +6,24 @@ import pytest
 
 from repro.check import (
     CheckedSimulator,
+    InvariantSuite,
     TrialConfig,
     canonical_violations,
     execute_check,
-    find_cycles,
     generate_config,
     quiescence_bound,
 )
 from repro.check.config import ConfigError, fast_overrides, scenario_labels
-from repro.check.execute import concretize
+from repro.check.execute import CheckEnv, concretize
+from repro.core.backup_routes import backup_prefix_chain, ring_neighbors_of
+from repro.core.f2tree import f2tree
 from repro.dataplane.params import NetworkParams
+from repro.experiments.common import build_bundle, leftmost_host, rightmost_host
 from repro.net.fib import FibEntry
+from repro.net.forwarding import LOOP, scan
 from repro.net.ip import Prefix
 from repro.sim.units import milliseconds, seconds
+from repro.topology.graph import NodeKind
 
 
 class TestTrialConfig:
@@ -86,31 +91,82 @@ class TestGenerator:
 
 
 class TestFindCycles:
+    """The shared forwarding scan, as the invariant suite drives it: every
+    switch with a live match is a root, in sorted order."""
+
     def _entry(self):
         return FibEntry(Prefix("10.0.0.0/24"), ("x",), source="test")
+
+    def _loops(self, edges, delivers=frozenset()):
+        return [
+            defect for defect in scan(edges.get, sorted(edges), delivers)
+            if defect.kind == LOOP
+        ]
 
     def test_detects_two_node_cycle(self):
         e = self._entry()
         edges = {"a": [("b", e)], "b": [("a", e)]}
-        cycles = find_cycles(edges)
+        cycles = self._loops(edges)
         assert len(cycles) == 1
-        assert {node for node, _, _ in cycles[0]} == {"a", "b"}
+        assert cycles[0].nodes == ("a", "b")
+        assert cycles[0].cycle == (("a", "b", e), ("b", "a", e))
 
     def test_dag_is_cycle_free(self):
         e = self._entry()
         edges = {"a": [("b", e), ("c", e)], "b": [("c", e)], "c": []}
-        assert find_cycles(edges) == []
+        assert self._loops(edges, delivers={"c"}) == []
+        assert list(scan(edges.get, sorted(edges), {"c"})) == []
 
     def test_self_loop(self):
         e = self._entry()
-        assert len(find_cycles({"a": [("a", e)]})) == 1
+        (loop,) = self._loops({"a": [("a", e)]})
+        assert loop.cycle == (("a", "a", e),)
 
     def test_cycle_behind_a_tail(self):
         e = self._entry()
         edges = {"t": [("a", e)], "a": [("b", e)], "b": [("a", e)]}
-        cycles = find_cycles(edges)
+        cycles = self._loops(edges)
         assert len(cycles) == 1
-        assert {node for node, _, _ in cycles[0]} == {"a", "b"}
+        assert set(cycles[0].nodes) == {"a", "b"}
+
+
+class TestRingPreferenceInTransientCycles:
+    def test_static_edge_off_the_ring_is_flagged(self):
+        """A convergence-time cycle through a static edge that leaves the
+        ring is a loop-freedom violation even when every ring neighbor is
+        dead: the fall-through rule only ever takes ring neighbors."""
+        topo = f2tree(6)
+        bundle = build_bundle(topo)
+        bundle.converge()
+        network = bundle.network
+        agg = topo.pod_members(NodeKind.AGG, 0)[0].name
+        tor = topo.tors()[0].name
+        core = next(
+            peer for peer in topo.neighbors(agg)
+            if topo.node(peer).kind is NodeKind.CORE
+        )
+        ring = ring_neighbors_of(topo, agg)
+        # frozen data plane: the agg loses its rack and both ring
+        # neighbors, then falls through to a static pointing up at a core
+        # whose routed entry for the rack points straight back
+        for peer in (tor, *ring.ordered):
+            for link in network.links_between(agg, peer):
+                link.channel_ab.set_up(False)
+                link.channel_ba.set_up(False)
+                link.force_detection(False)
+        network.switch(agg).fib.install(
+            FibEntry(backup_prefix_chain(3)[2], (core,), source="static")
+        )
+        suite = InvariantSuite(CheckEnv(
+            config=TrialConfig("f2tree", 6), topo=topo, network=network,
+            protocols=bundle.protocols, sim=bundle.sim,
+            src=leftmost_host(topo), dst=rightmost_host(topo),
+        ))
+        suite.check_loop_freedom_during()
+        assert [v.detail for v in suite.violations] == [
+            "transient cycle with unjustified static edge(s) "
+            f"[('{agg}', '{core}')] through ['{agg}', '{core}']"
+        ]
 
 
 class TestQuiescenceBound:

@@ -49,6 +49,45 @@ CLEAN_BUILDS = [
 ]
 
 
+#: the exact k=2 census of three of those builds — how many failure sets
+#: and fall-through states the loop-freedom walk examined and what it
+#: found — so a change to the walk that still certifies cannot pass
+#: silently: (loop-freedom stats, totals)
+CENSUS = {
+    # f2tree(8): the acceptance build, no caveat at all
+    ("fattree", 8): (
+        {
+            "blackholes": 0, "caveat_cycles": 0, "error_cycles": 0,
+            "failure_sets": {"k1": 36, "k2": 16110},
+            "fallthrough_states": 49392, "partitioned": 0,
+        },
+        {},
+    ),
+    # f2tree(6): the two-failure ring ping-pong, as caveats only
+    ("fattree", 6): (
+        {
+            "blackholes": 0, "caveat_cycles": 24, "error_cycles": 0,
+            "failure_sets": {"k1": 18, "k2": 2145},
+            "fallthrough_states": 4464, "partitioned": 0,
+        },
+        {"loop-freedom/transient-ring-loop/caveat": 24},
+    ),
+    # plain fat tree: warnings and dead ends, some across a real cut
+    ("fat-tree", 4): (
+        {
+            "blackholes": 1520, "caveat_cycles": 0, "error_cycles": 0,
+            "failure_sets": {"k2": 496},
+            "fallthrough_states": 1472, "partitioned": 72,
+        },
+        {
+            "coverage/unprotected-downward-link/warning": 48,
+            "loop-freedom/transient-blackhole/warning": 1520,
+            "wiring/no-across-rings/info": 1,
+        },
+    ),
+}
+
+
 @pytest.mark.parametrize("family,ports", CLEAN_BUILDS)
 def test_clean_builder_is_certified(family, ports):
     report = run_verification(
@@ -60,6 +99,10 @@ def test_clean_builder_is_certified(family, ports):
     )
     assert report.verdict == "CERTIFIED"
     assert report.refuted_checks() == []
+    if (family, ports) in CENSUS:
+        loop_stats, totals = CENSUS[family, ports]
+        assert report.stats["loop-freedom"] == loop_stats
+        assert report.totals == totals
 
 
 @pytest.mark.parametrize("family,ports", [
