@@ -15,16 +15,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..core.failure_analysis import analyze_scenario
-from ..topology.graph import LinkKind, NodeKind, Topology
-
-LinkKey = Tuple[str, str]
-
-
-def _key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
+from ..topology.graph import LinkKey, LinkKind, NodeKind, Topology, link_key
 
 
 def relevant_links(topo: Topology, dest_tor: str) -> List[LinkKey]:
@@ -36,12 +30,12 @@ def relevant_links(topo: Topology, dest_tor: str) -> List[LinkKey]:
     keys: List[LinkKey] = []
     for agg in ring:
         if topo.links_between(agg, dest_tor):
-            keys.append(_key(agg, dest_tor))
+            keys.append(link_key(agg, dest_tor))
     seen = set(keys)
     for agg in ring:
         for link in topo.links_of(agg):
             if link.kind is LinkKind.ACROSS:
-                key = _key(link.a, link.b)
+                key = link_key(link.a, link.b)
                 if key not in seen:
                     seen.add(key)
                     keys.append(key)
@@ -111,7 +105,7 @@ def exhaustive_condition_census(
         total += 1
         failed = frozenset(subset)
         affected_aggs = [
-            agg for agg in ring if _key(agg, dest_tor) in failed
+            agg for agg in ring if link_key(agg, dest_tor) in failed
         ]
         if not affected_aggs:
             unaffected += 1

@@ -103,11 +103,19 @@ def write_bundle(
 
 
 def load_bundle(path: Path) -> Dict[str, Any]:
+    """A bundle's JSON, shape-checked: a malformed file raises
+    :class:`BundleError` rather than failing later inside the replay."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise BundleError(f"bundle is a JSON {type(data).__name__}, not an object")
     if data.get("version") != BUNDLE_VERSION:
         raise BundleError(
             f"unsupported bundle version {data.get('version')!r}"
         )
+    if not isinstance(data.get("config"), dict):
+        raise BundleError("bundle 'config' is not an object")
+    if not isinstance(data.get("violations"), list):
+        raise BundleError("bundle 'violations' is not a list")
     return data
 
 

@@ -185,16 +185,6 @@ def _census() -> str:
     )
 
 
-def _validate() -> str:
-    from .core.f2tree import f2tree
-    from .core.validation import render_findings, validate_deployment
-    from .experiments.common import build_bundle
-
-    topo = f2tree(8)
-    bundle = build_bundle(topo)
-    return render_findings(validate_deployment(topo, bundle.network))
-
-
 def _bisection() -> str:
     from .analysis.bisection import bisection_report
     from .core.f2tree import f2tree
@@ -218,7 +208,6 @@ ARTIFACTS: Dict[str, tuple] = {
     "configs": (_configs, "Quagga-style switch configurations"),
     "bisection": (_bisection, "Bisection-bandwidth report"),
     "census": (_census, "Exhaustive §II-C failure-condition census"),
-    "validate": (_validate, "Pre-deployment fabric validation"),
 }
 
 

@@ -26,12 +26,6 @@ from .backup_routes import (
     ring_neighbors_of,
 )
 from .f2tree import RewiringPlan, across_links, f2tree, rewire_fat_tree_prototype
-from .validation import (
-    Finding,
-    Severity,
-    render_findings,
-    validate_deployment,
-)
 from .failure_analysis import (
     FailureAnalysis,
     FailureCondition,
@@ -72,10 +66,6 @@ __all__ = [
     "across_links",
     "f2tree",
     "rewire_fat_tree_prototype",
-    "Finding",
-    "Severity",
-    "render_findings",
-    "validate_deployment",
     "FailureAnalysis",
     "FailureCondition",
     "agg_down_peer",

@@ -28,12 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import Callable, FrozenSet, Optional
 
-from ..topology.graph import LinkKind, NodeKind, Topology, TopologyError
-
-#: canonical (sorted) endpoint pair identifying a failed link
-LinkKey = Tuple[str, str]
+from ..topology.graph import LinkKey, LinkKind, NodeKind, Topology, TopologyError, link_key
 
 
 class FailureCondition(enum.Enum):
@@ -74,10 +71,6 @@ class FailureAnalysis:
         return self.condition.fast_reroute_succeeds
 
 
-def _link_key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
-
-
 def classify_downward_failure(
     topo: Topology,
     sx: str,
@@ -100,13 +93,13 @@ def classify_downward_failure(
         peer = down_peer_of(member)
         if peer is None or not topo.links_between(member, peer):
             return False
-        return _link_key(member, peer) not in failed
+        return link_key(member, peer) not in failed
 
     def across_alive(a: str, b: str) -> bool:
         links = [
             l for l in topo.links_between(a, b) if l.kind is LinkKind.ACROSS
         ]
-        return bool(links) and _link_key(a, b) not in failed
+        return bool(links) and link_key(a, b) not in failed
 
     if down_alive(sx):
         return FailureAnalysis(

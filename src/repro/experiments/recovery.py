@@ -31,7 +31,7 @@ from ..metrics.timeseries import (
 from ..net.packet import PROTO_TCP, PROTO_UDP, WIRE_OVERHEAD
 from ..obs import Observability, RecoveryBreakdown, analyze_recovery
 from ..sim.units import Time, microseconds, milliseconds, seconds
-from ..topology.graph import Topology
+from ..topology.graph import Topology, link_key
 from ..transport.apps import PacedTcpSender, TcpSinkServer
 from ..transport.udp import UdpSender, UdpSink
 from .common import DEFAULT_WARMUP, build_bundle, leftmost_host, rightmost_host
@@ -78,8 +78,7 @@ def default_failed_links(path: Sequence[str]) -> Tuple[LinkKey, ...]:
     """The downward link above the destination rack (C1-equivalent)."""
     if len(path) < 5:
         raise ValueError(f"path too short to pick a downward link: {path}")
-    a, b = path[-3], path[-2]
-    return ((a, b) if a <= b else (b, a),)
+    return (link_key(path[-3], path[-2]),)
 
 
 def run_recovery(

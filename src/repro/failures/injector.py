@@ -15,14 +15,12 @@ Two modes, matching the paper's two evaluation styles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..dataplane.network import Network
 from ..sim.randomness import RandomStreams, lognormal_from_mean_sigma
 from ..sim.units import SECOND, Time, seconds
-from ..topology.graph import LinkKind, Topology
-
-LinkKey = Tuple[str, str]
+from ..topology.graph import LinkKey, LinkKind, Topology, link_key
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class FailureEvent:
 
     @property
     def key(self) -> LinkKey:
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return link_key(self.a, self.b)
 
 
 def schedule_failures(network: Network, events: Sequence[FailureEvent]) -> None:

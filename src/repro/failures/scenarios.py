@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.failure_analysis import FailureCondition
-from ..topology.graph import NodeKind, Topology, TopologyError
-
-LinkKey = Tuple[str, str]
+from ..topology.graph import LinkKey, NodeKind, Topology, TopologyError, link_key
 
 ALL_LABELS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 #: scenarios meaningful on topologies without across links
@@ -82,10 +80,6 @@ def _roles(topo: Topology, path: Sequence[str]) -> _PathRoles:
     return _PathRoles(tor_d, agg_d, core, ring, ring.index(agg_d))
 
 
-def _key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
-
-
 def build_scenario(label: str, topo: Topology, path: Sequence[str]) -> ConditionScenario:
     """Instantiate scenario ``label`` for the flow following ``path``."""
     roles = _roles(topo, path)
@@ -97,20 +91,20 @@ def build_scenario(label: str, topo: Topology, path: Sequence[str]) -> Condition
     if label == "C1":
         return ConditionScenario(
             label, "1 link between ToR and aggregation switch",
-            (_key(agg_d, tor_d),), agg_d, tor_d,
+            (link_key(agg_d, tor_d),), agg_d, tor_d,
             FailureCondition.CONDITION_1, 1,
         )
     if label == "C2":
         return ConditionScenario(
             label, "1 link between core and aggregation switch",
-            (_key(core, agg_d),), core, tor_d,
+            (link_key(core, agg_d),), core, tor_d,
             FailureCondition.CONDITION_1, 1,
         )
     if label == "C3":
         return ConditionScenario(
             label,
             "1 ToR-agg link and 1 core-agg link together",
-            (_key(agg_d, tor_d), _key(core, agg_d)), agg_d, tor_d,
+            (link_key(agg_d, tor_d), link_key(core, agg_d)), agg_d, tor_d,
             FailureCondition.CONDITION_1, 2,
         )
     if label == "C4":
@@ -119,14 +113,14 @@ def build_scenario(label: str, topo: Topology, path: Sequence[str]) -> Condition
         return ConditionScenario(
             label,
             "2 adjacent ToR-agg links in the same pod",
-            (_key(agg_d, tor_d), _key(right1, tor_d)), agg_d, tor_d,
+            (link_key(agg_d, tor_d), link_key(right1, tor_d)), agg_d, tor_d,
             FailureCondition.CONDITION_2, 2,
         )
     if label == "C5":
         if n < 3:
             raise TopologyError(f"C5 needs a pod of >= 3 aggs, ring is {n}")
         failed = tuple(
-            _key(member, tor_d) for member in ring if member != left1
+            link_key(member, tor_d) for member in ring if member != left1
         )
         return ConditionScenario(
             label,
@@ -138,7 +132,7 @@ def build_scenario(label: str, topo: Topology, path: Sequence[str]) -> Condition
         return ConditionScenario(
             label,
             "1 ToR-agg link and the right across link",
-            (_key(agg_d, tor_d), _key(agg_d, right1)), agg_d, tor_d,
+            (link_key(agg_d, tor_d), link_key(agg_d, right1)), agg_d, tor_d,
             FailureCondition.CONDITION_3, 1,
         )
     if label == "C7":
@@ -149,9 +143,9 @@ def build_scenario(label: str, topo: Topology, path: Sequence[str]) -> Condition
             label,
             "2 ToR-agg links and 1 right across link",
             (
-                _key(agg_d, tor_d),
-                _key(right1, tor_d),
-                _key(right1, right2),
+                link_key(agg_d, tor_d),
+                link_key(right1, tor_d),
+                link_key(right1, right2),
             ),
             agg_d, tor_d,
             FailureCondition.CONDITION_4, None,

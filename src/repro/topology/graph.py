@@ -72,6 +72,15 @@ class Node:
         return hash(self.name)
 
 
+#: canonical (sorted) endpoint pair identifying an undirected link
+LinkKey = Tuple[str, str]
+
+
+def link_key(a: str, b: str) -> LinkKey:
+    """The canonical key of the link between ``a`` and ``b``."""
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass(frozen=True)
 class Link:
     """An undirected link between two nodes."""
@@ -82,9 +91,9 @@ class Link:
     kind: LinkKind
 
     @property
-    def key(self) -> Tuple[str, str]:
+    def key(self) -> LinkKey:
         """Canonical (sorted) endpoint pair."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return link_key(self.a, self.b)
 
     def other(self, node: str) -> str:
         if node == self.a:

@@ -12,7 +12,8 @@ the structural claims the paper makes about the rewired fabric:
 * **prefix-scheme soundness**: the ``/16``/``/15`` backups are strictly
   shorter than every learned prefix and never shadow one;
 * **wiring conformance**: the two rewired links per switch form the pod
-  ring the paper specifies (a miswiring census with named defects).
+  ring the paper specifies, within each switch's port budget (a
+  miswiring census with named defects).
 
 Everything operates on a :class:`~repro.verify.model.StaticNetworkModel`
 built purely from the topology description and the backup-route

@@ -16,7 +16,9 @@ and emits :class:`Finding`\\ s with one of four severities:
     refute certification — they are its fine print, now machine-checked.
 ``warning``
     Degradation on an unprotected switch (no across links, so no claim
-    is being made — e.g. the plain fat-tree baseline's aggs).
+    is being made — e.g. the plain fat-tree baseline's aggs), or a
+    backup prefix that also covers switch loopbacks (the wider 4-across
+    chains do; the learned ``/32`` still wins the lookup).
 ``info``
     Structural notes (e.g. a topology with no across rings at all).
 
@@ -47,15 +49,8 @@ from ..net.forwarding import (
     scan,
 )
 from ..sim.randomness import RandomStreams
-from ..topology.graph import Link, LinkKind, Topology, reachable
-from .model import (
-    _LAYER_RANK,
-    DestSpec,
-    FailedLinks,
-    LinkKey,
-    StaticNetworkModel,
-    link_key,
-)
+from ..topology.graph import Link, LinkKey, LinkKind, NodeKind, Topology, link_key, reachable
+from .model import _LAYER_RANK, DestSpec, FailedLinks, StaticNetworkModel
 
 # check names
 COVERAGE = "coverage"
@@ -688,6 +683,13 @@ def _check_prefix_soundness(
     model = analysis.model
     ring_switches = 0
     statics_total = 0
+    # loopbacks a backup may swallow: every switch that is not a rack
+    # switch (whose /32 sits inside its own subnet anyway)
+    loopbacks = [
+        (node.ip, node.name)
+        for node in map(model.topo.node, model.switches)
+        if node.ip is not None and node.kind not in (NodeKind.TOR, NodeKind.LEAF)
+    ]
     for switch in model.switches:
         entries = model.fibs[switch]
         statics = [e for e in entries if e.source == "static"]
@@ -736,6 +738,17 @@ def _check_prefix_soundness(
                 f"backup prefix {longest} does not cover "
                 f"{len(missed)} rack subnet(s), e.g. {missed[0].subnet}",
             ))
+        for entry in ordered:
+            covered = [lb for lb in loopbacks if entry.prefix.contains(lb[0])]
+            if covered:
+                ip, owner = covered[0]
+                rec.add(Finding(
+                    PREFIX_SOUNDNESS, "backup-covers-loopback", SEV_WARNING,
+                    switch,
+                    f"static {entry.prefix} also covers {len(covered)} switch "
+                    f"loopback(s), e.g. {ip} ({owner}); the learned /32s "
+                    f"still win the lookup",
+                ))
 
         ring = model.ring_neighbors.get(switch)
         if ring is not None:
@@ -805,6 +818,15 @@ def _check_wiring(analysis: _Analysis, rec: _Recorder) -> Dict[str, Any]:
             WIRING, "backup-config-underivable", SEV_ERROR, switch,
             f"backup routes cannot be derived from the wiring: {message}",
         ))
+    ports = topo.params.get("ports")
+    if ports is not None:
+        for switch in model.switches:
+            degree = topo.degree(switch)
+            if degree > ports:
+                rec.add(Finding(
+                    WIRING, "port-budget", SEV_ERROR, switch,
+                    f"uses {degree} ports but switches have {ports}",
+                ))
     if not across:
         rec.add(Finding(
             WIRING, "no-across-rings", SEV_INFO, topo.name,

@@ -26,21 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..core.backup_routes import (
-    RING_KINDS,
-    RingNeighbors,
-    backup_routes_for,
-    ring_neighbors_of,
-)
+from ..core.backup_routes import RingNeighbors, backup_routes_for, ring_neighbors_of
 from ..net.fib import LOCAL, FibEntry
 from ..net.ip import IPv4Address, Prefix
 from ..routing.lsdb import Lsa, Lsdb
 from ..routing.spf_batch import batch_compute_routes
 from ..topology.addressing import assign_addresses
-from ..topology.graph import Link, NodeKind, Topology, TopologyError
+from ..topology.graph import Link, LinkKey, NodeKind, Topology, TopologyError, link_key
 
-#: canonical (sorted) endpoint pair of a link
-LinkKey = Tuple[str, str]
 #: failure set representation: canonical pair -> number of failed
 #: parallel links between that pair
 FailedLinks = Mapping[LinkKey, int]
@@ -55,10 +48,6 @@ _LAYER_RANK = {
     NodeKind.INTERMEDIATE: 3,
     NodeKind.CORE: 3,
 }
-
-
-def link_key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,9 @@ def _unwire_pod_ring(topo: Topology) -> None:
 
 def _cross_pod_across(topo: Topology) -> None:
     """Replace one in-ring across link with one that crosses pods: the
-    census flags the stray link, the deficit, and the switches whose
-    backup config can no longer be derived."""
+    census flags the stray link, the deficit, the switches whose backup
+    config can no longer be derived, and the port budget the link's new
+    end overruns."""
     link = _pod0_agg_across(topo)[0]
     topo.remove_link(link)
     other_pod = topo.pod_members(NodeKind.AGG, 1)[0].name
@@ -274,7 +275,7 @@ _register(VerifyMutant(
     name="cross-pod-across",
     check=WIRING,
     description="an across link rewired to the wrong pod: stray link, "
-                "ring deficit, and underivable backup configs",
+                "ring deficit, underivable backup configs, port overrun",
     rewire=_cross_pod_across,
 ))
 

@@ -1,4 +1,5 @@
-"""Tests for the exhaustive condition census and deployment validation."""
+"""Tests for the exhaustive condition census and the deployment rules
+``repro verify`` checks on a built fabric."""
 
 from __future__ import annotations
 
@@ -10,15 +11,11 @@ from repro.analysis.census import (
     render_census,
 )
 from repro.core.f2tree import f2tree
-from repro.core.validation import (
-    Severity,
-    render_findings,
-    validate_deployment,
-)
-from repro.experiments.common import build_bundle
 from repro.net.fib import FibEntry
 from repro.net.ip import Prefix
-from repro.topology.graph import NodeKind
+from repro.topology.fattree import fat_tree
+from repro.topology.graph import LinkKind, NodeKind
+from repro.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -79,91 +76,102 @@ class TestCensus:
         assert "survival" in text and "100.0%" in text
 
 
-class TestValidation:
-    @pytest.fixture()
-    def healthy(self):
-        topo = f2tree(6)
-        bundle = build_bundle(topo)
-        return topo, bundle.network
+def _verify(topo, mutate_model=None):
+    return run_verification(topo, max_failures=1, mutate_model=mutate_model)
 
-    def test_healthy_deployment_passes(self, healthy):
-        topo, network = healthy
-        assert validate_deployment(topo, network) == []
-        assert "PASS" in render_findings([])
+
+def _pod0_aggs(topo):
+    return [n.name for n in topo.pod_members(NodeKind.AGG, 0)]
+
+
+def _replace_static(switch, drop, entry=None):
+    """A model mutation: withdraw ``switch``'s static ``drop`` and, when
+    given, install ``entry`` in its place."""
+    def mutate(model):
+        kept = [e for e in model.fibs[switch] if e.prefix != Prefix(drop)]
+        model.fibs[switch] = kept + ([entry] if entry is not None else [])
+    return mutate
+
+
+def _errors(report):
+    return {key for key in report.totals if key.endswith("/error")}
+
+
+class TestValidation:
+    """The deployment rules of an F²Tree fabric — complete pod rings,
+    port budgets, nested rightward-first backups — as ``repro verify``
+    findings on a sabotaged ``f2tree(6)``."""
+
+    def test_healthy_deployment_passes(self):
+        report = _verify(f2tree(6))
+        assert report.verdict == "CERTIFIED"
+        assert report.totals == {}
 
     def test_fat_tree_passes_trivially(self):
-        """No rings, no backup expectations: nothing to flag."""
-        from repro.topology.fattree import fat_tree
-
-        topo = fat_tree(4)
-        bundle = build_bundle(topo)
-        assert validate_deployment(topo, bundle.network) == []
+        """No rings, no backup expectations: nothing refuted, only the
+        unprotected-link warnings and the no-rings note."""
+        report = _verify(fat_tree(4))
+        assert report.verdict == "CERTIFIED"
+        assert set(report.totals) == {
+            "coverage/unprotected-downward-link/warning",
+            "wiring/no-across-rings/info",
+        }
 
     def test_missing_backup_routes_flagged(self):
-        from repro.dataplane.network import Network
+        def strip_statics(model):
+            for name, entries in model.fibs.items():
+                model.fibs[name] = [e for e in entries if e.source != "static"]
 
+        report = _verify(f2tree(6), mutate_model=strip_statics)
+        assert report.verdict == "REFUTED"
+        assert _errors(report) == {"coverage/uncovered-downward-link/error"}
+
+    def test_wrong_next_hop_flagged(self):
         topo = f2tree(6)
-        network = Network(topo)  # rings exist but no configuration at all
-        findings = validate_deployment(topo, network)
-        missing = [
-            f for f in findings if "no backup static routes" in f.message
-        ]
-        assert missing
-        assert all(f.severity is Severity.ERROR for f in missing)
-
-    def test_wrong_next_hop_flagged(self, healthy):
-        topo, network = healthy
-        agg = topo.pod_members(NodeKind.AGG, 0)[0].name
-        switch = network.switch(agg)
+        agg, _right, left = _pod0_aggs(topo)
         # sabotage: point the /16 backup leftward instead of rightward
-        members = [n.name for n in topo.pod_members(NodeKind.AGG, 0)]
-        switch.fib.install(
-            FibEntry(Prefix("10.11.0.0/16"), (members[2],), source="static")
+        wrong = FibEntry(Prefix("10.11.0.0/16"), (left,), source="static")
+        report = _verify(topo, _replace_static(agg, "10.11.0.0/16", wrong))
+        assert "prefix-soundness/backup-preference-order/error" in report.totals
+        assert any(
+            f.defect == "backup-preference-order" and f.subject == agg
+            for f in report.findings
         )
-        findings = validate_deployment(topo, network)
-        assert any("points at" in f.message for f in findings)
 
-    def test_non_nesting_prefixes_flagged(self, healthy):
-        topo, network = healthy
-        agg = topo.pod_members(NodeKind.AGG, 0)[0].name
-        switch = network.switch(agg)
-        switch.fib.withdraw(Prefix("10.10.0.0/15"))
+    def test_non_nesting_prefixes_flagged(self):
+        topo = f2tree(6)
+        agg, _right, left = _pod0_aggs(topo)
         # a second backup that does NOT cover the first
-        members = [n.name for n in topo.pod_members(NodeKind.AGG, 0)]
-        switch.fib.install(
-            FibEntry(Prefix("10.20.0.0/15"), (members[2],), source="static")
-        )
-        findings = validate_deployment(topo, network)
-        assert any("does not cover" in f.message for f in findings)
+        stray = FibEntry(Prefix("10.20.0.0/15"), (left,), source="static")
+        report = _verify(topo, _replace_static(agg, "10.10.0.0/15", stray))
+        assert {
+            "prefix-soundness/backup-not-nested/error",
+            "prefix-soundness/backup-preference-order/error",
+        } <= set(report.totals)
 
     def test_missing_ring_member_flagged(self):
-        from repro.dataplane.network import Network
-        from repro.topology.graph import LinkKind
-
         topo = f2tree(6)
-        agg = topo.pod_members(NodeKind.AGG, 0)[0].name
-        across = [
-            l for l in topo.links_of(agg) if l.kind is LinkKind.ACROSS
-        ]
-        for link in across:
+        agg = _pod0_aggs(topo)[0]
+        for link in [l for l in topo.links_of(agg) if l.kind is LinkKind.ACROSS]:
             topo.remove_link(link)
-        network = Network(topo)
-        findings = validate_deployment(topo, network)
-        assert any("ring is incomplete" in f.message for f in findings)
+        report = _verify(topo)
+        assert {
+            "wiring/missing-ring-link/error",
+            "coverage/uncovered-downward-link/error",
+        } <= _errors(report)
 
     def test_loopback_coverage_is_a_warning_only(self):
         """The 4-across /13 chain covers 10.12/10.13 loopbacks — flagged
         as a warning, not an error."""
-        topo = f2tree(10, across_ports=4)
-        bundle = build_bundle(topo)
-        findings = validate_deployment(topo, bundle.network)
-        assert findings  # the /13 covers loopbacks
-        assert all(f.severity is Severity.WARNING for f in findings)
+        report = _verify(f2tree(10, across_ports=4))
+        assert report.totals == {
+            "prefix-soundness/backup-covers-loopback/warning": 30,
+        }
+        assert report.verdict == "CERTIFIED"
 
-    def test_render_lists_findings(self, healthy):
-        topo, network = healthy
-        agg = topo.pod_members(NodeKind.AGG, 0)[0].name
-        network.switch(agg).fib.withdraw(Prefix("10.11.0.0/16"))
-        findings = validate_deployment(topo, network)
-        text = render_findings(findings)
-        assert "finding" in text and agg in text
+    def test_render_lists_findings(self):
+        topo = f2tree(6)
+        agg = _pod0_aggs(topo)[0]
+        report = _verify(topo, _replace_static(agg, "10.11.0.0/16"))
+        text = report.render()
+        assert "findings:" in text and agg in text

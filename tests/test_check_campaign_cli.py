@@ -60,6 +60,18 @@ class TestCheckCli:
     def test_replay_of_garbage_path_exits_two(self, tmp_path, capsys):
         code = main(["check", "--replay", str(tmp_path / "missing.json")])
         assert code == 2
+        # well-formed JSON of the wrong shape is a usage error too, with
+        # a one-line diagnosis rather than a traceback
+        for name, text in (
+            ("list.json", "[]"),
+            ("config.json", '{"version": 1, "config": [], "violations": []}'),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            capsys.readouterr()
+            assert main(["check", "--replay", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot replay {path}") and err.count("\n") == 1
 
     def test_zero_trials_is_an_error(self, capsys):
         assert main(["check", "--trials", "0"]) == 2

@@ -10,11 +10,7 @@ from repro.core.failure_analysis import (
     analyze_scenario,
     core_down_peer,
 )
-from repro.topology.graph import NodeKind
-
-
-def key(a, b):
-    return (a, b) if a <= b else (b, a)
+from repro.topology.graph import NodeKind, link_key
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +30,7 @@ class TestConditions:
     def test_condition_1_right_neighbor_works(self, ring):
         """Fig 3(a): only Sx's downward link fails."""
         topo, (sx, right, left), tor = ring
-        result = analyze_scenario(topo, sx, tor, frozenset({key(sx, tor)}))
+        result = analyze_scenario(topo, sx, tor, frozenset({link_key(sx, tor)}))
         assert result.condition is FailureCondition.CONDITION_1
         assert result.extra_hops == 1
         assert result.egress == right
@@ -43,7 +39,7 @@ class TestConditions:
     def test_condition_2_relay_around_ring(self, ring):
         """Fig 3(b): Sx and its right neighbor both lose downward links."""
         topo, (sx, right, left), tor = ring
-        failed = frozenset({key(sx, tor), key(right, tor)})
+        failed = frozenset({link_key(sx, tor), link_key(right, tor)})
         result = analyze_scenario(topo, sx, tor, failed)
         assert result.condition is FailureCondition.CONDITION_2
         assert result.extra_hops == 2
@@ -52,7 +48,7 @@ class TestConditions:
     def test_condition_3_leftward_fallback(self, ring):
         """Fig 3(c): right across link dead, go left."""
         topo, (sx, right, left), tor = ring
-        failed = frozenset({key(sx, tor), key(sx, right)})
+        failed = frozenset({link_key(sx, tor), link_key(sx, right)})
         result = analyze_scenario(topo, sx, tor, failed)
         assert result.condition is FailureCondition.CONDITION_3
         assert result.extra_hops == 1
@@ -62,7 +58,7 @@ class TestConditions:
         """Fig 3(d): right neighbor's down + right-across both dead."""
         topo, (sx, right, left), tor = ring
         failed = frozenset(
-            {key(sx, tor), key(right, tor), key(right, left)}
+            {link_key(sx, tor), link_key(right, tor), link_key(right, left)}
         )
         result = analyze_scenario(topo, sx, tor, failed)
         assert result.condition is FailureCondition.CONDITION_4
@@ -72,13 +68,13 @@ class TestConditions:
     def test_condition_4_left_neighbor_also_dead(self, ring):
         """Right across dead AND left neighbor's down dead: bouncing."""
         topo, (sx, right, left), tor = ring
-        failed = frozenset({key(sx, tor), key(sx, right), key(left, tor)})
+        failed = frozenset({link_key(sx, tor), link_key(sx, right), link_key(left, tor)})
         result = analyze_scenario(topo, sx, tor, failed)
         assert result.condition is FailureCondition.CONDITION_4
 
     def test_both_across_failed_degrades(self, ring):
         topo, (sx, right, left), tor = ring
-        failed = frozenset({key(sx, tor), key(sx, right), key(sx, left)})
+        failed = frozenset({link_key(sx, tor), link_key(sx, right), link_key(sx, left)})
         result = analyze_scenario(topo, sx, tor, failed)
         assert result.condition is FailureCondition.BOTH_ACROSS_FAILED
         assert not result.fast_reroute_succeeds
@@ -88,8 +84,8 @@ class TestConditions:
         condition' — model a switch failure as all its links failing."""
         topo, (sx, right, left), tor = ring
         right_links = frozenset(
-            key(l.a, l.b) for l in topo.links_of(right)
-        ) | {key(sx, tor)}
+            link_key(l.a, l.b) for l in topo.links_of(right)
+        ) | {link_key(sx, tor)}
         result = analyze_scenario(topo, sx, tor, right_links)
         assert result.condition is FailureCondition.CONDITION_3
 
@@ -100,7 +96,7 @@ class TestLargerRing(object):
         members = [n.name for n in f2_8.pod_members(NodeKind.AGG, 0)]
         tor = f2_8.pod_members(NodeKind.TOR, 0)[-1].name
         failed = frozenset(
-            {key(members[0], tor), key(members[1], tor), key(members[2], tor)}
+            {link_key(members[0], tor), link_key(members[1], tor), link_key(members[2], tor)}
         )
         result = analyze_scenario(f2_8, members[0], tor, failed)
         assert result.condition is FailureCondition.CONDITION_2
@@ -113,9 +109,9 @@ class TestLargerRing(object):
         tor = f2_8.pod_members(NodeKind.TOR, 0)[-1].name
         failed = frozenset(
             {
-                key(members[0], tor),
-                key(members[1], tor),
-                key(members[1], members[2]),
+                link_key(members[0], tor),
+                link_key(members[1], tor),
+                link_key(members[1], members[2]),
             }
         )
         result = analyze_scenario(f2_8, members[0], tor, failed)
@@ -134,7 +130,7 @@ class TestCoreRings:
             if n.position == 0
         )
         result = analyze_scenario(
-            f2_8, cores[0], dest_tor, frozenset({key(cores[0], agg)})
+            f2_8, cores[0], dest_tor, frozenset({link_key(cores[0], agg)})
         )
         assert result.condition is FailureCondition.CONDITION_1
         assert result.egress == cores[1]

@@ -24,7 +24,6 @@ from repro.obs.export import (
     read_spans_jsonl,
     validate_chrome_trace,
     validate_chrome_trace_file,
-    write_chrome_trace,
     write_spans_jsonl,
 )
 from repro.obs.spans import (

@@ -30,6 +30,7 @@ from repro.verify.mutants import (
     CHECK_EQUIVALENTS,
     MUTANTS,
     check_mutant,
+    run_mutant,
     run_selftest,
 )
 
@@ -211,6 +212,10 @@ def test_mutant_refuted_by_expected_check(name):
     else:
         assert result.replayed is None
     assert result.ok
+    if name == "cross-pod-across":
+        # the stray link lands on an agg that already uses every port
+        report = run_mutant(MUTANTS[name], max_failures=1)
+        assert report.totals["wiring/port-budget/error"] == 1
 
 
 def test_selftest_matrix_all_green():
