@@ -155,14 +155,15 @@ def bench_flow_backend() -> Dict[str, Any]:
     cold-starts and floods, the fluid one warm-starts, and everything
     after — failure, detection, SPF hold, FIB download — runs the same
     control plane.  Each wall clock includes the whole trial, set-up
-    included, but not the topology build.  Both runs must agree on
+    included, but not the topology build; the trial's own entry collect
+    (:func:`~repro.experiments.common.trial_heap`) frees the previous
+    section's garbage inside it.  Both runs must agree on
     :func:`~repro.check.differential.classify_recovery_time` before the
     ratio means anything, so that is asserted first.
 
     The k=48 scale trial runs on the fluid backend alone and is reported
     as a wall time and peak RSS against ``FLOW_SCALE_BUDGET_S``.
     """
-    import gc
     import resource
 
     from .check.differential import classify_recovery_time
@@ -176,9 +177,6 @@ def bench_flow_backend() -> Dict[str, Any]:
     runs: Dict[str, Dict[str, Any]] = {}
     for backend in ("packet", "flow"):
         topology = fat_tree(RATIO_PORTS, hosts_per_tor=1)
-        # each side starts from a collected heap, so neither pays for
-        # the previous section's garbage
-        gc.collect()
         t0 = time.perf_counter()
         trial = run_recovery(
             topology, "udp", params=params.with_overrides(backend=backend)

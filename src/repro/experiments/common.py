@@ -5,14 +5,18 @@ runtime network, a link-state protocol instance per switch (cold-started
 on the packet backend, warm-started on the fluid one), and — when the
 topology has across links — the F²Tree backup-route configuration.  Also
 provides the paper's host-selection convention ("from the leftmost end
-host to the rightmost one").
+host to the rightmost one") and :func:`trial_heap`, the one heap
+lifetime every trial entry point runs inside (the only module of
+``repro`` that touches the ``gc`` collector).
 """
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from ..core.backup_routes import configure_backup_routes
 from ..dataplane.network import Network
@@ -44,6 +48,43 @@ DEFAULT_WARMUP: Time = seconds(3)
 def full_scale() -> bool:
     """Whether to run paper-scale experiment sizes (REPRO_FULL_SCALE=1)."""
     return os.environ.get("REPRO_FULL_SCALE", "").strip() in ("1", "true", "yes")
+
+
+def _settled() -> None:
+    gc.freeze()
+    gc.enable()
+
+
+def _unmanaged() -> None:
+    pass
+
+
+@contextmanager
+def trial_heap() -> Iterator[Callable[[], None]]:
+    """One trial's heap lifetime; yields the ``settled()`` hook.
+
+    On entry the previous trial's cycles are collected (so none is
+    frozen into this one) and the collector pauses: set-up — topology,
+    ``Network``, deploy, backup statics, fluid model — allocates a
+    fabric that lives as long as the trial, and a collector pass would
+    only re-walk it.  The trial calls ``settled()`` when set-up ends,
+    before any simulator event: everything built so far is frozen out
+    of every later pass and the collector runs again.  On exit the
+    frozen objects are released to the collector and the collector is
+    enabled, as it was on entry.  When the collector is already
+    disabled, or something is already frozen — a nested trial, or a
+    caller managing the collector itself — the lifetime does nothing.
+    """
+    if not gc.isenabled() or gc.get_freeze_count():
+        yield _unmanaged
+        return
+    gc.collect()
+    gc.disable()
+    try:
+        yield _settled
+    finally:
+        gc.unfreeze()
+        gc.enable()
 
 
 @dataclass

@@ -43,7 +43,7 @@ from ..sim.flow import FluidTrafficModel
 from ..sim.flow.warmstart import BatchRouteOracle, warm_start_linkstate
 from ..sim.units import Time, microseconds, milliseconds, seconds
 from ..topology.fattree import fat_tree
-from .common import leftmost_host, rightmost_host
+from .common import leftmost_host, rightmost_host, trial_heap
 from .recovery import UDP_PORT, UDP_SPORT, default_failed_links
 
 
@@ -89,66 +89,68 @@ def run_flow_scale_trial(
     O(V·E) initial flooding.  One host per ToR keeps the prefix count at
     the switch subnets (the fabric is unchanged).
     """
-    topology = fat_tree(ports, hosts_per_tor=hosts_per_tor)
-    base = params if params is not None else NetworkParams()
-    base = base.with_overrides(backend="flow")
+    with trial_heap() as settled:
+        topology = fat_tree(ports, hosts_per_tor=hosts_per_tor)
+        base = params if params is not None else NetworkParams()
+        base = base.with_overrides(backend="flow")
 
-    sim = Simulator()
-    network = Network(topology, sim, base)
-    oracle = BatchRouteOracle()
-    warm_start_linkstate(network, oracle=oracle)
-    # attach the fluid model only after the bulk FIB load: the warm
-    # start's V install batches would otherwise fan out V notifications
-    model = FluidTrafficModel(network)
+        sim = Simulator()
+        network = Network(topology, sim, base)
+        oracle = BatchRouteOracle()
+        warm_start_linkstate(network, oracle=oracle)
+        # attach the fluid model only after the bulk FIB load: the warm
+        # start's V install batches would otherwise fan out V notifications
+        model = FluidTrafficModel(network)
+        settled()
 
-    src, dst = leftmost_host(topology), rightmost_host(topology)
-    path_before, complete = network.trace_route(
-        src, dst, PROTO_UDP, UDP_SPORT, UDP_PORT
-    )
-    if not complete:
-        raise RuntimeError(
-            f"warm-started network cannot route {src} -> {dst}: {path_before}"
+        src, dst = leftmost_host(topology), rightmost_host(topology)
+        path_before, complete = network.trace_route(
+            src, dst, PROTO_UDP, UDP_SPORT, UDP_PORT
         )
-    links = default_failed_links(path_before)
+        if not complete:
+            raise RuntimeError(
+                f"warm-started network cannot route {src} -> {dst}: {path_before}"
+            )
+        links = default_failed_links(path_before)
 
-    flow_start = warmup
-    failure_time = flow_start + fail_offset
-    flow_end = flow_start + flow_duration
-    stop_at = flow_end + drain
-    schedule_failures(
-        network, [FailureEvent(failure_time, a, b) for a, b in links]
-    )
-    flow = model.add_cbr_flow(
-        "scale-probe", src, dst, dport=UDP_PORT, sport=UDP_SPORT,
-        protocol=PROTO_UDP, packet_bytes=1448 + WIRE_OVERHEAD,
-        interval=microseconds(100), start=flow_start, stop=flow_end,
-    )
-    path_after: List[object] = [None]
+        flow_start = warmup
+        failure_time = flow_start + fail_offset
+        flow_end = flow_start + flow_duration
+        stop_at = flow_end + drain
+        schedule_failures(
+            network, [FailureEvent(failure_time, a, b) for a, b in links]
+        )
+        flow = model.add_cbr_flow(
+            "scale-probe", src, dst, dport=UDP_PORT, sport=UDP_SPORT,
+            protocol=PROTO_UDP, packet_bytes=1448 + WIRE_OVERHEAD,
+            interval=microseconds(100), start=flow_start, stop=flow_end,
+        )
+        path_after: List[object] = [None]
 
-    def probe_after() -> None:
-        path_after[0] = network.trace_route(src, dst, PROTO_UDP, UDP_SPORT, UDP_PORT)
+        def probe_after() -> None:
+            path_after[0] = network.trace_route(src, dst, PROTO_UDP, UDP_SPORT, UDP_PORT)
 
-    sim.schedule_at(stop_at - milliseconds(1), probe_after)
-    sim.run_until(stop_at)
-    model.finalize()
+        sim.schedule_at(stop_at - milliseconds(1), probe_after)
+        sim.run_until(stop_at)
+        model.finalize()
 
-    arrivals = flow.arrivals()
-    loss = connectivity_loss_duration([a.received_at for a in arrivals], failure_time)
-    after = path_after[0]
-    return FlowScaleResult(
-        topology=topology.name,
-        n_switches=sum(1 for _ in network.switches()),
-        n_links=len(network.links),
-        src=src,
-        dst=dst,
-        failed_links=links,
-        failure_time=failure_time,
-        connectivity_loss=loss,
-        packets_sent=flow.sent,
-        packets_received=len(arrivals),
-        path_after_complete=bool(after[1]) if after is not None else False,
-        events_processed=sim.events_processed,
-        batch_spf_runs=oracle.batch_runs,
-        batch_spf_hits=oracle.hits,
-        flow_recomputes=model.recomputes,
-    )
+        arrivals = flow.arrivals()
+        loss = connectivity_loss_duration([a.received_at for a in arrivals], failure_time)
+        after = path_after[0]
+        return FlowScaleResult(
+            topology=topology.name,
+            n_switches=sum(1 for _ in network.switches()),
+            n_links=len(network.links),
+            src=src,
+            dst=dst,
+            failed_links=links,
+            failure_time=failure_time,
+            connectivity_loss=loss,
+            packets_sent=flow.sent,
+            packets_received=len(arrivals),
+            path_after_complete=bool(after[1]) if after is not None else False,
+            events_processed=sim.events_processed,
+            batch_spf_runs=oracle.batch_runs,
+            batch_spf_hits=oracle.hits,
+            flow_recomputes=model.recomputes,
+        )

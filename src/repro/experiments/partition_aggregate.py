@@ -30,7 +30,7 @@ from ..workloads.flow_partition_aggregate import (
     FlowPartitionAggregateWorkload,
 )
 from ..workloads.partition_aggregate import PartitionAggregateWorkload
-from .common import DEFAULT_WARMUP, build_bundle, full_scale
+from .common import DEFAULT_WARMUP, build_bundle, full_scale, trial_heap
 from .conditions import conditions_topology
 
 
@@ -95,62 +95,64 @@ def run_partition_aggregate(
     both; the backend only picks the traffic's carrier (TCP, or reliable
     fluid flows whose completions are read analytically after the drain).
     """
-    config = config or PartitionAggregateConfig.default()
-    topology = conditions_topology(kind, config.ports)
-    bundle = build_bundle(topology, params=params, seed=config.seed)
-    bundle.converge(DEFAULT_WARMUP)
+    with trial_heap() as settled:
+        config = config or PartitionAggregateConfig.default()
+        topology = conditions_topology(kind, config.ports)
+        bundle = build_bundle(topology, params=params, seed=config.seed)
+        settled()
+        bundle.converge(DEFAULT_WARMUP)
 
-    network, streams, model = bundle.network, bundle.streams, bundle.flow_model
-    workload: Union[PartitionAggregateWorkload, FlowPartitionAggregateWorkload]
-    background: Union[BackgroundTraffic, FlowBackgroundTraffic]
-    fluid: Tuple[Union[FlowPartitionAggregateWorkload, FlowBackgroundTraffic], ...] = ()
-    if model is None:
-        workload = PartitionAggregateWorkload(network, streams, n_requests=config.n_requests)
-        background = BackgroundTraffic(network, streams)
-    else:
-        workload = FlowPartitionAggregateWorkload(
-            network, model, streams, n_requests=config.n_requests
+        network, streams, model = bundle.network, bundle.streams, bundle.flow_model
+        workload: Union[PartitionAggregateWorkload, FlowPartitionAggregateWorkload]
+        background: Union[BackgroundTraffic, FlowBackgroundTraffic]
+        fluid: Tuple[Union[FlowPartitionAggregateWorkload, FlowBackgroundTraffic], ...] = ()
+        if model is None:
+            workload = PartitionAggregateWorkload(network, streams, n_requests=config.n_requests)
+            background = BackgroundTraffic(network, streams)
+        else:
+            workload = FlowPartitionAggregateWorkload(
+                network, model, streams, n_requests=config.n_requests
+            )
+            background = FlowBackgroundTraffic(network, model, streams)
+            fluid = (workload, background)
+
+        start = DEFAULT_WARMUP
+        workload.schedule(start, config.duration)
+        background.schedule(config.n_background_flows, start, config.duration)
+
+        pattern = paper_failure_pattern(config.concurrent_failures, config.duration)
+        events = generate_random_failures(topology, pattern, config.duration, streams, start=start)
+        schedule_failures(network, events)
+        n_failures, avg_concurrency = concurrency_profile(events, config.duration)
+
+        # drain long enough for OSPF backoff timers (up to 10 s), TCP retries
+        # of the last requests and reliable fluid backlogs to settle
+        end = start + config.duration + seconds(15)
+        bundle.sim.run(until=end)
+        workload.stats.censored_at = end
+
+        backend_stats: Dict[str, int] = {}
+        if model is not None:
+            model.finalize()
+            for driver in fluid:
+                driver.collect()
+            # the oracle's hit ratio rides with the model's counters, so a
+            # report shows how often post-failure SPF shared a batch run
+            backend_stats = model.stats()
+            if bundle.route_oracle is not None:
+                backend_stats["batch_spf_runs"] = bundle.route_oracle.batch_runs
+                backend_stats["batch_spf_hits"] = bundle.route_oracle.hits
+
+        return PartitionAggregateResult(
+            kind=kind,
+            config=config,
+            stats=workload.stats,
+            n_failures=n_failures,
+            average_concurrency=avg_concurrency,
+            background_completed=background.completed,
+            background_total=len(background.flows),
+            backend_stats=backend_stats,
         )
-        background = FlowBackgroundTraffic(network, model, streams)
-        fluid = (workload, background)
-
-    start = DEFAULT_WARMUP
-    workload.schedule(start, config.duration)
-    background.schedule(config.n_background_flows, start, config.duration)
-
-    pattern = paper_failure_pattern(config.concurrent_failures, config.duration)
-    events = generate_random_failures(topology, pattern, config.duration, streams, start=start)
-    schedule_failures(network, events)
-    n_failures, avg_concurrency = concurrency_profile(events, config.duration)
-
-    # drain long enough for OSPF backoff timers (up to 10 s), TCP retries
-    # of the last requests and reliable fluid backlogs to settle
-    end = start + config.duration + seconds(15)
-    bundle.sim.run(until=end)
-    workload.stats.censored_at = end
-
-    backend_stats: Dict[str, int] = {}
-    if model is not None:
-        model.finalize()
-        for driver in fluid:
-            driver.collect()
-        # the oracle's hit ratio rides with the model's counters, so a
-        # report shows how often post-failure SPF shared a batch run
-        backend_stats = model.stats()
-        if bundle.route_oracle is not None:
-            backend_stats["batch_spf_runs"] = bundle.route_oracle.batch_runs
-            backend_stats["batch_spf_hits"] = bundle.route_oracle.hits
-
-    return PartitionAggregateResult(
-        kind=kind,
-        config=config,
-        stats=workload.stats,
-        n_failures=n_failures,
-        average_concurrency=avg_concurrency,
-        background_completed=background.completed,
-        background_total=len(background.flows),
-        backend_stats=backend_stats,
-    )
 
 
 def run_flow_partition_aggregate(

@@ -34,7 +34,13 @@ from ..sim.units import Time, microseconds, milliseconds, seconds
 from ..topology.graph import Topology, link_key
 from ..transport.apps import PacedTcpSender, TcpSinkServer
 from ..transport.udp import UdpSender, UdpSink
-from .common import DEFAULT_WARMUP, build_bundle, leftmost_host, rightmost_host
+from .common import (
+    DEFAULT_WARMUP,
+    build_bundle,
+    leftmost_host,
+    rightmost_host,
+    trial_heap,
+)
 
 UDP_PORT = 7000
 TCP_PORT = 7001
@@ -112,135 +118,137 @@ def run_recovery(
     :class:`~repro.obs.TraceAnalysisError` when the trace ring wrapped
     past the failure).
     """
-    if transport not in ("udp", "tcp"):
-        raise ValueError(f"unknown transport {transport!r}")
-    bundle = build_bundle(
-        topology, params=params, seed=seed, backup_tie_break=backup_tie_break,
-        routing=routing, routing_options=routing_options, obs=obs,
-    )
-    bundle.converge(warmup)
-
-    src = src or leftmost_host(topology)
-    dst = dst or rightmost_host(topology)
-    network = bundle.network
-    sim = bundle.sim
-
-    if transport == "udp":
-        sport, dport, proto = UDP_SPORT, UDP_PORT, PROTO_UDP
-    else:
-        # the first ephemeral port the sender's stack will allocate
-        sport, dport, proto = 33000, TCP_PORT, PROTO_TCP
-    path_before, complete = network.trace_route(src, dst, proto, sport, dport)
-    if not complete:
-        raise RuntimeError(f"no converged path {src} -> {dst}: {path_before}")
-
-    given = sum(x is not None for x in (scenario, scenario_label, failed_links))
-    if given > 1:
-        raise ValueError("give at most one of scenario/scenario_label/failed_links")
-    if scenario_label is not None:
-        from ..failures.scenarios import build_scenario
-
-        scenario = build_scenario(scenario_label, topology, path_before)
-    if scenario is not None:
-        links = tuple(scenario.failed)
-    elif failed_links is not None:
-        links = tuple(failed_links)
-    else:
-        links = default_failed_links(path_before)
-
-    flow_start = warmup
-    failure_time = flow_start + fail_offset
-    flow_end = flow_start + flow_duration
-    stop_at = flow_end + drain
-
-    result = RecoveryResult(
-        topology=topology.name,
-        transport=transport,
-        src=src,
-        dst=dst,
-        path_before=path_before,
-        failed_links=links,
-        failure_time=failure_time,
-        flow_start=flow_start,
-        flow_end=flow_end,
-    )
-
-    schedule_failures(
-        network, [FailureEvent(failure_time, a, b) for a, b in links]
-    )
-
-    # trace the in-reroute path just after detection, and the final path
-    detect_probe_at = failure_time + network.params.detection_delay + milliseconds(5)
-
-    def probe_during() -> None:
-        result.path_during = network.trace_route(src, dst, proto, sport, dport)
-
-    def probe_after() -> None:
-        result.path_after = network.trace_route(src, dst, proto, sport, dport)
-
-    sim.schedule_at(detect_probe_at, probe_during)
-    sim.schedule_at(stop_at - milliseconds(1), probe_after)
-
-    # the carrier: the same flow on either backend — 1448-byte payloads
-    # every 100 us; a fluid UDP flow carries the wire overhead so its
-    # analytic path delay matches the packet backend's, a fluid TCP flow
-    # is reliable (backlogs while its path is dead)
-    model = bundle.flow_model
-    if model is not None:
-        flow = model.add_cbr_flow(
-            f"recovery-{transport}", src, dst, dport=dport, sport=sport,
-            protocol=proto,
-            packet_bytes=1448 + WIRE_OVERHEAD if transport == "udp" else 1448,
-            interval=microseconds(100), start=flow_start, stop=flow_end,
-            reliable=transport == "tcp",
+    with trial_heap() as settled:
+        if transport not in ("udp", "tcp"):
+            raise ValueError(f"unknown transport {transport!r}")
+        bundle = build_bundle(
+            topology, params=params, seed=seed, backup_tie_break=backup_tie_break,
+            routing=routing, routing_options=routing_options, obs=obs,
         )
-    elif transport == "udp":
-        sink = UdpSink(sim, network.host(dst), UDP_PORT)
-        sender = UdpSender(
-            sim, network.host(src), network.host(dst).ip, UDP_PORT, sport=UDP_SPORT
-        )
-        sender.start(at=flow_start, stop_at=flow_end)
-    else:
-        tcp_sink = TcpSinkServer(sim, network.host(dst), TCP_PORT)
-        PacedTcpSender(
-            sim, network.host(src), network.host(dst).ip, TCP_PORT
-        ).start(at=flow_start, stop_at=flow_end)
-    sim.run_until(stop_at)
-    if model is not None:
-        model.finalize()
+        settled()
+        bundle.converge(warmup)
 
-    # the readout: the same metric functions over either carrier's log
-    if transport == "udp":
-        if model is None:
-            result.packets_sent, arrivals = sender.sent, sink.arrivals
+        src = src or leftmost_host(topology)
+        dst = dst or rightmost_host(topology)
+        network = bundle.network
+        sim = bundle.sim
+
+        if transport == "udp":
+            sport, dport, proto = UDP_SPORT, UDP_PORT, PROTO_UDP
         else:
-            result.packets_sent, arrivals = flow.sent, flow.arrivals()
-        result.packets_received = len(arrivals)
-        result.connectivity_loss = connectivity_loss_duration(
-            [a.received_at for a in arrivals], failure_time
-        )
-        result.delay_samples = [(a.received_at, a.delay, a.hops) for a in arrivals]
-        result.throughput = throughput_series(
-            [(a.received_at, 1448) for a in arrivals], flow_start, flow_end
-        )
-    else:
-        deliveries = tcp_sink.deliveries if model is None else flow.deliveries()
-        result.collapse_duration = throughput_collapse_duration(
-            deliveries, flow_start, failure_time, flow_end
-        )
-        result.throughput = throughput_series(deliveries, flow_start, flow_end)
-    if obs is not None and obs.enabled and model is None:
-        # per-phase attribution reads packet delivery events off the
-        # trace, which the fluid backend doesn't generate
-        result.breakdown = analyze_recovery(
-            obs.trace,
+            # the first ephemeral port the sender's stack will allocate
+            sport, dport, proto = 33000, TCP_PORT, PROTO_TCP
+        path_before, complete = network.trace_route(src, dst, proto, sport, dport)
+        if not complete:
+            raise RuntimeError(f"no converged path {src} -> {dst}: {path_before}")
+
+        given = sum(x is not None for x in (scenario, scenario_label, failed_links))
+        if given > 1:
+            raise ValueError("give at most one of scenario/scenario_label/failed_links")
+        if scenario_label is not None:
+            from ..failures.scenarios import build_scenario
+
+            scenario = build_scenario(scenario_label, topology, path_before)
+        if scenario is not None:
+            links = tuple(scenario.failed)
+        elif failed_links is not None:
+            links = tuple(failed_links)
+        else:
+            links = default_failed_links(path_before)
+
+        flow_start = warmup
+        failure_time = flow_start + fail_offset
+        flow_end = flow_start + flow_duration
+        stop_at = flow_end + drain
+
+        result = RecoveryResult(
+            topology=topology.name,
+            transport=transport,
+            src=src,
             dst=dst,
-            dport=dport,
+            path_before=path_before,
+            failed_links=links,
             failure_time=failure_time,
+            flow_start=flow_start,
+            flow_end=flow_end,
         )
-    if obs is not None:
-        network.fold_fib_chain_counters(obs.metrics)
-    return result
+
+        schedule_failures(
+            network, [FailureEvent(failure_time, a, b) for a, b in links]
+        )
+
+        # trace the in-reroute path just after detection, and the final path
+        detect_probe_at = failure_time + network.params.detection_delay + milliseconds(5)
+
+        def probe_during() -> None:
+            result.path_during = network.trace_route(src, dst, proto, sport, dport)
+
+        def probe_after() -> None:
+            result.path_after = network.trace_route(src, dst, proto, sport, dport)
+
+        sim.schedule_at(detect_probe_at, probe_during)
+        sim.schedule_at(stop_at - milliseconds(1), probe_after)
+
+        # the carrier: the same flow on either backend — 1448-byte payloads
+        # every 100 us; a fluid UDP flow carries the wire overhead so its
+        # analytic path delay matches the packet backend's, a fluid TCP flow
+        # is reliable (backlogs while its path is dead)
+        model = bundle.flow_model
+        if model is not None:
+            flow = model.add_cbr_flow(
+                f"recovery-{transport}", src, dst, dport=dport, sport=sport,
+                protocol=proto,
+                packet_bytes=1448 + WIRE_OVERHEAD if transport == "udp" else 1448,
+                interval=microseconds(100), start=flow_start, stop=flow_end,
+                reliable=transport == "tcp",
+            )
+        elif transport == "udp":
+            sink = UdpSink(sim, network.host(dst), UDP_PORT)
+            sender = UdpSender(
+                sim, network.host(src), network.host(dst).ip, UDP_PORT, sport=UDP_SPORT
+            )
+            sender.start(at=flow_start, stop_at=flow_end)
+        else:
+            tcp_sink = TcpSinkServer(sim, network.host(dst), TCP_PORT)
+            PacedTcpSender(
+                sim, network.host(src), network.host(dst).ip, TCP_PORT
+            ).start(at=flow_start, stop_at=flow_end)
+        sim.run_until(stop_at)
+        if model is not None:
+            model.finalize()
+
+        # the readout: the same metric functions over either carrier's log
+        if transport == "udp":
+            if model is None:
+                result.packets_sent, arrivals = sender.sent, sink.arrivals
+            else:
+                result.packets_sent, arrivals = flow.sent, flow.arrivals()
+            result.packets_received = len(arrivals)
+            result.connectivity_loss = connectivity_loss_duration(
+                [a.received_at for a in arrivals], failure_time
+            )
+            result.delay_samples = [(a.received_at, a.delay, a.hops) for a in arrivals]
+            result.throughput = throughput_series(
+                [(a.received_at, 1448) for a in arrivals], flow_start, flow_end
+            )
+        else:
+            deliveries = tcp_sink.deliveries if model is None else flow.deliveries()
+            result.collapse_duration = throughput_collapse_duration(
+                deliveries, flow_start, failure_time, flow_end
+            )
+            result.throughput = throughput_series(deliveries, flow_start, flow_end)
+        if obs is not None and obs.enabled and model is None:
+            # per-phase attribution reads packet delivery events off the
+            # trace, which the fluid backend doesn't generate
+            result.breakdown = analyze_recovery(
+                obs.trace,
+                dst=dst,
+                dport=dport,
+                failure_time=failure_time,
+            )
+        if obs is not None:
+            network.fold_fib_chain_counters(obs.metrics)
+        return result
 
 
 def reroute_delay_microseconds(

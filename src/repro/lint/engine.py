@@ -141,6 +141,12 @@ class _MultiRuleVisitor(ast.NodeVisitor):
             rule.on_compare(node, self.ctx)
         self.generic_visit(node)
 
+    # --- imports -------------------------------------------------------
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for rule in self.rules:
+            rule.on_import_from(node, self.ctx)
+        self.generic_visit(node)
+
     # --- function definitions ------------------------------------------
     def _visit_function(self, node: ast.AST) -> None:
         for rule in self.rules:

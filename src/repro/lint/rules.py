@@ -142,6 +142,9 @@ class Rule:
     def on_function(self, node: ast.AST, ctx: Context) -> None:
         """Every function/lambda definition (sync or async)."""
 
+    def on_import_from(self, node: ast.ImportFrom, ctx: Context) -> None:
+        """Every ``from ... import ...`` statement."""
+
 
 #: rule id -> singleton instance, in registration order
 REGISTRY: Dict[str, Rule] = {}
@@ -541,6 +544,39 @@ class FlowDictIterationRule(Rule):
                 "insertion order; float accumulation and event scheduling "
                 "make that order observable — iterate sorted(names) and "
                 "index, or wrap .items() in sorted(...)",
+            )
+
+
+@register
+class GcCallRule(Rule):
+    id = "gc-call"
+    summary = (
+        "gc.* call or `from gc import` outside the trial heap lifetime "
+        "(repro/experiments/common.py)"
+    )
+
+    def applies_to(self, path: str) -> bool:
+        # trial_heap is the one place that pauses, freezes or collects:
+        # anything else touching the collector would fight it
+        return _in_repro_source(path) and not path.endswith(
+            "repro/experiments/common.py"
+        )
+
+    def on_call(self, node: ast.Call, ctx: Context) -> None:
+        dotted = _dotted(node.func)
+        if dotted.startswith("gc."):
+            ctx.add(
+                self, node,
+                f"{dotted}() manages the collector outside the trial heap "
+                f"lifetime; run the trial inside experiments.common.trial_heap",
+            )
+
+    def on_import_from(self, node: ast.ImportFrom, ctx: Context) -> None:
+        if node.module == "gc" and not node.level:
+            ctx.add(
+                self, node,
+                "`from gc import ...` manages the collector outside the "
+                "trial heap lifetime (experiments.common.trial_heap)",
             )
 
 

@@ -131,6 +131,16 @@ FIXTURES: Tuple[Fixture, ...] = (
         ),
     ),
     Fixture(
+        rule="gc-call",
+        path=_SRC,
+        source="import gc\nfrom gc import freeze\ngc.disable()\n",
+        clean=(
+            "with trial_heap() as settled:\n"
+            "    bundle = build_bundle(topology)\n"
+            "    settled()\n"
+        ),
+    ),
+    Fixture(
         rule="unused-suppression",
         path=_SRC,
         source="budget = 1  # repro-lint: ignore[wall-clock]\n",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..net.ip import Prefix
 
@@ -45,19 +45,57 @@ def _entry_hash(lsa: Lsa) -> int:
     return hash((lsa.origin, lsa.neighbors, lsa.prefixes))
 
 
-#: origin -> LSA, shared by every database loaded from one reference
-_Base = Dict[str, Lsa]
-_EMPTY: _Base = {}
+class _Base(Dict[str, Lsa]):
+    """origin -> LSA, shared by every database loaded from one reference
+    and never mutated once built."""
+
+    __slots__ = ("content_hash", "_sorted")
+
+    def __init__(self, lsas: Iterable[Lsa] = (), content_hash: int = 0) -> None:
+        super().__init__((lsa.origin, lsa) for lsa in lsas)
+        self.content_hash = content_hash
+        #: the sorted entries, built on the first cross-base comparison
+        self._sorted: Optional[Tuple[Entry, ...]] = None
+
+    def sorted_entries(self) -> Tuple[Entry, ...]:
+        entries = self._sorted
+        if entries is None:
+            entries = self._sorted = tuple(sorted(
+                (origin, lsa.neighbors, lsa.prefixes) for origin, lsa in self.items()
+            ))
+        return entries
+
+    def same_content(self, other: "_Base") -> bool:
+        """Whether both bases hold the same routing-relevant content:
+        decided by a full comparison once per pair of equal bases, which
+        then share one sorted tuple, so later calls are identity checks."""
+        if self is other:
+            return True
+        if self.content_hash != other.content_hash:
+            return False
+        mine, theirs = self.sorted_entries(), other.sorted_entries()
+        if mine is theirs:
+            return True
+        if mine != theirs:
+            return False
+        other._sorted = mine
+        return True
+
+
+_EMPTY = _Base()
 
 
 class Fingerprint:
     """The hashable digest :meth:`Lsdb.fingerprint` returns: a base plus
     the sorted entries whose content differs from it.
 
-    Equal exactly when the sorted entries are, whatever the bases: views
-    of one base compare only their differences, views of two bases their
-    full content.  The hash, a sum of entry hashes, depends on content
-    alone.  Iteration yields the sorted entries.
+    Equal exactly when the sorted entries are, whatever the bases.  The
+    differences from a base are canonical for its content, so views of
+    one base — or of two bases with the same content, as two trials'
+    warm starts of one fabric are — compare only their differences;
+    views of two different bases compare their full content.  The hash,
+    a sum of entry hashes, depends on content alone.  Iteration yields
+    the sorted entries.
     """
 
     __slots__ = ("_base", "_diff", "_hash")
@@ -77,7 +115,7 @@ class Fingerprint:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        if self._base is other._base:
+        if self._base.same_content(other._base):
             return self._diff == other._diff
         return tuple(self) == tuple(other)
 
@@ -156,7 +194,7 @@ class Lsdb:
         if self._overlay or self._base:
             raise ValueError("Lsdb.load needs an empty database")
         if reference._overlay:
-            reference._base = {lsa.origin: lsa for lsa in reference.all()}
+            reference._base = _Base(reference.all(), reference._hash)
             reference._overlay, reference._diff = {}, {}
             reference._fingerprint = None
         self._base = reference._base

@@ -328,6 +328,37 @@ def test_warm_start_shares_one_base_and_floods_into_overlays():
         assert hash(db.fingerprint()) == hash(cold.fingerprint())
 
 
+def test_equal_content_bases_compare_by_differences(monkeypatch):
+    """Two warm starts of one fabric are two bases with the same content:
+    their views after the same failure are equal, and deciding that
+    materializes no fingerprint, however often the memos compare them
+    (a second trial in one process used to sort both full contents on
+    every SPF-memo hit)."""
+    import repro.routing.lsdb as lsdb_module
+
+    iterated = []
+    iterate = lsdb_module.Fingerprint.__iter__
+
+    def counting(fingerprint):
+        iterated.append(fingerprint)
+        return iterate(fingerprint)
+
+    first, second = (_fail_one_link_after_warm_start(8) for _ in range(2))
+    unfailed = next(_fail_one_link_after_warm_start(8))["agg-1-0"].lsdb.fingerprint()
+    next(first), next(second)
+    fp_a = next(first)["agg-1-0"].lsdb.fingerprint()
+    fp_b = next(second)["agg-1-0"].lsdb.fingerprint()
+    assert fp_a._base is not fp_b._base and fp_a._diff
+    monkeypatch.setattr(lsdb_module.Fingerprint, "__iter__", counting)
+    for _ in range(50):
+        assert fp_a == fp_b and fp_b == fp_a and hash(fp_a) == hash(fp_b)
+        assert {fp_a: "a"}[fp_b] == "a"
+        assert fp_a != unfailed
+    assert iterated == []
+    monkeypatch.undo()
+    assert tuple(fp_a) == tuple(fp_b) != tuple(unfailed)
+
+
 def test_spf_cache_stats_note_sequence():
     """``note`` answers "has this consumer asked for this key before" —
     pinned on a scripted sequence, with keys on equal content from two
