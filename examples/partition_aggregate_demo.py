@@ -14,6 +14,7 @@ Run:  python examples/partition_aggregate_demo.py        (scaled, ~30 s)
       REPRO_FULL_SCALE=1 python examples/...             (paper scale)
 """
 
+from repro.campaign.telemetry import percentile
 from repro.experiments.partition_aggregate import (
     PartitionAggregateConfig,
     run_partition_aggregate,
@@ -40,8 +41,9 @@ def main() -> None:
         for t in (milliseconds(100), milliseconds(600), seconds(1)):
             frac = r.stats.fraction_longer_than(t)
             print(f"  completions > {int(t/1e6):>4} ms    : {frac:.3%}")
-        print(f"  99.9th pct completion    : "
-              f"{r.stats.percentile(99.9)/1e6:.0f} ms")
+        times = sorted(r.stats.completion_times())
+        print(f"  99th pct completion      : "
+              f"{percentile(times, 99)/1e6:.0f} ms")
         print()
 
     fat, f2 = results["fat-tree"], results["f2tree"]

@@ -137,12 +137,12 @@ def verify_specs(
     """Static verification grid: the rewired builds the paper claims
     protection for, plus the plain baselines that must stay clean."""
     families: Tuple[Tuple[str, int], ...] = (
-        ("fattree", ports),
-        ("fattree", 6),
+        ("f2tree", ports),
+        ("f2tree", 6),
         ("fat-tree", ports),
+        ("f2-leaf-spine", ports),
         ("leaf-spine", ports),
-        ("leaf-spine-plain", ports),
-        ("vl2-plain", 4),
+        ("vl2", 4),
         ("aspen", 4),
     )
     return [

@@ -38,14 +38,11 @@ Kinds
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..dataplane.params import NetworkParams
 from ..sim.units import microseconds, to_milliseconds
 from .spec import CampaignError, TrialContext, register_trial
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..topology.graph import Topology
 
 #: spec-parameter prefix for flattened NetworkParams overrides
 NET_PREFIX = "net_"
@@ -83,23 +80,6 @@ def split_network_params(
     return network, rest
 
 
-def _build_topology(topology: str, ports: int, across_ports: int) -> "Topology":
-    from ..core.f2tree import f2tree
-    from ..topology.fattree import fat_tree
-    from ..topology.leafspine import leaf_spine
-    from ..topology.vl2 import vl2
-
-    if topology == "fat-tree":
-        return fat_tree(ports)
-    if topology == "f2tree":
-        return f2tree(ports, across_ports=across_ports)
-    if topology == "leaf-spine":
-        return leaf_spine(ports, max(2, ports // 2))
-    if topology == "vl2":
-        return vl2(ports, ports)
-    raise CampaignError(f"unknown topology {topology!r}")
-
-
 @register_trial("recovery")
 def run_recovery_trial(
     ctx: TrialContext,
@@ -112,13 +92,14 @@ def run_recovery_trial(
     **params: Any,
 ) -> Dict[str, Any]:
     """One single-flow recovery run; the campaign's workhorse kind."""
+    from ..core.fabrics import build_fabric
     from ..experiments.recovery import run_recovery
 
     network_params, rest = split_network_params(params)
     if rest:
         raise CampaignError(f"unknown recovery trial parameters: {sorted(rest)}")
     result = run_recovery(
-        _build_topology(topology, ports, across_ports),
+        build_fabric(topology, ports, across_ports),
         transport,
         scenario_label=scenario,
         params=network_params,
@@ -231,7 +212,7 @@ def run_flow_fig6_trial(
         run_flow_partition_aggregate,
     )
     from ..sim.units import seconds
-    from .telemetry import QUANTILES
+    from .telemetry import QUANTILES, percentile
 
     network_params, rest = split_network_params(params)
     if rest:
@@ -260,8 +241,9 @@ def run_flow_fig6_trial(
         # show them without rerunning
         "backend_stats": dict(sorted(result.backend_stats.items())),
     }
+    times = sorted(result.stats.completion_times())
     for q in QUANTILES:
-        payload[f"fct_p{q}_ms"] = to_milliseconds(result.stats.percentile(q))
+        payload[f"fct_p{q}_ms"] = to_milliseconds(percentile(times, q))
     return payload
 
 
@@ -354,7 +336,7 @@ def run_diff_trial(
 @register_trial("verify")
 def run_verify_trial(
     ctx: TrialContext,
-    topology: str = "fattree",
+    topology: str = "f2tree",
     ports: int = 8,
     across_ports: int = 2,
     max_failures: int = 2,
@@ -366,13 +348,14 @@ def run_verify_trial(
     built topology, no simulator.  The payload is deterministic — same
     spec, same verdict, same counts — so verification grids shard
     cleanly across workers."""
+    from ..core.fabrics import build_fabric
     from ..topology.graph import TopologyError
-    from ..verify import build_verify_topology, run_verification
+    from ..verify import run_verification
 
     if params:
         raise CampaignError(f"unknown verify trial parameters: {sorted(params)}")
     try:
-        topo = build_verify_topology(topology, ports, across_ports=across_ports)
+        topo = build_fabric(topology, ports, across_ports)
     except TopologyError as exc:
         raise CampaignError(str(exc)) from exc
     report = run_verification(

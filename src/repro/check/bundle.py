@@ -8,12 +8,16 @@ violation list, and the obs trace of the violating run.
 
 ``write_bundle`` re-executes the trial with tracing enabled and *fails*
 if the re-execution does not reproduce the violations exactly — so a
-bundle on disk is already proof of determinism.  ``replay_bundle`` is
-the consumer side: load, re-execute, compare canonically.
+bundle on disk is already proof of determinism.  It also seals the
+bundle with a ``sha256`` over the canonical JSON of every other field,
+so an edited bundle (violations emptied, a trace event cut) is refused
+rather than replayed as a pass.  ``replay_bundle`` is the consumer
+side: load, re-execute, compare canonically.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
@@ -94,17 +98,30 @@ def write_bundle(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     mutant_name = getattr(mutant, "name", None)
-    path.write_text(
-        json.dumps(bundle_dict(config, traced, mutant_name), indent=2,
-                   sort_keys=True)
-        + "\n"
+    # digest the bundle as it will read back (JSON object keys are strings)
+    data = json.loads(
+        json.dumps(bundle_dict(config, traced, mutant_name), sort_keys=True)
     )
+    data["sha256"] = bundle_digest(data)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
 
 
+def bundle_digest(data: Dict[str, Any]) -> str:
+    """sha256 of the canonical JSON of every field but ``sha256``."""
+    body = {key: value for key, value in data.items() if key != "sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def load_bundle(path: Path) -> Dict[str, Any]:
-    """A bundle's JSON, shape-checked: a malformed file raises
-    :class:`BundleError` rather than failing later inside the replay."""
+    """A bundle's JSON, shape- and digest-checked: a malformed or edited
+    file raises :class:`BundleError` rather than replaying.
+
+    Bundles archived before the digest carry no ``sha256`` and still
+    load; as the CLI only ever wrote violating trials, such a bundle
+    with no violations has been edited and is refused.
+    """
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise BundleError(f"bundle is a JSON {type(data).__name__}, not an object")
@@ -116,6 +133,11 @@ def load_bundle(path: Path) -> Dict[str, Any]:
         raise BundleError("bundle 'config' is not an object")
     if not isinstance(data.get("violations"), list):
         raise BundleError("bundle 'violations' is not a list")
+    if "sha256" in data:
+        if data["sha256"] != bundle_digest(data):
+            raise BundleError("bundle digest does not match its contents")
+    elif not data["violations"]:
+        raise BundleError("bundle without a digest records no violations")
     return data
 
 

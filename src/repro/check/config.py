@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
+from ..core.fabrics import FABRICS, build_fabric
 from ..dataplane.params import NetworkParams
 from ..failures.scenarios import ALL_LABELS
 from ..sim.randomness import RandomStreams
@@ -63,6 +64,8 @@ class TrialConfig:
     warmup: Time = field(default=seconds(1))
 
     def __post_init__(self) -> None:
+        if self.topology not in FABRICS:
+            raise ConfigError(f"unknown topology family {self.topology!r}")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if self.profile == "scenario":
@@ -133,9 +136,7 @@ class TrialConfig:
 
 def build_topology(config: TrialConfig) -> Topology:
     """Instantiate the configured topology family at the configured size."""
-    from ..campaign.trials import _build_topology
-
-    return _build_topology(config.topology, config.ports, config.across_ports)
+    return build_fabric(config.topology, config.ports, config.across_ports)
 
 
 def quiescence_bound(params: NetworkParams) -> Time:

@@ -443,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
         "of a built topology — no simulation (see DESIGN.md §8)",
     )
     verify.add_argument(
-        "--topology", default="fattree",
-        help="topology family: fattree/f2tree (rewired), fat-tree (plain), "
-        "prototype, leaf-spine[-plain], vl2[-plain], aspen "
-        "(default: fattree)",
+        "--topology", default="f2tree",
+        help="topology family, as stamped by its builder: f2tree, "
+        "f2tree-prototype (4-port only), f2-leaf-spine, f2-vl2 (rewired); "
+        "fat-tree, leaf-spine, vl2, aspen (plain) (default: f2tree)",
     )
     verify.add_argument(
         "--ports", type=int, default=8,
@@ -693,8 +693,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .core.fabrics import build_fabric
     from .topology.graph import TopologyError
-    from .verify import build_verify_topology, run_verification
+    from .verify import run_verification
 
     if args.selftest:
         from .verify.mutants import render_selftest, run_selftest
@@ -717,9 +718,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 MUTANTS[args.mutate], max_failures=args.max_failures
             )
         else:
-            topo = build_verify_topology(
-                args.topology, args.ports, across_ports=args.across_ports
-            )
+            topo = build_fabric(args.topology, args.ports, args.across_ports)
             report = run_verification(
                 topo,
                 max_failures=args.max_failures,

@@ -6,7 +6,8 @@
 * :mod:`~repro.core.failure_analysis` — the §II-C failure-condition
   taxonomy as an executable classifier;
 * :mod:`~repro.core.scalability` — Table I's closed forms;
-* :mod:`~repro.core.adapt` — the §V adaptations to Leaf-Spine and VL2.
+* :mod:`~repro.core.adapt` — the §V adaptations to Leaf-Spine and VL2;
+* :mod:`~repro.core.fabrics` — every topology family by its one name.
 """
 
 from .adapt import f2_leaf_spine, f2_vl2
@@ -25,6 +26,7 @@ from .backup_routes import (
     render_routing_table,
     ring_neighbors_of,
 )
+from .fabrics import FABRICS, build_fabric
 from .f2tree import RewiringPlan, across_links, f2tree, rewire_fat_tree_prototype
 from .failure_analysis import (
     FailureAnalysis,
@@ -49,6 +51,8 @@ from .scalability import (
 )
 
 __all__ = [
+    "FABRICS",
+    "build_fabric",
     "f2_leaf_spine",
     "f2_vl2",
     "ConfigOptions",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.f2tree import f2tree
+from ..core.fabrics import build_fabric
 from ..core.failure_analysis import FailureAnalysis, analyze_scenario
 from ..dataplane.params import NetworkParams
 from ..failures.scenarios import (
@@ -23,18 +23,16 @@ from ..failures.scenarios import (
     build_scenario,
 )
 from ..sim.units import to_milliseconds
-from ..topology.fattree import fat_tree
 from ..topology.graph import Topology
 from .recovery import RecoveryResult, reroute_delay_microseconds, run_recovery
 
 
 def conditions_topology(kind: str, ports: int = 8, across_ports: int = 2) -> Topology:
-    """The §IV emulation topologies (8-port by default)."""
-    if kind == "fat-tree":
-        return fat_tree(ports)
-    if kind == "f2tree":
-        return f2tree(ports, across_ports=across_ports)
-    raise ValueError(f"unknown conditions kind {kind!r}")
+    """The §IV emulation topologies: ``fat-tree`` or ``f2tree``
+    (8-port by default)."""
+    if kind not in ("fat-tree", "f2tree"):
+        raise ValueError(f"unknown conditions kind {kind!r}")
+    return build_fabric(kind, ports, across_ports)
 
 
 @dataclass

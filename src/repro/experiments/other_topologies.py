@@ -10,26 +10,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.adapt import f2_leaf_spine, f2_vl2
+from ..core.fabrics import build_fabric
 from ..dataplane.params import NetworkParams
 from ..sim.units import to_milliseconds
 from ..topology.graph import Topology
-from ..topology.leafspine import leaf_spine
-from ..topology.vl2 import vl2
 from .recovery import run_recovery
 
 
+#: the Fig 7 fabrics and their port counts, chosen to match the
+#: figure's scale: 8 leaves x 4 spines, and VL2 with d_a = d_i = 4
+FIGURE_SEVEN_PORTS = {"leaf-spine": 8, "f2-leaf-spine": 8, "vl2": 4, "f2-vl2": 4}
+
+
 def figure_seven_topology(kind: str) -> Topology:
-    """The Fig 7 fabrics (sizes chosen to match the figure's scale)."""
-    if kind == "leaf-spine":
-        return leaf_spine(n_leaf=8, n_spine=4)
-    if kind == "f2-leaf-spine":
-        return f2_leaf_spine(n_leaf=8, n_spine=4)
-    if kind == "vl2":
-        return vl2(d_a=4, d_i=4)
-    if kind == "f2-vl2":
-        return f2_vl2(d_a=4, d_i=4)
-    raise ValueError(f"unknown Fig 7 kind {kind!r}")
+    """One Fig 7 fabric at the figure's size."""
+    if kind not in FIGURE_SEVEN_PORTS:
+        raise ValueError(f"unknown Fig 7 kind {kind!r}")
+    return build_fabric(kind, FIGURE_SEVEN_PORTS[kind])
 
 
 @dataclass
@@ -49,7 +46,7 @@ def run_figure_seven(
 ) -> List[FigureSevenRow]:
     """All four Fig 7 comparisons (UDP probe flow)."""
     rows: List[FigureSevenRow] = []
-    for kind in kinds or ("leaf-spine", "f2-leaf-spine", "vl2", "f2-vl2"):
+    for kind in kinds or FIGURE_SEVEN_PORTS:
         result = run_recovery(figure_seven_topology(kind), "udp", params=params, seed=seed)
         assert result.connectivity_loss is not None
         rows.append(

@@ -12,23 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.f2tree import rewire_fat_tree_prototype
+from ..core.fabrics import build_fabric
 from ..dataplane.params import NetworkParams
 from ..obs import Observability
 from ..sim.units import to_microseconds
-from ..topology.fattree import fat_tree
 from ..topology.graph import Topology
 from .recovery import RecoveryResult, run_recovery
 
 
+#: Table III's two arms and the 4-port family each one builds
+TESTBED_FABRICS = {"fat-tree": "fat-tree", "f2tree": "f2tree-prototype"}
+
+
 def testbed_topology(kind: str) -> Topology:
     """The §III prototypes: ``fat-tree`` or ``f2tree`` (rewired)."""
-    if kind == "fat-tree":
-        return fat_tree(4)
-    if kind == "f2tree":
-        topo, _plan = rewire_fat_tree_prototype(fat_tree(4))
-        return topo
-    raise ValueError(f"unknown testbed kind {kind!r}")
+    if kind not in TESTBED_FABRICS:
+        raise ValueError(f"unknown testbed kind {kind!r}")
+    return build_fabric(TESTBED_FABRICS[kind], 4)
 
 
 def run_testbed(
@@ -59,7 +59,7 @@ def run_table_three(
 ) -> Dict[str, TableThreeRow]:
     """Both rows of Table III (each row needs a UDP run and a TCP run)."""
     rows: Dict[str, TableThreeRow] = {}
-    for kind in ("fat-tree", "f2tree"):
+    for kind in TESTBED_FABRICS:
         udp = run_testbed(kind, "udp", params=params, seed=seed)
         tcp = run_testbed(kind, "tcp", params=params, seed=seed)
         assert udp.connectivity_loss is not None

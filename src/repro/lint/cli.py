@@ -12,7 +12,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .engine import iter_python_files, lint_paths
 from .findings import Finding
@@ -134,13 +134,3 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"{len(findings)} lint finding(s)", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.lint``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="simulation-safety static analysis (see DESIGN.md §12)",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))

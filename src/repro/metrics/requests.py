@@ -81,14 +81,6 @@ class RequestStats:
         with probabilities still relative to *all* requests."""
         return [(t, p) for t, p in self.cdf() if t > threshold]
 
-    def percentile(self, q: float) -> Time:
-        """The q-th percentile completion time (0 <= q <= 100)."""
-        times = sorted(self.completion_times())
-        if not times:
-            raise ValueError("no completed requests")
-        index = min(len(times) - 1, max(0, round(q / 100 * (len(times) - 1))))
-        return times[index]
-
 
 def reduction_ratio(baseline: float, improved: float) -> float:
     """Relative reduction (the paper's "reduces ... by 96%")."""

@@ -25,13 +25,12 @@ witness replays under ``CheckedSimulator`` (:mod:`repro.verify.replay`).
 """
 
 from .checks import Finding, VerifyReport, Witness, run_verification
-from .model import StaticNetworkModel, build_verify_topology
+from .model import StaticNetworkModel
 
 __all__ = [
     "Finding",
     "StaticNetworkModel",
     "VerifyReport",
     "Witness",
-    "build_verify_topology",
     "run_verification",
 ]

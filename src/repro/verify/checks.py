@@ -35,6 +35,7 @@ graph from the fallen ones.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -642,7 +643,7 @@ def _check_loop_freedom(
         rng = RandomStreams(seed).stream("verify-loop-sampling")
         for k in range(3, max_failures + 1):
             drawn: set = set()
-            budget = min(samples, _n_choose_k(len(links), k))
+            budget = min(samples, math.comb(len(links), k))
             while len(drawn) < budget:
                 picked = tuple(sorted(rng.sample(range(len(links)), k)))
                 if picked in drawn:
@@ -663,13 +664,6 @@ def _check_loop_freedom(
         "blackholes": stats["blackholes"],
         "partitioned": stats["partitioned"],
     }
-
-
-def _n_choose_k(n: int, k: int) -> int:
-    result = 1
-    for i in range(k):
-        result = result * (n - i) // (i + 1)
-    return result
 
 
 # ===================================================================

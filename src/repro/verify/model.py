@@ -230,39 +230,3 @@ class StaticNetworkModel:
             self.ring_neighbors.get(switch) is not None
             or self.topo.node(switch).kind in self.protected_kinds
         )
-
-
-def build_verify_topology(
-    family: str, ports: int, across_ports: int = 2
-) -> Topology:
-    """Resolve a verify CLI/campaign topology family name.
-
-    ``fattree``/``f2tree`` build the rewired F²Tree (the system under
-    verification); ``fat-tree`` is the unrewired baseline.  The ringed
-    Leaf-Spine / VL2 adaptations and the Aspen baseline round out the
-    builders the certification tests cover.
-    """
-    from ..core.adapt import f2_leaf_spine, f2_vl2
-    from ..core.f2tree import f2tree, rewire_fat_tree_prototype
-    from ..topology.aspen import aspen_tree
-    from ..topology.fattree import fat_tree
-    from ..topology.leafspine import leaf_spine
-    from ..topology.vl2 import vl2
-
-    if family in ("f2tree", "fattree"):
-        return f2tree(ports, across_ports=across_ports)
-    if family == "fat-tree":
-        return fat_tree(ports)
-    if family == "prototype":
-        return rewire_fat_tree_prototype()[0]
-    if family == "leaf-spine":
-        return f2_leaf_spine(ports, max(2, ports // 2))
-    if family == "leaf-spine-plain":
-        return leaf_spine(ports, max(2, ports // 2))
-    if family == "vl2":
-        return f2_vl2(ports, ports)
-    if family == "vl2-plain":
-        return vl2(ports, ports)
-    if family == "aspen":
-        return aspen_tree(ports, 1)
-    raise TopologyError(f"unknown verify topology family {family!r}")

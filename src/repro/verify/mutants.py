@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..check.mutants import _invert_fib_tie_break, _withdraw_static_routes
+from ..core.fabrics import build_fabric
 from ..net.fib import FibEntry
 from ..net.ip import Prefix
 from ..topology.graph import Link, LinkKind, NodeKind, Topology
@@ -34,7 +35,7 @@ from .checks import (
     VerifyReport,
     run_verification,
 )
-from .model import StaticNetworkModel, build_verify_topology
+from .model import StaticNetworkModel
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,7 @@ _BASELINE_CACHE: Dict[Tuple[str, int, int], Tuple[str, ...]] = {}
 
 
 def build_mutant_topology(mutant: VerifyMutant) -> Topology:
-    topo = build_verify_topology(mutant.family, mutant.ports)
+    topo = build_fabric(mutant.family, mutant.ports)
     if mutant.rewire is not None:
         mutant.rewire(topo)
     return topo
@@ -333,7 +334,7 @@ def check_mutant(
     baseline_key = (mutant.family, mutant.ports, max_failures)
     if baseline_key not in _BASELINE_CACHE:
         clean = run_verification(
-            build_verify_topology(mutant.family, mutant.ports),
+            build_fabric(mutant.family, mutant.ports),
             max_failures=max_failures,
         )
         _BASELINE_CACHE[baseline_key] = tuple(clean.refuted_checks())

@@ -6,7 +6,7 @@ import json
 
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import TrialSpec
-from repro.check import MUTANTS, shrink_config
+from repro.check import MUTANTS, execute_check, shrink_config
 from repro.check.bundle import write_bundle
 from repro.cli import main
 
@@ -68,6 +68,31 @@ class TestCheckCli:
         ):
             path = tmp_path / name
             path.write_text(text)
+            capsys.readouterr()
+            assert main(["check", "--replay", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot replay {path}") and err.count("\n") == 1
+        # an edited bundle is refused, not replayed: the first check
+        # mutant's (frr-window) bundle doctored to record no violation and
+        # no mutant, the same bundle with one trace event cut, a wrong
+        # digest, and the doctored bundle with its digest stripped
+        mutant = MUTANTS["backup-routes-disabled"]
+        config = mutant.config_factory()
+        outcome = execute_check(config, mutant=mutant)
+        sealed = json.loads(
+            write_bundle(tmp_path / "sealed.json", config, outcome, mutant=mutant)
+            .read_text()
+        )
+        doctored = dict(sealed, violations=[], mutant=None)
+        cut = dict(sealed, trace=sealed["trace"][1:])
+        wrong = dict(sealed, sha256="0" * 64)
+        unsealed = {k: v for k, v in doctored.items() if k != "sha256"}
+        for name, data in (
+            ("doctored.json", doctored), ("cut.json", cut),
+            ("wrong.json", wrong), ("unsealed.json", unsealed),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
             capsys.readouterr()
             assert main(["check", "--replay", str(path)]) == 2
             err = capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from repro.check import MUTANTS, execute_check, shrink_config
 from repro.check.bundle import (
     BundleError,
+    bundle_digest,
     load_bundle,
     replay_bundle,
     write_bundle,
@@ -72,6 +73,8 @@ class TestBundles:
         path = write_bundle(tmp_path / "loop.json", shrunk, outcome, mutant=mutant)
         data = json.loads(path.read_text())
         data["violations"][0]["subject"] = "host-9-9-9"
+        # re-sealed, so the edit passes the digest and meets re-execution
+        data["sha256"] = bundle_digest(data)
         path.write_text(json.dumps(data))
         reproduced, detail = replay_bundle(path)
         assert not reproduced

@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from repro.lint import DETERMINISM_RULE_IDS, rules_by_id
-from repro.lint.cli import main
+from repro.cli import main
 from repro.lint.engine import lint_paths, lint_source
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -112,25 +112,25 @@ class TestTree:
 
 class TestMain:
     def test_clean_tree_exits_zero(self, capsys):
-        assert main([str(REPO / "src" / "repro")]) == 0
+        assert main(["lint", str(REPO / "src" / "repro")]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_violation_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
-        assert main([str(bad)]) == 1
+        assert main(["lint", str(bad)]) == 1
         captured = capsys.readouterr()
         assert "wall-clock" in captured.out
         assert "lint finding(s)" in captured.err
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope")]) == 2
+        assert main(["lint", str(tmp_path / "nope")]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_unparseable_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"
         bad.write_text("def (:\n")
-        assert main([str(bad)]) == 2
+        assert main(["lint", str(bad)]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
 

@@ -22,7 +22,7 @@ from repro.lint import (
     parse_suppressions,
     run_selftest,
 )
-from repro.lint.cli import findings_from_json, main as lint_main, report_to_json
+from repro.lint.cli import findings_from_json, report_to_json
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -352,7 +352,12 @@ class TestCli:
             assert rule.id in out
 
     def test_standalone_main_matches_subcommand(self, tmp_path, capsys):
+        """``repro lint`` is the one entry point; its text and --json
+        modes report the same findings."""
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
-        assert lint_main([str(bad)]) == 1
-        capsys.readouterr()
+        assert repro_main(["lint", str(bad)]) == 1
+        text = capsys.readouterr().out.splitlines()
+        assert repro_main(["lint", "--json", str(bad)]) == 1
+        findings = findings_from_json(capsys.readouterr().out)
+        assert text == [str(f) for f in findings] and findings

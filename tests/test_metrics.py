@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.campaign.telemetry import percentile
 from repro.metrics.requests import (
     DEFAULT_DEADLINE,
     RequestRecord,
@@ -211,14 +212,17 @@ class TestRequestStats:
         assert stats.fraction_longer_than(milliseconds(200)) == 0.5
 
     def test_percentile(self):
-        stats = self.make([100, 200, 300, 400, 500])
-        assert stats.percentile(0) == milliseconds(100)
-        assert stats.percentile(100) == milliseconds(500)
-        assert stats.percentile(50) == milliseconds(300)
+        # request tails use the campaign's nearest-rank convention
+        times = sorted(self.make([100, 200, 300, 400, 500]).completion_times())
+        assert percentile(times, 20) == milliseconds(100)
+        assert percentile(times, 100) == milliseconds(500)
+        assert percentile(times, 50) == milliseconds(300)
+        # nearest rank, not round(q/100 * (n-1)): at n = 40 p50 is the 20th
+        assert percentile(list(range(1, 41)), 50) == 20
 
     def test_percentile_empty_rejected(self):
         with pytest.raises(ValueError):
-            RequestStats().percentile(50)
+            percentile(sorted(RequestStats().completion_times()), 50)
 
     def test_reduction_ratio(self):
         assert reduction_ratio(0.4, 0.01) == pytest.approx(0.975)

@@ -21,11 +21,8 @@ from repro.check.execute import snapshot_fibs
 from repro.check.mutants import MUTANTS as DYNAMIC_MUTANTS
 from repro.cli import main
 from repro.experiments.common import DEFAULT_WARMUP, build_bundle
-from repro.verify import (
-    StaticNetworkModel,
-    build_verify_topology,
-    run_verification,
-)
+from repro.core.fabrics import build_fabric
+from repro.verify import StaticNetworkModel, run_verification
 from repro.verify.mutants import (
     CHECK_EQUIVALENTS,
     MUTANTS,
@@ -40,12 +37,12 @@ from repro.verify.mutants import (
 #: plain baselines (which degrade on downward failure — warnings — but
 #: violate no claim the paper actually makes about them).
 CLEAN_BUILDS = [
-    ("fattree", 6),        # f2tree(6): the paper's fabric
-    ("fattree", 8),        # the acceptance-command build
+    pytest.param("f2tree", 6, id="fattree-6"),  # the paper's fabric
+    pytest.param("f2tree", 8, id="fattree-8"),  # the acceptance-command build
     ("fat-tree", 4),       # plain fat tree, no rings, no backups
-    ("leaf-spine", 8),     # f2_leaf_spine adaptation (spine ring)
-    ("leaf-spine-plain", 8),
-    ("vl2-plain", 4),
+    pytest.param("f2-leaf-spine", 8, id="leaf-spine-8"),  # spine ring
+    pytest.param("leaf-spine", 8, id="leaf-spine-plain-8"),
+    pytest.param("vl2", 4, id="vl2-plain-4"),
     ("aspen", 4),
 ]
 
@@ -56,7 +53,7 @@ CLEAN_BUILDS = [
 #: silently: (loop-freedom stats, totals)
 CENSUS = {
     # f2tree(8): the acceptance build, no caveat at all
-    ("fattree", 8): (
+    ("f2tree", 8): (
         {
             "blackholes": 0, "caveat_cycles": 0, "error_cycles": 0,
             "failure_sets": {"k1": 36, "k2": 16110},
@@ -65,7 +62,7 @@ CENSUS = {
         {},
     ),
     # f2tree(6): the two-failure ring ping-pong, as caveats only
-    ("fattree", 6): (
+    ("f2tree", 6): (
         {
             "blackholes": 0, "caveat_cycles": 24, "error_cycles": 0,
             "failure_sets": {"k1": 18, "k2": 2145},
@@ -92,7 +89,7 @@ CENSUS = {
 @pytest.mark.parametrize("family,ports", CLEAN_BUILDS)
 def test_clean_builder_is_certified(family, ports):
     report = run_verification(
-        build_verify_topology(family, ports), max_failures=2
+        build_fabric(family, ports), max_failures=2
     )
     assert report.certified, (
         f"{family}/{ports} must certify; refuted: {report.refuted_checks()}"
@@ -107,14 +104,17 @@ def test_clean_builder_is_certified(family, ports):
 
 
 @pytest.mark.parametrize("family,ports", [
-    ("fattree", 8), ("fat-tree", 8), ("leaf-spine-plain", 8), ("vl2-plain", 4),
+    pytest.param("f2tree", 8, id="fattree-8"),
+    ("fat-tree", 8),
+    pytest.param("leaf-spine", 8, id="leaf-spine-plain-8"),
+    pytest.param("vl2", 4, id="vl2-plain-4"),
 ])
 def test_model_fibs_equal_the_converged_simulator(family, ports):
     """The model's FIBs — routed entries from one whole-fabric batch
     solve — equal, entry for entry, what a cold-started packet network
     converges to through its per-origin SPF engines."""
-    model = StaticNetworkModel(build_verify_topology(family, ports))
-    bundle = build_bundle(build_verify_topology(family, ports))
+    model = StaticNetworkModel(build_fabric(family, ports))
+    bundle = build_bundle(build_fabric(family, ports))
     bundle.sim.run(until=DEFAULT_WARMUP)
     assert snapshot_fibs(bundle.network) == {
         name: {
@@ -130,7 +130,7 @@ def test_f2tree_two_failure_loop_is_a_caveat_not_an_error():
     transiently ping-pong until convergence — must surface as an explicit
     caveat finding while the fabric still certifies."""
     report = run_verification(
-        build_verify_topology("fattree", 6), max_failures=2
+        build_fabric("f2tree", 6), max_failures=2
     )
     assert report.certified
     assert report.severity_total("caveat") > 0
@@ -142,7 +142,7 @@ def test_f2tree_two_failure_loop_is_a_caveat_not_an_error():
     )
     # the caveat needs exactly two failures: k=1 never loops the ring
     k1 = run_verification(
-        build_verify_topology("fattree", 6), max_failures=1
+        build_fabric("f2tree", 6), max_failures=1
     )
     assert k1.certified and k1.severity_total("caveat") == 0
 
@@ -151,17 +151,17 @@ def test_f2tree_two_failure_loop_is_a_caveat_not_an_error():
     # rewire_fat_tree_prototype steals core ports for the pair ring, so
     # the partner's converged route to half the pods runs through its
     # ring neighbor: a genuine one-failure transient loop (DESIGN.md §8)
-    ("prototype", 4),
+    pytest.param("f2tree-prototype", 4, id="prototype-4"),
     # f2_vl2's ring neighbor does not share the ToR's uplinks and the
     # across links leak into SPF: one failure ping-pongs agg<->agg
-    ("vl2", 4),
+    pytest.param("f2-vl2", 4, id="vl2-4"),
 ])
 def test_known_unsound_adaptations_are_refuted(family, ports):
     """True positives: builds whose backup scheme violates the paper's
     own soundness argument are refuted, not rubber-stamped — a single
     failure already yields a forwarding loop along the ring."""
     report = run_verification(
-        build_verify_topology(family, ports), max_failures=1
+        build_fabric(family, ports), max_failures=1
     )
     assert not report.certified
     loops = [
@@ -175,8 +175,8 @@ def test_known_unsound_adaptations_are_refuted(family, ports):
 
 
 def test_verification_is_deterministic():
-    a = run_verification(build_verify_topology("fattree", 6), max_failures=2)
-    b = run_verification(build_verify_topology("fattree", 6), max_failures=2)
+    a = run_verification(build_fabric("f2tree", 6), max_failures=2)
+    b = run_verification(build_fabric("f2tree", 6), max_failures=2)
     assert a.to_dict() == b.to_dict()
 
 
@@ -256,7 +256,7 @@ class TestCliExitCodes:
     contract shared by check, sweep, report and verify."""
 
     def test_certified_build_exits_zero(self, capsys):
-        assert main(["verify", "--topology", "fattree", "--ports", "6",
+        assert main(["verify", "--topology", "f2tree", "--ports", "6",
                      "--max-failures", "1"]) == 0
         assert "CERTIFIED" in capsys.readouterr().out
 
@@ -275,7 +275,7 @@ class TestCliExitCodes:
 
     def test_json_report_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["verify", "--topology", "fattree", "--ports", "6",
+        assert main(["verify", "--topology", "f2tree", "--ports", "6",
                      "--max-failures", "1", "--json", "--out", str(out)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["verdict"] == "CERTIFIED"
