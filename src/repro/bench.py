@@ -1,28 +1,22 @@
-"""Throughput benchmarks gated on absolute, measured floors.
+"""Throughput benchmarks: whole trials, gated on absolute, measured floors.
 
-Every ratio this module reports compares two pieces of code the repo
-still runs, on the same input, on the same box:
+``repro bench`` times recovery trials the simulator runs, end to end,
+on the same box:
 
-* ``fairshare_vector`` — the fluid backend's vectorized max-min
-  water-filling (:mod:`repro.sim.flow.fairshare`, numpy engine) vs. the
-  pure-python reference solver on a bench-scale instance (tens of
-  thousands of flows, thousands of links, hundreds of freezing rounds).
-  Both engines return bitwise-identical rates, so the section asserts
-  agreement before it reports speed;
 * ``flow_backend`` — one recovery trial
   (:func:`~repro.experiments.recovery.run_recovery` on a k=12 fat tree,
   UDP) timed on each backend through the same ``build_bundle`` path.
-  Both runs must land in the same recovery class before the measured
-  packet/fluid wall ratio is reported.  Beside it, the k=48 fluid scale
-  trial (:func:`~repro.experiments.flowscale.run_flow_scale_trial`) with
-  its wall time and peak RSS against an absolute budget — the packet
-  backend cannot run that fabric, so no ratio is claimed there;
-* ``campaign`` — serial vs. parallel wall-clock (full mode only;
-  honest about ``cpu_count``).
+  Both runs must land in the same recovery class for the measured
+  packet/fluid wall ratio to mean anything, and a disagreement is a
+  failed floor of its own.  Beside it, the k=48 fluid scale trial
+  (:func:`~repro.experiments.flowscale.run_flow_scale_trial`) with its
+  wall time and peak RSS against absolute budgets — the packet backend
+  cannot run that fabric, so no ratio is claimed there.
 
-:func:`check_floors` gates the first two on absolute floors; ``repro
-bench`` exits 1 when one fails.  Where a real trial spends its time,
-layer by layer, is ``perfbench/``'s job, not this module's.
+:func:`check_floors` gates it on absolute floors; ``repro bench`` exits
+1 when one fails.  Where a real trial spends its time, layer by layer
+(the fair-share solve included), is ``perfbench/``'s job, not this
+module's.
 
 This module is the one place under ``src/repro`` allowed to read
 ``time.perf_counter`` (the determinism lint allowlists it): nothing the
@@ -33,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: wall-clock budget for the flow backend's k=48 scale trial — the CI
 #: smoke fails if the fluid backend can no longer finish inside it
@@ -46,97 +40,12 @@ FLOW_SCALE_BUDGET_MB = 900.0
 #: recovery trial run on both backends
 FLOW_MIN_RATIO = 10.0
 
-#: absolute floor on the vectorized fair-share engine's speedup over the
-#: python reference at bench scale (>= 10k flows): a python/numpy ratio
-#: measured on one box is its own yardstick
-FAIRSHARE_MIN_RATIO = 5.0
-
 #: the fabric both backends run for the measured ratio (k=8 measures
 #: only ~10x, too close to the floor to gate)
 RATIO_PORTS = 12
 
 #: the production-scale fabric only the fluid backend runs
 SCALE_PORTS = 48
-
-
-def _best_of(repeats: int, fn: Callable[[], Tuple[float, int]]) -> Tuple[float, int]:
-    """Run ``fn`` ``repeats`` times; keep the fastest (elapsed, work)."""
-    best: Optional[Tuple[float, int]] = None
-    for _ in range(repeats):
-        result = fn()
-        if best is None or result[0] < best[0]:
-            best = result
-    assert best is not None
-    return best
-
-
-# ------------------------------------------------------- fair-share solver
-
-
-def bench_fairshare_vector(flows: int, repeats: int) -> Dict[str, Any]:
-    """Vectorized vs. pure-python max-min water-filling at bench scale.
-
-    The fluid backend's per-recompute cost *is* this solve
-    (:func:`repro.sim.flow.fairshare.max_min_rates`), so the section
-    measures the same instance through both engines.  The instance is
-    shaped like a large-fabric recompute: thousands of links in 48
-    capacity classes, multi-hop paths striped across them, two thirds
-    of the flows demand-capped — which drives hundreds of freezing
-    rounds, the regime where the python solver's per-flow loops dominate
-    and the numpy engine's per-round array ops amortize.
-
-    The python side is the fairshare module's reference water-filler,
-    which no simulation path reaches.  The two agree **bitwise** (the
-    module's contract; asserted here before any timing is reported), so
-    the ratio is pure speed — no accuracy trade is being measured.
-    """
-    from .sim.flow.fairshare import _allocate, _solve_numpy, _solve_python
-
-    n_links, hops = 2500, 6
-    caps = {f"L{i:04d}": 0.5 + (i % 48) * 0.25 for i in range(n_links)}
-    paths = {
-        f"f{i:05d}": [
-            f"L{(7919 * i + 613 * j) % n_links:04d}" for j in range(hops)
-        ]
-        for i in range(flows)
-    }
-    demands = {
-        fid: 0.05 + (i % 29) * 0.01
-        for i, fid in enumerate(sorted(paths))
-        if i % 3 != 0
-    }
-    result: Dict[str, Any] = {
-        "flows": flows,
-        "links": n_links,
-        "hops": hops,
-        "demand_capped": len(demands),
-    }
-    reference = _allocate(_solve_python, paths, caps, demands)
-    vectorized = _allocate(_solve_numpy, paths, caps, demands)
-    assert vectorized == reference, (
-        "engine disagreement: the numpy solver drifted from the python "
-        "reference — a correctness bug, not a perf regression"
-    )
-
-    def timed(solve: Any) -> Callable[[], Tuple[float, int]]:
-        def fn() -> Tuple[float, int]:
-            t0 = time.perf_counter()
-            rates = _allocate(solve, paths, caps, demands)
-            return time.perf_counter() - t0, len(rates)
-
-        return fn
-
-    fast_s, fast_n = _best_of(repeats, timed(_solve_numpy))
-    slow_s, slow_n = _best_of(repeats, timed(_solve_python))
-    assert fast_n == slow_n == flows
-    result.update({
-        "optimized_s": round(fast_s, 6),
-        "naive_s": round(slow_s, 6),
-        "optimized_fps": round(flows / fast_s),
-        "naive_fps": round(flows / slow_s),
-        "ratio": round(slow_s / fast_s, 2),
-    })
-    return result
 
 
 # ------------------------------------------------------------- flow backend
@@ -157,12 +66,14 @@ def bench_flow_backend() -> Dict[str, Any]:
     control plane.  Each wall clock includes the whole trial, set-up
     included, but not the topology build; the trial's own entry collect
     (:func:`~repro.experiments.common.trial_heap`) frees the previous
-    section's garbage inside it.  Both runs must agree on
-    :func:`~repro.check.differential.classify_recovery_time` before the
-    ratio means anything, so that is asserted first.
+    run's garbage inside it.  Both runs are classified with
+    :func:`~repro.check.differential.classify_recovery_time`; the ratio
+    means something only when the classes agree, which
+    :func:`check_floors` gates.
 
     The k=48 scale trial runs on the fluid backend alone and is reported
-    as a wall time and peak RSS against ``FLOW_SCALE_BUDGET_S``.
+    as a wall time and peak RSS against ``FLOW_SCALE_BUDGET_S`` and
+    ``FLOW_SCALE_BUDGET_MB``.
     """
     import resource
 
@@ -187,17 +98,12 @@ def bench_flow_backend() -> Dict[str, Any]:
             "loss_ms": _loss_ms(trial.connectivity_loss),
             "packets": f"{trial.packets_received}/{trial.packets_sent}",
         }
-    assert runs["packet"]["class"] == runs["flow"]["class"], (
-        "backend disagreement: the two backends recover the same trial in "
-        f"different classes ({runs['packet']} vs {runs['flow']}) — a "
-        "fidelity bug, not a perf regression"
-    )
 
     t0 = time.perf_counter()
     scale = run_flow_scale_trial(ports=SCALE_PORTS)
     scale_s = time.perf_counter() - t0
-    # the process high-water mark: the k=48 fabric dwarfs every other
-    # section, so this is the scale trial's footprint (KiB on Linux)
+    # the process high-water mark: the k=48 fabric dwarfs the k=12
+    # runs, so this is the scale trial's footprint (KiB on Linux)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     return {
@@ -226,85 +132,33 @@ def bench_flow_backend() -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------- campaign
-
-
-def bench_campaign(workers: int) -> Dict[str, Any]:
-    """Serial vs. parallel wall-clock on the 8-trial SPF-timer sweep.
-
-    Recorded honestly: on a single-core box the parallel run usually
-    *loses* (pool overhead with nothing to overlap) and ``enforced``
-    says so.  The graded bar itself lives in
-    ``benchmarks/test_bench_campaign.py``.
-    """
-    import os
-
-    from .campaign.runner import run_campaign
-    from .campaign.sweeps import spf_timer_specs
-
-    cpu_count = os.cpu_count() or 1
-    specs = spf_timer_specs()
-    t0 = time.perf_counter()
-    serial = run_campaign(specs, name="spf-timer", workers=1)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = run_campaign(specs, name="spf-timer", workers=workers)
-    parallel_s = time.perf_counter() - t0
-    return {
-        "trials": len(specs),
-        "cpu_count": cpu_count,
-        "workers": workers,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else 0.0,
-        "identical": serial.to_json() == parallel.to_json(),
-        "enforced": cpu_count > 1,
-    }
-
-
 # ------------------------------------------------------------ orchestration
 
 
-def run_hotpath_bench(quick: bool = False, campaign: bool = True) -> Dict[str, Any]:
-    """Run every section; ``quick`` shrinks the fair-share instance for CI
-    smoke (and drops the campaign comparison, which dominates wall-clock).
-    ``flow_backend`` is the same in both modes."""
+def run_hotpath_bench() -> Dict[str, Any]:
+    """Run the bench: the ``flow_backend`` section and the box's core
+    count."""
     import os
 
-    result: Dict[str, Any] = {
-        "quick": quick,
-        # quick still runs >= 10k flows: the fairshare floor is only
-        # meaningful at a scale where rounds are plentiful
-        "fairshare_vector": bench_fairshare_vector(
-            flows=10_000 if quick else 16_000, repeats=1 if quick else 2
-        ),
+    return {
         "flow_backend": bench_flow_backend(),
         "cpu_count": os.cpu_count() or 1,
     }
-    if campaign and not quick:
-        result["campaign"] = bench_campaign(
-            workers=min(4, os.cpu_count() or 1)
-        )
-    return result
 
 
 def check_floors(result: Dict[str, Any]) -> List[str]:
     """The absolute floors ``repro bench`` gates on; returns one
     human-readable line per failure (empty when every floor holds)."""
-    failures: List[str] = []
-    fair = result.get("fairshare_vector")
-    if fair is None:
-        failures.append("fairshare_vector: section missing from the result")
-    elif fair["ratio"] < FAIRSHARE_MIN_RATIO:
-        failures.append(
-            f"fairshare_vector: speedup {fair['ratio']:.1f}x at "
-            f"{fair['flows']:,} flows is below the "
-            f"{FAIRSHARE_MIN_RATIO:.0f}x floor"
-        )
     flow = result.get("flow_backend")
     if flow is None:
-        failures.append("flow_backend: section missing from the result")
-        return failures
+        return ["flow_backend: section missing from the result"]
+    failures: List[str] = []
+    packet_class, flow_class = flow["packet"]["class"], flow["flow"]["class"]
+    if packet_class != flow_class:
+        failures.append(
+            f"flow_backend: packet recovers in class {packet_class}, "
+            f"fluid in {flow_class}"
+        )
     if flow["ratio"] < FLOW_MIN_RATIO:
         failures.append(
             f"flow_backend: measured packet/fluid ratio {flow['ratio']:.1f}x "
@@ -326,24 +180,19 @@ def check_floors(result: Dict[str, Any]) -> List[str]:
 
 def render(result: Dict[str, Any]) -> str:
     """Human-readable summary of a bench result."""
-    lines = [
-        "Throughput benchmarks (measured floors"
-        f"{', quick' if result.get('quick') else ''}):"
-    ]
-    fair = result.get("fairshare_vector")
-    if fair:
-        lines.append(
-            f"  fair share: {fair['optimized_fps']:>10,} flows/s "
-            f"(python {fair['naive_fps']:,}/s) -> {fair['ratio']:.1f}x "
-            f"at {fair['flows']:,} flows (floor {FAIRSHARE_MIN_RATIO:.0f}x)"
-        )
+    lines = ["Throughput benchmarks (measured floors):"]
     flow = result.get("flow_backend")
     if flow:
+        packet, fluid = flow["packet"], flow["flow"]
+        classes = (
+            f"both {fluid['class']}" if packet["class"] == fluid["class"]
+            else f"packet {packet['class']}, fluid {fluid['class']}"
+        )
         lines.append(
             f"  recovery k={flow['ports']}: packet {flow['packet_s']:.2f}s, "
             f"fluid {flow['flow_s']:.2f}s -> {flow['ratio']:.1f}x "
-            f"(both {flow['flow']['class']}, {flow['packet']['loss_ms']} / "
-            f"{flow['flow']['loss_ms']} ms; floor {FLOW_MIN_RATIO:.0f}x)"
+            f"({classes}, {packet['loss_ms']} / "
+            f"{fluid['loss_ms']} ms; floor {FLOW_MIN_RATIO:.0f}x)"
         )
         scale = flow["scale_trial"]
         lines.append(
@@ -351,13 +200,6 @@ def render(result: Dict[str, Any]) -> str:
             f"{scale['peak_rss_mb']:.0f} MiB peak RSS "
             f"(budget {scale['budget_s']:.0f}s, "
             f"{'within' if scale['within_budget'] else 'OVER'})"
-        )
-    camp = result.get("campaign")
-    if camp:
-        lines.append(
-            f"  campaign:   {camp['speedup']:.2f}x speedup with "
-            f"{camp['workers']} workers on {camp['cpu_count']} core(s)"
-            f" (bar {'enforced' if camp['enforced'] else 'not enforced'})"
         )
     return "\n".join(lines)
 

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 from ..dataplane.params import NetworkParams
 from ..topology.graph import Topology
 from ..sim.units import Time
-from .config import TrialConfig, generate_config
+from .config import TrialConfig
 from .execute import CheckOutcome, execute_check
 from .invariants import canonical_violations
 from .mutants import FaultMutant, MutantResult, _events_config
@@ -128,46 +128,6 @@ def run_differential(
     return DifferentialResult(
         config=config, packet=packet, flow=flow, disagreements=disagreements
     )
-
-
-def run_differential_fuzz(
-    trials: int,
-    start_seed: int = 0,
-    tolerance: int = PROBE_TOLERANCE,
-    progress: Optional[Callable[[int, DifferentialResult], None]] = None,
-) -> List[DifferentialResult]:
-    """Fuzz ``trials`` generated configs through :func:`run_differential`.
-
-    The same deterministic config generator as single-backend fuzzing
-    (:func:`repro.check.config.generate_config`), so a disagreeing seed
-    replays exactly.
-    """
-    results: List[DifferentialResult] = []
-    for index in range(trials):
-        result = run_differential(
-            generate_config(start_seed + index), tolerance=tolerance
-        )
-        results.append(result)
-        if progress is not None:
-            progress(start_seed + index, result)
-    return results
-
-
-def render_differential(results: List[DifferentialResult]) -> str:
-    lines = []
-    for result in results:
-        config = result.config
-        label = (
-            f"{config.topology}/{config.ports} seed={config.seed} "
-            f"{config.scenario or f'{len(config.events)} events'}"
-        )
-        if result.ok:
-            lines.append(f"agree  {label}")
-        else:
-            lines.append(f"DIFFER {label}: {'; '.join(result.disagreements)}")
-    agreed = sum(1 for r in results if r.ok)
-    lines.append(f"{agreed}/{len(results)} trials agree across backends")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------- recovery agreement

@@ -349,17 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench = sub.add_parser(
         "bench",
-        help="throughput benchmarks (fair-share solver, measured "
-        "fluid/packet ratio, k=48 fluid trial); exit 1 when an absolute "
+        help="throughput benchmarks on whole trials (measured k=12 "
+        "packet/fluid ratio, k=48 fluid trial); exit 1 when an absolute "
         "floor fails",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads, no campaign comparison (CI smoke)",
-    )
-    bench.add_argument(
-        "--no-campaign", action="store_true",
-        help="skip the serial-vs-parallel campaign comparison",
     )
     bench.add_argument(
         "--json", action="store_true",
@@ -681,9 +673,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import check_floors, render, run_hotpath_bench, to_json
 
-    result = run_hotpath_bench(
-        quick=args.quick, campaign=not args.no_campaign
-    )
+    result = run_hotpath_bench()
     print(to_json(result) if args.json else render(result))
     _write_json(args.out, to_json(result), "bench result")
     failures = check_floors(result)

@@ -6,9 +6,9 @@ the link capacities, while the control plane (failure detection, LSA
 flooding, SPF throttling, FIB downloads) keeps running event-driven on
 the unchanged engine.  See :mod:`repro.sim.flow.model` for the model,
 :mod:`repro.sim.flow.fairshare` for the solver (vectorized over one CSR
-incidence; numpy is required, its python twin is a test reference only),
-and :mod:`repro.sim.flow.warmstart` for the batch warm start that makes
-k=32/k=48 fabrics tractable.
+incidence; numpy is required, and the python twin it must equal bit for
+bit lives with the tests), and :mod:`repro.sim.flow.warmstart` for the
+batch warm start that makes k=32/k=48 fabrics tractable.
 """
 
 from .fairshare import (
@@ -17,7 +17,6 @@ from .fairshare import (
     FlowId,
     LinkId,
     build_incidence,
-    link_loads,
     max_min_rates,
 )
 from .model import (
@@ -34,7 +33,6 @@ __all__ = [
     "FlowId",
     "LinkId",
     "build_incidence",
-    "link_loads",
     "max_min_rates",
     "PRIORITY_FLOW",
     "FlowSegment",

@@ -17,11 +17,11 @@ update), which is what lets the fluid backend carry tens of thousands of
 flows per recompute.  numpy is a declared dependency; there is no
 fallback.
 
-:func:`_solve_python` is the same algorithm as a plain loop over lists,
-kept as a **reference only**: the tests and ``repro bench`` compare the
-vectorized solver against it, and no simulation path can reach it.  The
-two are **bitwise equal by construction**: both freeze flows in
-sorted-row order, subtract residuals in the same element order
+The same algorithm as a plain loop over lists lives in
+``tests/fairshare_reference.py`` as the **bitwise oracle** the tests
+compare this solver against; nothing under ``src/`` reaches it.  The
+two are **equal by construction**: both freeze flows in sorted-row
+order, subtract residuals in the same element order
 (``np.subtract.at`` applies its updates sequentially in array order, the
 python loop walks the identical concatenated segment), and share one
 tolerance-based bottleneck test (``share <= level * (1 + SHARE_EPS)``)
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -68,9 +67,9 @@ LinkId = Hashable
 #: Residual capacities accumulate float error across freezing rounds, so
 #: "is this link saturated at the water level?" must not be an exact
 #: comparison — a link whose per-flow share sits within one part in 1e12
-#: of the level is treated as bottlenecked by *both* engines, which is
-#: what keeps them freezing identical flow sets on degenerate
-#: equal-share topologies.
+#: of the level is treated as bottlenecked by the solver and the tests'
+#: python reference alike, which is what keeps them freezing identical
+#: flow sets on degenerate equal-share topologies.
 SHARE_EPS = 1e-12
 
 
@@ -105,8 +104,8 @@ class FlowIncidence:
     assembles one directly and hands it to :func:`max_min_rates`.  Any
     column numbering gives the same rates (only row order and in-row
     order reach the float trajectory), and uncrossed columns are inert.
-    Both engines *and* the :func:`link_loads` test helper read this one
-    structure, so every consumer agrees on link identity by construction.
+    The solver and the tests' reference read this one structure, so
+    every consumer agrees on link identity by construction.
     """
 
     flow_ids: Tuple[FlowId, ...]
@@ -140,7 +139,7 @@ def build_incidence(
 
     With ``capacity`` given, every crossed link is validated against it
     (:class:`FairShareError` names the first offending flow) — the
-    solver's contract; :func:`link_loads` builds without validation.
+    solver's contract.
     """
     rows: List[Tuple[FlowId, Tuple[LinkId, ...]]] = []
     seen = set()
@@ -170,75 +169,7 @@ def build_incidence(
     )
 
 
-# --------------------------------------------------------------- engines
-
-
-def _solve_python(
-    inc: FlowIncidence, caps: Sequence[float], dems: Sequence[float]
-) -> List[float]:
-    """The reference water-filling loop over the CSR incidence.
-
-    Freezes flows in ascending row order and subtracts residuals in the
-    same concatenated-segment order the numpy engine's ``subtract.at``
-    uses, so the two engines' float trajectories are identical.
-    """
-    n_flows = len(inc.flow_ids)
-    n_links = len(inc.link_ids)
-    indptr, indices = inc.indptr, inc.indices
-    remaining = [float(c) for c in caps]
-    counts = [0] * n_links
-    for column in indices:
-        counts[column] += 1
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-
-    def freeze(row: int, rate: float) -> None:
-        rates[row] = rate
-        active[row] = False
-        for column in indices[indptr[row]:indptr[row + 1]]:
-            remaining[column] -= rate
-            counts[column] -= 1
-
-    while n_active:
-        level = math.inf
-        for column in range(n_links):
-            if counts[column]:
-                share = remaining[column] / counts[column]
-                if share < level:
-                    level = share
-        if level < 0.0:
-            level = 0.0  # residual float drift must never go negative
-        threshold = level * (1.0 + SHARE_EPS)
-        # demand-capped flows at or below the water level freeze at
-        # their demand first — they never contend for the bottleneck
-        capped = [
-            row for row in range(n_flows)
-            if active[row] and dems[row] <= threshold
-        ]
-        if capped:
-            for row in capped:
-                freeze(row, dems[row])
-            n_active -= len(capped)
-            continue
-        bottleneck = [
-            counts[column] > 0
-            and remaining[column] / counts[column] <= threshold
-            for column in range(n_links)
-        ]
-        frozen = [
-            row for row in range(n_flows)
-            if active[row]
-            and any(
-                bottleneck[column]
-                for column in indices[indptr[row]:indptr[row + 1]]
-            )
-        ]
-        assert frozen, "progressive filling must freeze at least one flow"
-        for row in frozen:
-            freeze(row, level)
-        n_active -= len(frozen)
-    return rates
+# ---------------------------------------------------------------- solver
 
 
 def _concat_rows(indices: Any, starts: Any, lengths: Any) -> Any:
@@ -255,8 +186,8 @@ def _concat_rows(indices: Any, starts: Any, lengths: Any) -> Any:
 def _solve_numpy(
     inc: FlowIncidence, caps: Sequence[float], dems: Sequence[float]
 ) -> List[float]:
-    """Vectorized water-filling: identical float trajectory to
-    :func:`_solve_python` (see the module docstring), rounds as array ops.
+    """Vectorized water-filling: identical float trajectory to the
+    python reference loop (see the module docstring), rounds as array ops.
 
     Per-round work tracks the *surviving* flows, not the original
     instance: the CSR view is compacted to the active rows whenever at
@@ -373,18 +304,6 @@ def max_min_rates(
     is a pure function of the three mappings: iteration order of the
     inputs never matters.
     """
-    return _allocate(_solve_numpy, paths, capacity, demand)
-
-
-def _allocate(
-    solve: Callable[[FlowIncidence, Sequence[float], Sequence[float]], List[float]],
-    paths: Any,
-    capacity: Any,
-    demand: Any = None,
-) -> Dict[FlowId, float]:
-    """:func:`max_min_rates` through the water-filler ``solve``: the
-    simulator's is always :func:`_solve_numpy`; the tests and ``repro
-    bench`` pass :func:`_solve_python` to get the bitwise reference."""
     rates: Dict[FlowId, float] = {}
     if isinstance(paths, FlowIncidence):
         inc = paths
@@ -408,23 +327,5 @@ def _allocate(
             float(demands[fid]) if fid in demands else math.inf
             for fid in inc.flow_ids
         ]
-    rates.update(zip(inc.flow_ids, solve(inc, caps, dems)))
+    rates.update(zip(inc.flow_ids, _solve_numpy(inc, caps, dems)))
     return rates
-
-
-def link_loads(
-    paths: Mapping[FlowId, Sequence[LinkId]],
-    rates: Mapping[FlowId, float],
-) -> Dict[LinkId, float]:
-    """Aggregate rate per link implied by an allocation (test helper).
-
-    Built on the same :func:`build_incidence` as the solvers, so load
-    accounting can never disagree with them on link identity.
-    """
-    inc = build_incidence(paths)
-    loads: Dict[LinkId, float] = {link: 0.0 for link in inc.link_ids}
-    for row, fid in enumerate(inc.flow_ids):
-        rate = float(rates[fid])
-        for column in inc.row_links(row):
-            loads[inc.link_ids[column]] += rate
-    return loads

@@ -13,7 +13,6 @@ import pytest
 
 from repro import bench
 from repro.bench import (
-    FAIRSHARE_MIN_RATIO,
     FLOW_MIN_RATIO,
     FLOW_SCALE_BUDGET_MB,
     FLOW_SCALE_BUDGET_S,
@@ -25,12 +24,7 @@ from repro.cli import main
 
 def passing_result():
     return {
-        "quick": True,
         "cpu_count": 2,
-        "fairshare_vector": {
-            "flows": 10_000, "ratio": 9.0,
-            "optimized_fps": 110_000, "naive_fps": 12_000,
-        },
         "flow_backend": {
             "ports": 12,
             "packet_s": 8.2,
@@ -53,12 +47,12 @@ def test_passing_result_has_no_failures():
     assert check_floors(passing_result()) == []
 
 
-def test_slow_fair_share_is_named():
+def test_backend_class_mismatch_is_named():
     result = passing_result()
-    result["fairshare_vector"]["ratio"] = FAIRSHARE_MIN_RATIO - 0.1
-    (failure,) = check_floors(result)
-    assert failure.startswith("fairshare_vector:")
-    assert "10,000 flows" in failure
+    result["flow_backend"]["flow"]["class"] = "fast-reroute"
+    assert check_floors(result) == [
+        "flow_backend: packet recovers in class convergence, fluid in fast-reroute"
+    ]
 
 
 def test_low_measured_flow_ratio_is_named():
@@ -86,7 +80,7 @@ def test_over_memory_ceiling_scale_trial_is_named():
     assert "k=48" in failure and f"{FLOW_SCALE_BUDGET_MB:.0f} MiB ceiling" in failure
 
 
-@pytest.mark.parametrize("section", ["fairshare_vector", "flow_backend"])
+@pytest.mark.parametrize("section", ["flow_backend"])
 def test_missing_section_is_named(section):
     result = passing_result()
     del result[section]
@@ -96,9 +90,10 @@ def test_missing_section_is_named(section):
 
 def test_every_floor_failing_names_all_three():
     result = passing_result()
-    result["fairshare_vector"]["ratio"] = 1.0
     result["flow_backend"]["ratio"] = 1.0
-    result["flow_backend"]["scale_trial"]["within_budget"] = False
+    scale = result["flow_backend"]["scale_trial"]
+    scale["within_budget"] = False
+    scale["peak_rss_mb"] = FLOW_SCALE_BUDGET_MB + 1
     assert len(check_floors(result)) == 3
 
 
@@ -113,19 +108,17 @@ def test_render_reports_the_measured_ratio_and_the_budget():
     [
         (lambda r: None, 0),
         (lambda r: r["flow_backend"].update(ratio=2.0), 1),
-        (lambda r: r.pop("fairshare_vector"), 1),
+        (lambda r: r.pop("flow_backend"), 1),
+        (lambda r: r["flow_backend"]["flow"].update({"class": "fast-reroute"}), 1),
     ],
-    ids=["pass", "flow-ratio-below-floor", "missing-section"],
+    ids=["pass", "flow-ratio-below-floor", "missing-section", "class-mismatch"],
 )
 def test_cmd_bench_exit_code_follows_the_floors(
     monkeypatch, capsys, mutate, code
 ):
     result = passing_result()
     mutate(result)
-    monkeypatch.setattr(
-        bench, "run_hotpath_bench",
-        lambda quick=False, campaign=True: copy.deepcopy(result),
-    )
-    assert main(["bench", "--quick", "--json"]) == code
+    monkeypatch.setattr(bench, "run_hotpath_bench", lambda: copy.deepcopy(result))
+    assert main(["bench", "--json"]) == code
     err = capsys.readouterr().err
     assert ("BELOW FLOOR" in err) == bool(code)

@@ -1,9 +1,15 @@
 """Documented commands cannot drift from the CLI.
 
-Every ``python -m repro ...`` line in README.md's fenced code blocks and
-in the CI workflow's ``run:`` steps must parse under
+Every ``python -m repro ...`` command documented in README.md's fenced
+code blocks, the CI workflow's ``run:`` steps, the verify skill's fenced
+blocks and inline code spans, and EXPERIMENTS.md's inline code spans
+(joined across line breaks) must parse under
 :func:`repro.cli.build_parser`, and every ``verify --topology`` value
 must name a family in :data:`repro.core.fabrics.FABRICS`.
+
+Documentation notation reads as a reader would type it: a metavariable
+``N`` is an integer, a bracketed optional flag such as ``[--json]`` is
+left out, and a ``<...>`` placeholder names no particular family.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import pathlib
 import re
 import shlex
-from typing import List
+from typing import List, Tuple
 
 import pytest
 
@@ -21,21 +27,40 @@ from repro.core.fabrics import FABRICS
 REPO = pathlib.Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
 CI = REPO / ".github" / "workflows" / "ci.yml"
+SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+EXPERIMENTS = REPO / "EXPERIMENTS.md"
 
 #: the command after the module, up to an inline shell comment
 _COMMAND = re.compile(r"python -m repro(?=\s|$)(?P<args>[^#]*)")
 #: a shell substitution such as "$(date +%Y%m%d)"
 _SUBSTITUTION = re.compile(r'"?\$\([^)]*\)"?')
+#: an inline code span
+_SPAN = re.compile(r"`([^`]+)`")
+#: a bracketed optional flag, e.g. "[--json]"
+_OPTIONAL = re.compile(r"\s*\[--[^]]*\]")
+#: the metavariable N, standing for an integer
+_METAVARIABLE = re.compile(r"(?<=\s)N(?=\s|$)")
+#: a placeholder such as "<family>"
+_PLACEHOLDER = re.compile(r"<[^>]*>")
 
 
-def readme_lines() -> List[str]:
-    lines, fenced = [], False
-    for line in README.read_text().splitlines():
+def split_fences(path: pathlib.Path) -> Tuple[List[str], List[str]]:
+    """A markdown file's lines inside fenced code blocks, and outside."""
+    inside: List[str] = []
+    outside: List[str] = []
+    fenced = False
+    for line in path.read_text().splitlines():
         if line.lstrip().startswith("```"):
             fenced = not fenced
-        elif fenced:
-            lines.append(line)
-    return lines
+        else:
+            (inside if fenced else outside).append(line)
+    return inside, outside
+
+
+def inline_spans(lines: List[str]) -> List[str]:
+    """The inline code spans of markdown prose, a span broken across
+    lines read as one."""
+    return _SPAN.findall(" ".join(line.strip() for line in lines))
 
 
 def ci_run_lines() -> List[str]:
@@ -61,16 +86,24 @@ def ci_run_lines() -> List[str]:
 
 
 def documented_commands() -> list:
+    skill_fenced, skill_prose = split_fences(SKILL)
+    sources = (
+        ("README.md", split_fences(README)[0]),
+        ("ci.yml", ci_run_lines()),
+        ("SKILL.md", skill_fenced + inline_spans(skill_prose)),
+        ("EXPERIMENTS.md", inline_spans(split_fences(EXPERIMENTS)[1])),
+    )
     commands = []
-    for source, lines in (("README.md", readme_lines()), ("ci.yml", ci_run_lines())):
+    for source, lines in sources:
         for line in lines:
             match = _COMMAND.search(line)
             if match is None:
                 continue
             args = _SUBSTITUTION.sub("20260101", match.group("args"))
-            commands.append(
-                pytest.param(shlex.split(args), id=f"{source}:{args.strip()}")
-            )
+            args = _METAVARIABLE.sub("1", _OPTIONAL.sub("", args)).strip()
+            if not args:  # the entry point named, no command
+                continue
+            commands.append(pytest.param(shlex.split(args), id=f"{source}:{args}"))
     return commands
 
 
@@ -78,15 +111,17 @@ COMMANDS = documented_commands()
 
 
 def test_documents_name_commands():
-    """Both documents are scanned (a parser change that found nothing
+    """Every document is scanned (a parser change that found nothing
     would pass vacuously)."""
     ids = [param.id for param in COMMANDS]
     assert any(i.startswith("README.md:verify") for i in ids)
     assert any(i.startswith("ci.yml:check") for i in ids)
+    assert any(i.startswith("SKILL.md:bench") for i in ids)
+    assert any(i.startswith("EXPERIMENTS.md:check --differential") for i in ids)
 
 
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_documented_command_parses(argv):
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
+    if args.command == "verify" and not _PLACEHOLDER.fullmatch(args.topology):
         assert args.topology in FABRICS

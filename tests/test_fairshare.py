@@ -19,7 +19,6 @@ regression is attributable, not just "a property failed".
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
@@ -37,14 +36,10 @@ from repro.sim.flow.fairshare import (
     FairShareError,
     FlowIncidence,
     build_incidence,
-    link_loads,
     max_min_rates,
 )
 from repro.sim.flow.warmstart import BatchRouteOracle
-
-#: the python water-filler: the bitwise reference no simulation path
-#: reaches, called the way max_min_rates calls the vectorized one
-python_rates = functools.partial(fairshare._allocate, fairshare._solve_python)
+from tests.fairshare_reference import link_loads, python_rates
 
 # ------------------------------------------------------------- strategies
 #
@@ -257,7 +252,7 @@ def test_vector_engine_agrees_bitwise_with_python(instance):
 
 
 def test_vector_engine_agrees_on_a_structured_many_round_instance():
-    """A deterministic instance shaped like the bench workload (many
+    """A deterministic instance shaped like a large-fabric recompute (many
     capacity classes, mixed capped/elastic, multi-hop paths) — hundreds
     of freezing rounds, which is where the two engines' float
     trajectories would drift if their orders ever differed."""
@@ -282,6 +277,8 @@ def test_engine_contract_matches_spf_batch():
         assert "engine" not in inspect.signature(api).parameters, api
     for module in (fairshare, spf_batch):
         assert not {"ENGINES", "_resolve_engine"} & set(vars(module)), module
+    # one water-filler under src/: the python one is tests/fairshare_reference.py
+    assert not {"_solve_python", "_allocate"} & set(vars(fairshare))
     with pytest.raises(TypeError):
         max_min_rates({"a": []}, {}, engine="python")
 

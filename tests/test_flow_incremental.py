@@ -11,8 +11,9 @@ not disturb:
 1. **From-scratch oracle** (hypothesis) — mesh flows, mixed
    reliable/CBR, random link flaps: after each recompute rebuild the
    ``paths``/``capacity``/``demand`` dicts from the model's active flows
-   and path cache, solve them with the python engine, and require the
-   model's rates to be *bitwise* equal.
+   and path cache, solve them with the python reference
+   (``tests/fairshare_reference.py``), and require the model's rates
+   to be *bitwise* equal.
 2. **Schedule pin** — a seeded Fig 6 cell's recompute / resolution /
    solve counts, recorded before the recompute was rebuilt, and its
    event count on a warm-started bundle.
@@ -43,6 +44,7 @@ from repro.sim.flow.model import FluidTrafficModel
 from repro.sim.flow.warmstart import warm_start_linkstate
 from repro.sim.units import milliseconds, seconds
 from repro.topology.fattree import fat_tree
+from tests.fairshare_reference import python_rates
 
 
 def _build_model() -> tuple[Simulator, Network, FluidTrafficModel]:
@@ -97,7 +99,7 @@ def oracle_rates(model: FluidTrafficModel) -> dict[str, float]:
         )
         if not draining:
             demand[name] = spec.demand
-    return fairshare._allocate(fairshare._solve_python, paths, capacity, demand)
+    return python_rates(paths, capacity, demand)
 
 
 def _check_against_oracle_after_every_recompute(model: FluidTrafficModel) -> list[int]:
