@@ -33,6 +33,22 @@ def test_bench_simulator_dispatch(benchmark):
     assert events == 10_000
 
 
+def test_bench_simulator_dispatch_shared_instants(benchmark):
+    """Schedule+execute 10k no-op events over 100 instants: the LSA
+    flood's shape, fixed per-hop delays landing many events on one
+    ``(time, priority)``."""
+
+    def run() -> int:
+        sim = Simulator()
+        for i in range(10_000):
+            sim.schedule(i % 100, lambda: None)
+        sim.run()
+        return sim.events_processed
+
+    events = benchmark(run)
+    assert events == 10_000
+
+
 def test_bench_fib_lookup(benchmark):
     """LPM over a realistically-sized DCN FIB (64 racks + backups)."""
     fib = Fib()

@@ -1,10 +1,12 @@
 """Discrete-event simulation core.
 
-A :class:`Simulator` owns a priority queue of events ordered by
-``(time, priority, sequence)``.  Cancellation is O(1) (events are flagged and
-skipped when popped).  All model code receives the simulator instance and
-schedules callbacks; there are no threads and no wall-clock dependence, so a
-given (model, seed) pair always produces the identical event trace.
+A :class:`Simulator` owns a **calendar queue**: events are grouped by the
+instant they share, and the instants are ordered.  Events run in
+``(time, priority, posting order)`` order.  Cancellation is O(1) (events
+are flagged and skipped when reached).  All model code receives the
+simulator instance and schedules callbacks; there are no threads and no
+wall-clock dependence, so a given (model, seed) pair always produces the
+identical event trace.
 
 Design notes
 ------------
@@ -12,24 +14,40 @@ Design notes
 * ``priority`` breaks ties between events scheduled for the same instant;
   lower runs first.  Model code rarely needs it, but the data plane uses it
   so that, e.g., a link-down event at time *t* takes effect before packet
-  deliveries scheduled for the same *t*.
-* The ``sequence`` counter makes ordering total and deterministic.
-* :meth:`Simulator.run` is one per-event loop for every call shape
-  (drain, ``until``, ``max_events``, observability on or off): each
-  iteration pops one entry, so events run in exactly the heap's
-  ``(time, priority, sequence)`` order, and :meth:`Simulator.step`
-  driven one event at a time produces the identical trace.
-* Heap entries are plain 5-slot lists ``[time, priority, sequence,
-  callback, args]`` — comparison is C-level list comparison that never
-  reaches the callback slot (``sequence`` is unique), which is what makes
-  ``heappush``/``heappop`` cheap; the ``order=True`` dataclass this
-  replaced spent most of every sift in generated ``__lt__`` calls.  The
+  deliveries scheduled for the same *t*.  Priorities live in
+  ``[0, 128)``; :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+  reject anything else.
+* An event is a plain 3-slot list ``[time, callback, args]``.  The
   callback slot doubles as the lifecycle flag: a callable is live,
   ``None`` is cancelled, the ``_DONE`` sentinel marks an executed event.
-* Cancelled events are tracked and the heap is **lazily compacted** when
-  more than half of it is dead weight, so long runs with heavy
-  :class:`Timer` restart churn keep the queue proportional to the number of
-  *live* events.
+* Events sharing a ``(time, priority)`` share one **bucket**: a FIFO list
+  of entries in a dict keyed by the int ``time << 7 | priority``.  The
+  heap holds one key per bucket, so int order is ``(time, priority)``
+  order.  Posting to a pending key is a dict hit and a list append, with
+  no heap sift; FIFO order inside a bucket is the posting order, which
+  makes the ordering total and deterministic.  The LSA flood's fixed
+  per-hop delays land many of a trial's events on keys already pending.
+  A key with one pending event maps to that event's entry itself (its
+  first slot is the int time, a bucket's is an entry list), so an
+  unshared event allocates no bucket; the second post to the key makes
+  the bucket.
+* :meth:`Simulator.run` is the one loop (:meth:`Simulator.step` is
+  ``run(max_events=1)``).  It runs a lone head event in place, and
+  detaches a head bucket and runs its events in order.  After each event it checks whether a smaller key has
+  appeared (a delay-0 post at a lower priority); if so — and when
+  ``until``, ``max_events`` or a raising callback stops it — the rest of
+  the bucket goes back **in front of** any bucket posted since under the
+  same key.
+* Queued events, cancelled ones included, are one per pending key
+  (``len`` of the heap) plus ``_extra``, the events queued behind the
+  first of their bucket, plus the rest of the bucket being run
+  (``_detached``).  That sum is what :attr:`Simulator.pending_events`,
+  the ``sim.queue_depth`` gauge and the compaction trigger read, so an
+  event posted to a new key costs no count update at all.
+* Cancelled events are tracked and the queue is **lazily compacted**
+  when more than half of it is dead weight, so long runs with heavy
+  :class:`Timer` restart churn keep the queue proportional to the number
+  of *live* events.
 * Every simulator carries an :class:`~repro.obs.Observability` facade
   (``sim.obs``) — disabled by default, in which case the loop pays one
   boolean check per event and allocates nothing.
@@ -50,11 +68,13 @@ PRIORITY_CONTROL = 0
 #: Default priority for ordinary model events.
 PRIORITY_NORMAL = 10
 
+#: a bucket key is ``time << _PRIORITY_BITS | priority``
+_PRIORITY_BITS = 7
+#: priorities live in ``[0, _PRIORITY_LIMIT)``
+_PRIORITY_LIMIT = 1 << _PRIORITY_BITS
+
 #: Queues smaller than this are never compacted (rebuild cost dwarfs gain).
 _COMPACT_MIN_QUEUE = 64
-
-#: heap-entry slot indices (see module docstring)
-_TIME, _PRIORITY, _SEQ, _CALLBACK, _ARGS = range(5)
 
 #: callback-slot sentinel for an event that already executed (a cancelled
 #: event stores ``None`` there instead)
@@ -70,7 +90,7 @@ class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine."""
 
 
-#: one scheduled event: ``[time, priority, sequence, callback, args]``
+#: one scheduled event: ``[time, callback, args]``
 _Entry = list
 
 
@@ -86,20 +106,20 @@ class EventHandle:
     @property
     def time(self) -> Time:
         """The simulated time at which the event fires."""
-        return self._entry[_TIME]
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
         """Whether the event has been cancelled."""
-        return self._entry[_CALLBACK] is None
+        return self._entry[1] is None
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already ran or was cancelled."""
         entry = self._entry
-        callback = entry[_CALLBACK]
+        callback = entry[1]
         if callback is None or callback is _DONE:
             return
-        entry[_CALLBACK] = None
+        entry[1] = None
         self._sim._note_cancelled()
 
 
@@ -122,9 +142,17 @@ class Simulator:
             obs = Observability(enabled=False)
         #: the simulator's observability facade (trace recorder + metrics)
         self.obs = obs
-        self._queue: list[_Entry] = []
+        #: heap of bucket keys, one per pending ``(time, priority)``
+        self._keys: list[int] = []
+        #: bucket key -> the lone entry, or a FIFO list of entries
+        self._buckets: dict[int, list[Any]] = {}
+        #: entries in ``_buckets`` behind the first of their bucket,
+        #: cancelled ones included
+        self._extra = 0
+        #: the rest of the bucket ``run()`` is executing, reversed so the
+        #: next entry is last
+        self._detached: list[_Entry] = []
         self._now: Time = 0
-        self._sequence: int = 0
         self._running = False
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -142,7 +170,11 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of *live* events still scheduled (cancelled excluded)."""
-        return len(self._queue) - self._cancelled_pending
+        return self._queued() - self._cancelled_pending
+
+    def _queued(self) -> int:
+        """Events still queued, cancelled dead weight included."""
+        return len(self._keys) + self._extra + len(self._detached)
 
     def counters(self) -> dict:
         """A cheap, JSON-safe snapshot of the engine's lifetime counters.
@@ -157,22 +189,36 @@ class Simulator:
         }
 
     def _note_cancelled(self) -> None:
-        """Bookkeeping for a cancellation; compacts the heap when more than
-        half of it is cancelled dead weight (lazy, amortised O(1)).
+        """Bookkeeping for a cancellation; compacts the queue when more
+        than half of it is cancelled dead weight (lazy, amortised O(1)).
 
-        Compaction mutates the queue **in place** (slice assignment, not
-        rebinding): ``run()`` hoists the queue into a local, so a
-        cancellation from inside a callback must never swap the list
-        object out from under the running loop.
+        Compaction mutates the key heap, the bucket dict and the detached
+        bucket **in place**: ``run()`` holds all three in locals, so a
+        cancellation from inside a callback must never swap one out from
+        under the running loop.
         """
         self._cancelled_pending += 1
-        queue = self._queue
-        if (
-            len(queue) >= _COMPACT_MIN_QUEUE
-            and self._cancelled_pending * 2 > len(queue)
-        ):
-            queue[:] = [e for e in queue if e[_CALLBACK] is not None]
-            heapq.heapify(queue)
+        queued = self._queued()
+        if queued >= _COMPACT_MIN_QUEUE and self._cancelled_pending * 2 > queued:
+            buckets = self._buckets
+            extra = 0
+            for key, pending in list(buckets.items()):
+                if pending[0].__class__ is list:
+                    live = [e for e in pending if e[1] is not None]
+                    if live:
+                        buckets[key] = live
+                        extra += len(live) - 1
+                        continue
+                elif pending[1] is not None:
+                    continue
+                del buckets[key]
+            keys = self._keys
+            keys[:] = buckets
+            heapq.heapify(keys)
+            self._extra = extra
+            detached = self._detached
+            if detached:
+                detached[:] = [e for e in detached if e[1] is not None]
             self._cancelled_pending = 0
 
     def schedule(
@@ -192,9 +238,24 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        entry = [self._now + delay, priority, self._sequence, callback, args]
-        self._sequence += 1
-        _heappush(self._queue, entry)
+        if priority >> _PRIORITY_BITS:  # negative or >= _PRIORITY_LIMIT
+            raise SimulationError(
+                f"priority {priority} is outside [0, {_PRIORITY_LIMIT})"
+            )
+        time = self._now + delay
+        entry = [time, callback, args]
+        key = time << _PRIORITY_BITS | priority
+        buckets = self._buckets
+        queued = buckets.get(key)
+        if queued is None:
+            buckets[key] = entry
+            _heappush(self._keys, key)
+        elif queued[0].__class__ is list:
+            queued.append(entry)
+            self._extra += 1
+        else:
+            buckets[key] = [queued, entry]
+            self._extra += 1
         return EventHandle(entry, self)
 
     def schedule_at(
@@ -209,9 +270,23 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self._now})"
             )
-        entry = [time, priority, self._sequence, callback, args]
-        self._sequence += 1
-        _heappush(self._queue, entry)
+        if priority >> _PRIORITY_BITS:  # negative or >= _PRIORITY_LIMIT
+            raise SimulationError(
+                f"priority {priority} is outside [0, {_PRIORITY_LIMIT})"
+            )
+        entry = [time, callback, args]
+        key = time << _PRIORITY_BITS | priority
+        buckets = self._buckets
+        queued = buckets.get(key)
+        if queued is None:
+            buckets[key] = entry
+            _heappush(self._keys, key)
+        elif queued[0].__class__ is list:
+            queued.append(entry)
+            self._extra += 1
+        else:
+            buckets[key] = [queued, entry]
+            self._extra += 1
         return EventHandle(entry, self)
 
     def call_at(
@@ -220,20 +295,49 @@ class Simulator:
         """:meth:`schedule_at` at ``PRIORITY_NORMAL`` for callers that
         never cancel: no :class:`EventHandle`, no keyword parsing.
 
-        Same heap entry, same shared ``sequence`` counter, same error for
-        a past ``time`` — an event posted here is indistinguishable from
-        one posted through :meth:`schedule_at`, except that nothing can
-        cancel it.  Like the other two it is overridden by the checker's
-        ``CheckedSimulator``.
+        Same entry, same bucket, same error for a past ``time`` — an
+        event posted here is indistinguishable from one posted through
+        :meth:`schedule_at`, except that nothing can cancel it.  Like the
+        other two it is overridden by the checker's ``CheckedSimulator``.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now is {self._now})"
             )
-        _heappush(
-            self._queue, [time, PRIORITY_NORMAL, self._sequence, callback, args]
-        )
-        self._sequence += 1
+        key = time << _PRIORITY_BITS | PRIORITY_NORMAL
+        entry = [time, callback, args]
+        buckets = self._buckets
+        queued = buckets.get(key)
+        if queued is None:
+            buckets[key] = entry
+            _heappush(self._keys, key)
+        elif queued[0].__class__ is list:
+            queued.append(entry)
+            self._extra += 1
+        else:
+            buckets[key] = [queued, entry]
+            self._extra += 1
+
+    def _put_back(self, key: int) -> None:
+        """Return the rest of the detached bucket to the queue, in front
+        of whatever was posted under the same ``key`` since it was taken."""
+        rest = self._detached
+        if not rest:
+            return
+        self._detached = []
+        rest.reverse()
+        queued = self._buckets.get(key)
+        if queued is None:
+            self._buckets[key] = rest
+            _heappush(self._keys, key)
+            self._extra += len(rest) - 1
+        elif queued[0].__class__ is list:
+            queued[:0] = rest
+            self._extra += len(rest)
+        else:
+            rest.append(queued)
+            self._buckets[key] = rest
+            self._extra += len(rest) - 1
 
     def run(self, until: Optional[Time] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -242,10 +346,13 @@ class Simulator:
         Events scheduled exactly at ``until`` do **not** run; the clock is
         left at ``until`` (or at the last event time if the queue drained).
 
-        One event per iteration, in heap order: pop the head, skip it if
-        cancelled, stop (pushing it back) once ``until`` is reached, run
-        it, count it.  ``heappop`` and the queue are hoisted into locals,
-        entries are plain lists (no attribute lookups), and with
+        Pop the smallest key.  A lone event runs in place: skip it if
+        cancelled, put it back and stop if ``until`` is reached, run it,
+        count it, stop at ``max_events``.  A bucket is detached; at or
+        past ``until`` its leading cancelled entries are skipped and the
+        loop stops at the first live one, otherwise each entry goes
+        through the same steps as a lone event, and the rest of the
+        bucket is handed back if a callback posted a smaller key.  With
         observability disabled nothing is allocated per event.
         ``events_processed`` is published once on exit (no model code
         reads it mid-run).
@@ -254,39 +361,86 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         executed = 0
+        # max_events <= 0 still runs one event, as it always has
+        limit = -1 if max_events is None else max(max_events, 1)
         obs = self.obs
         enabled = obs.enabled
         if enabled:
             executed_ctr = obs.metrics.counter("sim.events_executed")
             cancelled_ctr = obs.metrics.counter("sim.cancelled_skipped")
             depth_gauge = obs.metrics.gauge("sim.queue_depth")
-        queue = self._queue
+        keys = self._keys
+        buckets = self._buckets
         pop = _heappop
         done = _DONE
+        key = 0
         try:
-            while queue:
-                entry = pop(queue)
-                callback = entry[3]
-                if callback is None:
-                    self._cancelled_pending -= 1
+            while keys:
+                key = pop(keys)
+                queued = buckets.pop(key)
+                time = key >> _PRIORITY_BITS
+                if queued[0].__class__ is not list:
+                    # a lone event: nothing detached, nothing to put back
+                    callback = queued[1]
+                    if callback is None:
+                        self._cancelled_pending -= 1
+                        if enabled:
+                            cancelled_ctr.inc()
+                        continue
+                    if until is not None and time >= until:
+                        buckets[key] = queued
+                        _heappush(keys, key)
+                        break
+                    self._now = time
+                    queued[1] = done
+                    callback(*queued[2])
+                    executed += 1
                     if enabled:
-                        cancelled_ctr.inc()
+                        executed_ctr.inc()
+                        depth_gauge.set(len(keys) + self._extra)
+                    if executed == limit:
+                        return
                     continue
-                if until is not None and entry[0] >= until:
-                    _heappush(queue, entry)
-                    break
-                self._now = entry[0]
-                entry[3] = done
-                callback(*entry[4])
-                executed += 1
-                if enabled:
-                    executed_ctr.inc()
-                    depth_gauge.set(len(queue))
-                if max_events is not None and executed >= max_events:
-                    return
+                bucket = queued
+                self._extra -= len(bucket) - 1
+                bucket.reverse()
+                self._detached = bucket
+                if until is not None and time >= until:
+                    # drain the cancelled entries ahead of the first live
+                    # one, then stop: the event loop always has
+                    while bucket and bucket[-1][1] is None:
+                        bucket.pop()
+                        self._cancelled_pending -= 1
+                        if enabled:
+                            cancelled_ctr.inc()
+                    if bucket:
+                        break
+                    continue
+                while bucket:
+                    entry = bucket.pop()
+                    callback = entry[1]
+                    if callback is None:
+                        self._cancelled_pending -= 1
+                        if enabled:
+                            cancelled_ctr.inc()
+                        continue
+                    self._now = time
+                    entry[1] = done
+                    callback(*entry[2])
+                    executed += 1
+                    if enabled:
+                        executed_ctr.inc()
+                        depth_gauge.set(len(keys) + self._extra + len(bucket))
+                    if executed == limit:
+                        return
+                    if bucket and keys and keys[0] < key:
+                        # a callback posted an earlier key: run it first
+                        self._put_back(key)
+                        break
             if until is not None and until > self._now:
                 self._now = until
         finally:
+            self._put_back(key)
             self._events_processed += executed
             self._running = False
 
@@ -310,25 +464,13 @@ class Simulator:
         self.run(until=deadline, max_events=max_events)
 
     def step(self) -> bool:
-        """Execute exactly one pending event; returns False if queue empty.
-
-        Cancelled entries encountered on the way are drained with the same
-        ``_cancelled_pending`` bookkeeping as :meth:`run`, so mixing
-        ``step()`` and ``run()`` keeps :attr:`pending_events` exact.
-        """
-        queue = self._queue
-        while queue:
-            entry = _heappop(queue)
-            callback = entry[3]
-            if callback is None:
-                self._cancelled_pending -= 1
-                continue
-            self._now = entry[0]
-            entry[3] = _DONE
-            callback(*entry[4])
-            self._events_processed += 1
-            return True
-        return False
+        """Execute exactly one pending event; returns False if none was
+        live.  This is ``run(max_events=1)``, so it skips cancelled
+        entries on the way and, like :meth:`run`, refuses to be called
+        from inside a running callback."""
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
 
 class Timer:

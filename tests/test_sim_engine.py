@@ -12,7 +12,9 @@ from repro.sim.engine import (
     Simulator,
     Timer,
 )
+from repro.obs import Observability
 from repro.sim.units import SECOND, milliseconds
+from tests.engine_reference import ENGINE_METHODS, HeapSimulator
 
 
 def test_starts_at_time_zero():
@@ -177,6 +179,44 @@ def test_reentrant_run_rejected():
     sim.run()
 
 
+def test_step_inside_run_rejected():
+    """``step()`` is ``run(max_events=1)``: from inside a callback it is
+    re-entrant and refused, instead of running the next event nested
+    inside the current one."""
+    sim = Simulator()
+    seen = []
+
+    def reenter():
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.step()
+        seen.append(("reenter", sim.now))
+
+    sim.schedule(1, reenter)
+    sim.schedule(2, seen.append, ("later", 2))
+    sim.run()
+    assert seen == [("reenter", 1), ("later", 2)]
+    assert sim.events_processed == 2
+
+
+@pytest.mark.parametrize("priority", [-1, 128, 1 << 20])
+def test_priority_outside_key_range_rejected(priority):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="priority"):
+        sim.schedule(1, lambda: None, priority=priority)
+    with pytest.raises(SimulationError, match="priority"):
+        sim.schedule_at(1, lambda: None, priority=priority)
+    assert sim.pending_events == 0
+
+
+def test_priority_range_bounds_accepted():
+    sim = Simulator()
+    order = []
+    sim.schedule(1, order.append, "last", priority=127)
+    sim.schedule_at(1, order.append, "first", priority=0)
+    sim.run()
+    assert order == ["first", "last"]
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
 def test_execution_order_is_sorted_by_time(delays):
     sim = Simulator()
@@ -249,8 +289,8 @@ class TestHeapCompaction:
         handles = [sim.schedule(i + 1, lambda: None) for i in range(100)]
         for handle in handles[:60]:
             handle.cancel()
-        # once more than half the heap was dead weight it was compacted
-        assert len(sim._queue) < 100
+        # once more than half the queue was dead weight it was compacted
+        assert sim._queued() < 100
         assert sim.pending_events == 40
 
     def test_small_queues_never_compact(self):
@@ -258,7 +298,7 @@ class TestHeapCompaction:
         handles = [sim.schedule(i + 1, lambda: None) for i in range(10)]
         for handle in handles:
             handle.cancel()
-        assert len(sim._queue) == 10  # below _COMPACT_MIN_QUEUE: lazy skip
+        assert sim._queued() == 10  # below _COMPACT_MIN_QUEUE: lazy skip
         assert sim.pending_events == 0
         sim.run()
         assert sim.events_processed == 0
@@ -300,12 +340,36 @@ class TestHeapCompaction:
         assert sim._cancelled_pending == 0
         assert sim.events_processed == 22  # churn + late event + 20 alive
 
+    def test_compaction_inside_a_running_bucket(self):
+        """A cancellation burst from the head of a shared bucket compacts
+        the rest of that bucket too: the survivors still run, in order,
+        and the compacted dead weight is never skipped (it is gone)."""
+        sim = Simulator(obs=Observability(enabled=True))
+        order = []
+        handles = []
+
+        def burst():
+            order.append("burst")
+            for handle in handles[:60]:
+                handle.cancel()
+
+        sim.schedule(10, burst)
+        handles.extend(sim.schedule(10, order.append, i) for i in range(70))
+        assert sim._queued() == 71
+        sim.run()
+        assert order == ["burst", *range(60, 70)]
+        assert sim.pending_events == 0 and sim._queued() == 0
+        assert sim._cancelled_pending == 0
+        # the 36th cancel compacts 70 queued entries to 34; the last 24
+        # cancels leave a queue below _COMPACT_MIN_QUEUE, so they are skipped
+        assert sim.obs.metrics.counter("sim.cancelled_skipped").value == 24
+
     def test_timer_churn_keeps_queue_bounded(self):
         sim = Simulator()
         timer = Timer(sim, lambda: None)
         for _ in range(10_000):
             timer.start(SECOND)  # each restart cancels the previous event
-        assert len(sim._queue) < 200
+        assert sim._queued() < 200
         assert sim.pending_events == 1
 
 
@@ -565,11 +629,11 @@ class TestSameTimestampBatching:
     """Many events sharing one timestamp (the shape failure storms
     produce): ordering, cancellation bookkeeping, ``max_events``,
     ``until`` and observability counters all treat them one event at a
-    time, in ``(time, priority, sequence)`` order."""
+    time, in ``(time, priority, posting order)`` order."""
 
     def test_delay_zero_cascade_stays_in_batch_order(self):
         """Events scheduled *at* the current instant from inside a
-        callback run at that instant, in (priority, sequence) heap order
+        callback run at that instant, in (priority, posting order) order
         among the events already waiting there."""
         sim = Simulator()
         order = []
@@ -586,9 +650,9 @@ class TestSameTimestampBatching:
         sim.schedule(10, order.append, ("sibling", 10))
         sim.schedule(20, order.append, ("later", 20))
         sim.run()
-        # pure (time, priority, sequence) heap order: the control-priority
-        # cascade overtakes the normal-priority sibling, the normal
-        # cascade queues behind it
+        # pure (time, priority, posting order) order: the control-priority
+        # cascade overtakes the rest of the head's bucket (the sibling),
+        # the normal cascade queues behind that rest
         assert order == [
             ("head", 10),
             ("cascade-control", 10),
@@ -626,6 +690,26 @@ class TestSameTimestampBatching:
         sim.run()
         assert order == ["head", "next-ts"]
         assert sim.pending_events == 0
+
+    def test_raising_callback_leaves_the_rest_of_its_bucket_queued(self):
+        sim = Simulator()
+        order = []
+
+        def boom():
+            order.append("boom")
+            sim.schedule(0, order.append, "posted-by-boom")
+            raise RuntimeError("boom")
+
+        sim.schedule(10, order.append, 0)
+        sim.schedule(10, boom)
+        sim.schedule(10, order.append, 1)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.pending_events == 2
+        assert sim.events_processed == 1
+        sim.run()
+        # the rest of the bucket goes back ahead of the same-key post
+        assert order == [0, "boom", 1, "posted-by-boom"]
 
     def test_max_events_stops_inside_a_batch(self):
         sim = Simulator()
@@ -680,88 +764,76 @@ class TestSameTimestampBatching:
         assert order == [0, 1, 2]
 
 
-def _drain_by_step(sim):
-    """Drain the queue one :meth:`Simulator.step` call at a time."""
-    while sim.step():
-        pass
-
-
-def _stepped_run(self, until=None, max_events=None):
-    """``run()`` with every event executed by one :meth:`Simulator.step`
-    call: the second executor the differential compares ``run()``
-    against.  Only the ``until`` boundary, ``max_events`` and the obs
-    counters ``run()`` keeps live here; which event runs, and when, is
-    ``step()``'s decision."""
-    import heapq
-
-    from repro.sim.engine import _CALLBACK, _TIME
-
-    metrics = self.obs.metrics if self.obs.enabled else None
-    if metrics is not None:
-        executed_ctr = metrics.counter("sim.events_executed")
-        cancelled_ctr = metrics.counter("sim.cancelled_skipped")
-        depth_gauge = metrics.gauge("sim.queue_depth")
-    queue = self._queue
-    executed = 0
-    while queue and (max_events is None or executed < max_events):
-        head = queue[0]
-        if head[_CALLBACK] is None:
-            # step() would skip it too, but uncounted: pop it here so the
-            # cancelled-skip counter sees it
-            heapq.heappop(queue)
-            self._cancelled_pending -= 1
-            if metrics is not None:
-                cancelled_ctr.inc()
-            continue
-        if until is not None and head[_TIME] >= until:
-            break
-        assert self.step()
-        executed += 1
-        if metrics is not None:
-            executed_ctr.inc()
-            depth_gauge.set(len(queue))
-    if until is not None and until > self.now:
-        self._now = until
 
 
 class TestBatchingDifferential:
-    """``run()`` and a ``step()``-driven drain must be observably
-    identical: same events, same order, same clock, same counters."""
+    """The calendar queue and the single-heap engine it replaced
+    (``tests/engine_reference.py``) must be observably identical: same
+    events, same order, same clock, same counters."""
 
     @given(st.data())
     def test_random_workload_equivalence(self, data):
         """Random schedules (heavy timestamp collisions, cancellations,
-        delay-0 cascades) posted through all three scheduling calls fire
-        in the identical order with identical final state under ``run()``
-        and under ``step()`` called until the queue is empty — and in
-        ``(time, priority, posting order)`` order: the
-        three calls draw from one sequence counter, so events sharing a
-        ``(time, priority)`` run FIFO whichever call posted them."""
+        delay-0 cascades at any priority) posted through all three
+        scheduling calls and run in up to three phases (``until`` at a
+        shared key's time, ``max_events`` stopping mid-bucket, then a
+        drain) fire in the identical order with identical state, read
+        from inside callbacks and after every phase, on both engines —
+        and in ``(time, priority, posting order)`` order: events sharing
+        a ``(time, priority)`` run FIFO whichever call posted them.  A
+        cancellation burst over a backlog spread across the same
+        buckets compacts the queue mid-run."""
         ops = data.draw(st.lists(
             st.tuples(
                 st.integers(0, 5),       # coarse delay -> many collisions
-                st.integers(0, 20),      # priority (call_at: always NORMAL)
+                # priority (call_at: always NORMAL), from the cascades' set
+                # so that cascades often land on their poster's own key
+                st.sampled_from([0, 5, PRIORITY_NORMAL, 20]),
                 st.booleans(),           # cancel this one later? (call_at: cannot)
-                st.booleans(),           # cascade: schedule another at now
+                # cascade: post another at now, at this priority (call_at:
+                # NORMAL); below the poster's priority it overtakes the
+                # rest of the poster's bucket
+                st.sampled_from([None, 0, 5, PRIORITY_NORMAL, 20]),
                 st.sampled_from(["schedule", "schedule_at", "call_at"]),
             ),
             min_size=1, max_size=30,
         ), label="ops")
+        until = data.draw(st.one_of(st.none(), st.integers(0, 6)), label="until")
+        max_events = data.draw(
+            st.one_of(st.none(), st.integers(1, 40)), label="max_events"
+        )
+        burst = data.draw(st.one_of(st.none(), st.integers(0, 5)), label="burst")
 
-        def execute(run_impl):
-            sim = Simulator()
+        def execute(engine):
+            sim = engine(obs=Observability(enabled=True))
             order = []
             cancellable = []
+            backlog = []
 
             def fire(tag, cascade, how):
-                order.append((tag, sim.now))
-                if cascade:
-                    mark = (tag, "cascade", sim.now)
+                order.append(("fire", tag, sim.now, sim.pending_events,
+                              sim.counters()))
+                if cascade is not None:
+                    mark = ("cascade", tag, sim.now)
                     if how == "call_at":
                         sim.call_at(sim.now, order.append, mark)
                     else:
-                        sim.schedule(0, order.append, mark)
+                        sim.schedule(0, order.append, mark, priority=cascade)
 
+            def cancel_backlog():
+                order.append(("burst", sim.now, sim.pending_events))
+                for handle in backlog:
+                    handle.cancel()
+                order.append(("burst-done", sim.pending_events))
+
+            if burst is not None:
+                # the burst heads its bucket; the backlog shares it and
+                # every other bucket of the workload
+                sim.schedule(burst, cancel_backlog)
+                backlog.extend(
+                    sim.schedule(i % 7, order.append, ("backlog", i))
+                    for i in range(80)
+                )
             for tag, (delay, priority, cancel, cascade, how) in enumerate(ops):
                 if how == "call_at":
                     sim.call_at(delay, fire, tag, cascade, how)
@@ -773,26 +845,33 @@ class TestBatchingDifferential:
                     cancellable.append(handle)
             for handle in cancellable:
                 handle.cancel()
-            run_impl(sim)
-            return order, sim.now, sim.events_processed, sim.pending_events
+            phases = []
+            if until is not None:
+                sim.run(until=until)
+                phases.append((sim.counters(), sim.obs.metrics.snapshot()))
+            if max_events is not None:
+                sim.run(max_events=max_events)
+                phases.append((sim.counters(), sim.obs.metrics.snapshot()))
+            sim.run()
+            phases.append((sim.counters(), sim.obs.metrics.snapshot()))
+            return order, phases
 
-        ran = execute(lambda sim: sim.run())
-        stepped = execute(_drain_by_step)
-        assert ran == stepped
+        calendar = execute(Simulator)
+        assert calendar == execute(HeapSimulator)
         # everything is posted at now = 0, so delay = absolute time and
-        # the op's index is its sequence number
+        # the op's index orders its posting among the ops
         expected = sorted(
             (delay, PRIORITY_NORMAL if how == "call_at" else priority, tag)
             for tag, (delay, priority, cancel, _cascade, how) in enumerate(ops)
             if how == "call_at" or not cancel
         )
-        fired = [entry for entry in ran[0] if len(entry) == 2]
+        fired = [entry[1:3] for entry in calendar[0] if entry[0] == "fire"]
         assert fired == [(tag, delay) for delay, _priority, tag in expected]
 
     def test_recovery_trial_trace_identical_without_batching(self, monkeypatch):
         """A full traced recovery check produces byte-identical traces,
-        spans, stats, and violations when every event is executed by
-        ``step()`` instead of ``run()``'s loop."""
+        spans, stats, and violations when every event runs on the
+        single-heap reference engine instead of the calendar queue."""
         import json
 
         from repro.check.config import TrialConfig, fast_overrides
@@ -804,12 +883,13 @@ class TestBatchingDifferential:
         )
         ran = execute_check(config, traced=True)
         with monkeypatch.context() as patches:
-            patches.setattr(Simulator, "run", _stepped_run)
-            stepped = execute_check(config, traced=True)
+            for name in ENGINE_METHODS:
+                patches.setattr(Simulator, name, HeapSimulator.__dict__[name])
+            reference = execute_check(config, traced=True)
 
-        assert ran.violations == stepped.violations == []
-        assert ran.stats == stepped.stats
+        assert ran.violations == reference.violations == []
+        assert ran.stats == reference.stats
         assert json.dumps(ran.trace, sort_keys=True) == \
-            json.dumps(stepped.trace, sort_keys=True)
+            json.dumps(reference.trace, sort_keys=True)
         assert json.dumps(ran.spans, sort_keys=True) == \
-            json.dumps(stepped.spans, sort_keys=True)
+            json.dumps(reference.spans, sort_keys=True)
