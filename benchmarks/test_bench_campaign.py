@@ -22,7 +22,7 @@ import os
 import pathlib
 import time
 
-from repro.campaign import run_campaign
+from repro.campaign.runner import run_campaign
 from repro.campaign.sweeps import spf_timer_specs
 
 BENCH_FILE = pathlib.Path(__file__).parent.parent / "BENCH_campaign.json"

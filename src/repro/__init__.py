@@ -20,7 +20,7 @@ The package layers bottom-up:
 
 Quick start::
 
-    from repro.experiments import run_table_three, render_table_three
+    from repro.experiments.testbed import render_table_three, run_table_three
     print(render_table_three(run_table_three()))
 """
 
@@ -32,22 +32,3 @@ except ImportError:
     raise ImportError(
         "repro requires numpy; install it with: pip install numpy"
     ) from None
-
-from . import analysis, core, dataplane, experiments, failures, metrics
-from . import net, routing, sim, topology, transport, workloads
-
-__all__ = [
-    "analysis",
-    "core",
-    "dataplane",
-    "experiments",
-    "failures",
-    "metrics",
-    "net",
-    "routing",
-    "sim",
-    "topology",
-    "transport",
-    "workloads",
-    "__version__",
-]

@@ -1,36 +1,1 @@
 """Analysis tools: max-flow/bisection, backup-link accounting, path audits."""
-
-from .auditing import PacketTrace, PathAuditor
-from .census import (
-    CensusResult,
-    exhaustive_condition_census,
-    relevant_links,
-    render_census,
-)
-from .bisection import (
-    bisection_bandwidth,
-    bisection_report,
-    full_bisection,
-    host_capacity,
-    rack_uplink_oversubscription,
-)
-from .maxflow import FlowNetwork
-from .redundancy import BackupProfile, immediate_backups, profile_agg_switch
-
-__all__ = [
-    "PacketTrace",
-    "PathAuditor",
-    "CensusResult",
-    "exhaustive_condition_census",
-    "relevant_links",
-    "render_census",
-    "bisection_bandwidth",
-    "bisection_report",
-    "full_bisection",
-    "host_capacity",
-    "rack_uplink_oversubscription",
-    "FlowNetwork",
-    "BackupProfile",
-    "immediate_backups",
-    "profile_agg_switch",
-]

@@ -9,7 +9,8 @@ bytes whether the campaign ran on 1 worker or 16.
 
 Quick use::
 
-    from repro.campaign import TrialSpec, run_campaign
+    from repro.campaign.runner import run_campaign
+    from repro.campaign.spec import TrialSpec
 
     specs = [
         TrialSpec.make("recovery", topology=t, scenario="C1", seed=s)
@@ -21,67 +22,3 @@ Quick use::
 
 or from the command line: ``python -m repro sweep spf-timer --workers 4``.
 """
-
-from __future__ import annotations
-
-from .report import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CampaignReport,
-    TrialRecord,
-)
-from .runner import (
-    DEFAULT_RETRIES,
-    TrialOutcome,
-    TrialTimeout,
-    execute_trial,
-    run_campaign,
-)
-from .spec import (
-    CampaignError,
-    TrialContext,
-    TrialSpec,
-    grid,
-    register_trial,
-    registered_kinds,
-    resolve_seeds,
-    trial_runner,
-)
-from .sweeps import (
-    SWEEPS,
-    SweepDef,
-    congestion_specs,
-    detection_delay_specs,
-    effective_workers,
-    figure_four_specs,
-    spf_timer_specs,
-)
-
-__all__ = [
-    "CampaignError",
-    "CampaignReport",
-    "DEFAULT_RETRIES",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_TIMEOUT",
-    "SWEEPS",
-    "SweepDef",
-    "TrialContext",
-    "TrialOutcome",
-    "TrialRecord",
-    "TrialSpec",
-    "TrialTimeout",
-    "congestion_specs",
-    "detection_delay_specs",
-    "effective_workers",
-    "execute_trial",
-    "figure_four_specs",
-    "grid",
-    "register_trial",
-    "registered_kinds",
-    "resolve_seeds",
-    "run_campaign",
-    "spf_timer_specs",
-    "trial_runner",
-]

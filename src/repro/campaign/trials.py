@@ -350,7 +350,7 @@ def run_verify_trial(
     cleanly across workers."""
     from ..core.fabrics import build_fabric
     from ..topology.graph import TopologyError
-    from ..verify import run_verification
+    from ..verify.checks import run_verification
 
     if params:
         raise CampaignError(f"unknown verify trial parameters: {sorted(params)}")

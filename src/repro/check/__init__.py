@@ -22,53 +22,3 @@ The subsystem has five moving parts:
     Delta-debugging minimization of a violating event sequence and
     replay bundles that reproduce a violation byte-identically.
 """
-
-from .bundle import load_bundle, replay_bundle, write_bundle
-from .config import TrialConfig, build_topology, generate_config, quiescence_bound
-from .execute import CheckedSimulator, CheckError, CheckOutcome, concretize, execute_check
-from .invariants import (
-    ALL_INVARIANTS,
-    BLACKHOLE_BOUND,
-    CONVERGENCE_AGREEMENT,
-    FIB_CONSISTENCY,
-    FRR_WINDOW,
-    LOOP_FREEDOM,
-    SIM_SANITY,
-    InvariantSuite,
-    Violation,
-    canonical_violations,
-)
-from .mutants import MUTANTS, FaultMutant, MutantResult, check_mutant, render_selftest, run_selftest
-from .shrink import shrink_config
-
-__all__ = [
-    "ALL_INVARIANTS",
-    "BLACKHOLE_BOUND",
-    "CONVERGENCE_AGREEMENT",
-    "CheckError",
-    "CheckOutcome",
-    "CheckedSimulator",
-    "FIB_CONSISTENCY",
-    "FRR_WINDOW",
-    "FaultMutant",
-    "InvariantSuite",
-    "LOOP_FREEDOM",
-    "MUTANTS",
-    "MutantResult",
-    "SIM_SANITY",
-    "TrialConfig",
-    "Violation",
-    "build_topology",
-    "canonical_violations",
-    "check_mutant",
-    "concretize",
-    "execute_check",
-    "generate_config",
-    "load_bundle",
-    "quiescence_bound",
-    "render_selftest",
-    "replay_bundle",
-    "run_selftest",
-    "shrink_config",
-    "write_bundle",
-]

@@ -489,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from .experiments.testbed import run_testbed
-    from .obs import Observability, TraceAnalysisError, render_breakdown
+    from .obs import Observability
+    from .obs.breakdown import TraceAnalysisError, render_breakdown
     from .sim.units import to_microseconds
 
     obs = Observability(enabled=True)
@@ -524,7 +525,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .obs import TraceAnalysisError, analyze_recovery, read_jsonl, render_breakdown
+    from .obs.breakdown import TraceAnalysisError, analyze_recovery, render_breakdown
+    from .obs.trace import read_jsonl
 
     try:
         events = read_jsonl(args.trace)
@@ -685,7 +687,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .core.fabrics import build_fabric
     from .topology.graph import TopologyError
-    from .verify import run_verification
+    from .verify.checks import run_verification
 
     if args.selftest:
         from .verify.mutants import render_selftest, run_selftest
@@ -725,15 +727,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import (
+    from .obs import Observability
+    from .obs.export import (
         ExportError,
-        Observability,
-        build_recovery_spans,
-        counters_from_metrics,
         validate_chrome_trace_file,
         write_chrome_trace,
         write_spans_jsonl,
     )
+    from .obs.spans import build_recovery_spans, counters_from_metrics
 
     if args.validate is not None:
         try:

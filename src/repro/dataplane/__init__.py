@@ -1,20 +1,1 @@
 """Data plane: runtime links, L3 switches, hosts and the network container."""
-
-from .link import Channel, LinkStats, RuntimeLink
-from .network import Network
-from .node import HostNode, NetworkNode, PacketHandler, RoutingAgent, SwitchNode
-from .params import NetworkParams, PAPER_DEFAULTS
-
-__all__ = [
-    "Channel",
-    "LinkStats",
-    "RuntimeLink",
-    "Network",
-    "HostNode",
-    "NetworkNode",
-    "PacketHandler",
-    "RoutingAgent",
-    "SwitchNode",
-    "NetworkParams",
-    "PAPER_DEFAULTS",
-]

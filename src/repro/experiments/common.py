@@ -22,13 +22,7 @@ from ..core.backup_routes import configure_backup_routes
 from ..dataplane.network import Network
 from ..dataplane.params import NetworkParams
 from ..obs import Observability
-from ..routing.centralized import (
-    CentralizedController,
-    ControllerParams,
-    deploy_centralized,
-)
 from ..routing.linkstate import deploy_linkstate
-from ..routing.pathvector import PathVectorParams, deploy_pathvector
 from ..routing.static import StaticRoute
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
@@ -36,6 +30,7 @@ from ..sim.units import Time, seconds
 from ..topology.graph import LinkKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..routing.centralized import CentralizedController
     from ..sim.flow.model import FluidTrafficModel
     from ..sim.flow.warmstart import BatchRouteOracle
 
@@ -178,11 +173,15 @@ def build_bundle(
     elif routing == "linkstate":
         protocols = dict(deploy_linkstate(network))
     elif routing == "pathvector":
+        from ..routing.pathvector import PathVectorParams, deploy_pathvector
+
         options = routing_options
         if options is not None and not isinstance(options, PathVectorParams):
             raise TypeError("pathvector routing expects PathVectorParams options")
         protocols = dict(deploy_pathvector(network, options))
     elif routing == "centralized":
+        from ..routing.centralized import ControllerParams, deploy_centralized
+
         options = routing_options
         if options is not None and not isinstance(options, ControllerParams):
             raise TypeError("centralized routing expects ControllerParams options")

@@ -29,7 +29,8 @@ from ..metrics.timeseries import (
     throughput_series,
 )
 from ..net.packet import PROTO_TCP, PROTO_UDP, WIRE_OVERHEAD
-from ..obs import Observability, RecoveryBreakdown, analyze_recovery
+from ..obs import Observability
+from ..obs.breakdown import RecoveryBreakdown, analyze_recovery
 from ..sim.units import Time, microseconds, milliseconds, seconds
 from ..topology.graph import Topology, link_key
 from ..transport.apps import PacedTcpSender, TcpSinkServer
@@ -115,7 +116,7 @@ def run_recovery(
     :func:`repro.experiments.common.build_bundle`).  Passing an *enabled*
     ``obs`` records a trace and fills ``result.breakdown`` with the
     per-phase recovery attribution (on the packet backend; raises
-    :class:`~repro.obs.TraceAnalysisError` when the trace ring wrapped
+    :class:`~repro.obs.breakdown.TraceAnalysisError` when the trace ring wrapped
     past the failure).
     """
     with trial_heap() as settled:

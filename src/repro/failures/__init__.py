@@ -1,37 +1,1 @@
 """Failure machinery: deterministic injection, random processes, scenarios."""
-
-from .injector import (
-    FailureEvent,
-    LinkKey,
-    RandomFailurePattern,
-    concurrency_profile,
-    fabric_links,
-    generate_random_failures,
-    paper_failure_pattern,
-    schedule_failures,
-)
-from .scenarios import (
-    ALL_LABELS,
-    FAT_TREE_LABELS,
-    ConditionScenario,
-    all_scenarios,
-    build_scenario,
-    render_table_four,
-)
-
-__all__ = [
-    "FailureEvent",
-    "LinkKey",
-    "RandomFailurePattern",
-    "concurrency_profile",
-    "fabric_links",
-    "generate_random_failures",
-    "paper_failure_pattern",
-    "schedule_failures",
-    "ALL_LABELS",
-    "FAT_TREE_LABELS",
-    "ConditionScenario",
-    "all_scenarios",
-    "build_scenario",
-    "render_table_four",
-]

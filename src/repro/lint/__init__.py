@@ -19,38 +19,3 @@ Layout:
 
 See DESIGN.md §12 for the architecture and the full rule catalog.
 """
-
-from __future__ import annotations
-
-from .engine import lint_paths, lint_source, parse_suppressions
-from .findings import SEV_ERROR, SEV_WARNING, Finding
-from .rules import (
-    DETERMINISM_RULE_IDS,
-    REGISTRY,
-    Context,
-    Rule,
-    all_rules,
-    register,
-    rules_by_id,
-)
-from .selftest import FIXTURES, SelftestResult, render_selftest, run_selftest
-
-__all__ = [
-    "Context",
-    "DETERMINISM_RULE_IDS",
-    "FIXTURES",
-    "Finding",
-    "REGISTRY",
-    "Rule",
-    "SEV_ERROR",
-    "SEV_WARNING",
-    "SelftestResult",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "parse_suppressions",
-    "register",
-    "render_selftest",
-    "rules_by_id",
-    "run_selftest",
-]

@@ -1,35 +1,1 @@
 """Measurement layer: throughput/connectivity/collapse and request metrics."""
-
-from .requests import (
-    DEFAULT_DEADLINE,
-    RequestRecord,
-    RequestStats,
-    reduction_ratio,
-)
-from .timeseries import (
-    DEFAULT_BIN,
-    Delivery,
-    ThroughputBin,
-    connectivity_gaps,
-    connectivity_loss_duration,
-    pre_failure_average,
-    render_throughput,
-    throughput_collapse_duration,
-    throughput_series,
-)
-
-__all__ = [
-    "DEFAULT_DEADLINE",
-    "RequestRecord",
-    "RequestStats",
-    "reduction_ratio",
-    "DEFAULT_BIN",
-    "Delivery",
-    "ThroughputBin",
-    "connectivity_gaps",
-    "connectivity_loss_duration",
-    "pre_failure_average",
-    "render_throughput",
-    "throughput_collapse_duration",
-    "throughput_series",
-]

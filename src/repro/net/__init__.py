@@ -1,32 +1,1 @@
 """Network-layer substrate: IPv4 model, FIB, packets, ECMP hashing."""
-
-from .ecmp import flow_hash, fnv1a_64, select_next_hop
-from .fib import LOCAL, Fib, FibEntry, NextHop
-from .ip import AddressError, IPv4Address, Prefix
-from .packet import (
-    DEFAULT_TTL,
-    PROTO_ROUTING,
-    PROTO_TCP,
-    PROTO_UDP,
-    WIRE_OVERHEAD,
-    Packet,
-)
-
-__all__ = [
-    "flow_hash",
-    "fnv1a_64",
-    "select_next_hop",
-    "LOCAL",
-    "Fib",
-    "FibEntry",
-    "NextHop",
-    "AddressError",
-    "IPv4Address",
-    "Prefix",
-    "DEFAULT_TTL",
-    "PROTO_ROUTING",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "WIRE_OVERHEAD",
-    "Packet",
-]

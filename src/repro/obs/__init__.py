@@ -30,7 +30,11 @@ them up by name per flood.
 
 Enable at construction time::
 
+    from repro.experiments.recovery import run_recovery
     from repro.obs import Observability
+    from repro.obs.breakdown import render_breakdown
+    from repro.topology.fattree import fat_tree
+
     obs = Observability(enabled=True)
     result = run_recovery(fat_tree(4), "udp", obs=obs)
     print(render_breakdown(result.breakdown))
@@ -41,67 +45,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .breakdown import (
-    DEFAULT_GAP_THRESHOLD,
-    MECHANISM_FRR,
-    MECHANISM_NONE,
-    MECHANISM_SPF,
-    PHASE_ORDER,
-    PhaseSpan,
-    RecoveryBreakdown,
-    TraceAnalysisError,
-    analyze_recovery,
-    render_breakdown,
-)
-from .export import (
-    ExportError,
-    chrome_trace,
-    chrome_trace_json,
-    hierarchy_names,
-    read_spans_jsonl,
-    validate_chrome_trace,
-    validate_chrome_trace_file,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
-from .registry import (
-    DEFAULT_MS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
-from .spans import (
-    SPAN_FIB_DELTA,
-    SPAN_RECOVERY,
-    SPAN_SPF,
-    SPANS_VERSION,
-    Span,
-    SpanError,
-    SpanTree,
-    build_recovery_spans,
-    counters_from_metrics,
-)
-from .trace import (
-    DEFAULT_CAPACITY,
-    EV_FIB_FALLTHROUGH,
-    EV_FIB_INSTALL,
-    EV_LINK_DETECTED,
-    EV_LINK_FAIL,
-    EV_LINK_RESTORE,
-    EV_LSA_ACCEPT,
-    EV_LSA_ORIGINATE,
-    EV_PKT_DELIVER,
-    EV_PKT_DROP,
-    EV_SPF_RUN,
-    EV_SPF_SCHEDULE,
-    NULL_TRACE,
-    TraceEvent,
-    TraceRecorder,
-    read_jsonl,
-    replay,
-)
+from .registry import MetricsRegistry
+from .trace import DEFAULT_CAPACITY, TraceRecorder
 
 
 class Observability:
@@ -138,64 +83,3 @@ class Observability:
     def disable(self) -> None:
         self.enabled = False
         self.trace.enabled = False
-
-
-__all__ = [
-    "Observability",
-    # trace
-    "TraceEvent",
-    "TraceRecorder",
-    "NULL_TRACE",
-    "DEFAULT_CAPACITY",
-    "read_jsonl",
-    "replay",
-    "EV_FIB_FALLTHROUGH",
-    "EV_FIB_INSTALL",
-    "EV_LINK_DETECTED",
-    "EV_LINK_FAIL",
-    "EV_LINK_RESTORE",
-    "EV_LSA_ACCEPT",
-    "EV_LSA_ORIGINATE",
-    "EV_PKT_DELIVER",
-    "EV_PKT_DROP",
-    "EV_SPF_RUN",
-    "EV_SPF_SCHEDULE",
-    # registry
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_MS_BUCKETS",
-    "default_registry",
-    # breakdown
-    "PhaseSpan",
-    "RecoveryBreakdown",
-    "TraceAnalysisError",
-    "analyze_recovery",
-    "render_breakdown",
-    "DEFAULT_GAP_THRESHOLD",
-    "PHASE_ORDER",
-    "MECHANISM_FRR",
-    "MECHANISM_NONE",
-    "MECHANISM_SPF",
-    # spans
-    "Span",
-    "SpanTree",
-    "SpanError",
-    "build_recovery_spans",
-    "counters_from_metrics",
-    "SPANS_VERSION",
-    "SPAN_RECOVERY",
-    "SPAN_SPF",
-    "SPAN_FIB_DELTA",
-    # export
-    "ExportError",
-    "chrome_trace",
-    "chrome_trace_json",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-    "read_spans_jsonl",
-    "validate_chrome_trace",
-    "validate_chrome_trace_file",
-    "hierarchy_names",
-]

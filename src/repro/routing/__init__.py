@@ -1,48 +1,2 @@
 """Control planes: link-state (OSPF stand-in), path-vector (BGP stand-in),
 centralized (SDN stand-in), plus SPF and static routes."""
-
-from .centralized import (
-    CentralizedAgent,
-    CentralizedController,
-    ControllerParams,
-    ControllerStats,
-    deploy_centralized,
-)
-from .linkstate import LinkStateProtocol, ProtocolStats, deploy_linkstate
-from .lsdb import Lsa, Lsdb
-from .pathvector import (
-    PathVectorParams,
-    PathVectorProtocol,
-    PathVectorStats,
-    deploy_pathvector,
-)
-from .spf import RouteTable, compute_routes
-from .static import (
-    StaticRoute,
-    StaticRouteConflict,
-    install_static_routes,
-    static_routes_of,
-)
-
-__all__ = [
-    "CentralizedAgent",
-    "CentralizedController",
-    "ControllerParams",
-    "ControllerStats",
-    "deploy_centralized",
-    "LinkStateProtocol",
-    "ProtocolStats",
-    "deploy_linkstate",
-    "Lsa",
-    "Lsdb",
-    "PathVectorParams",
-    "PathVectorProtocol",
-    "PathVectorStats",
-    "deploy_pathvector",
-    "RouteTable",
-    "compute_routes",
-    "StaticRoute",
-    "StaticRouteConflict",
-    "install_static_routes",
-    "static_routes_of",
-]

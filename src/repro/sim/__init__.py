@@ -6,52 +6,3 @@ event engine (:mod:`repro.sim.engine`), integer-nanosecond time units
 (:mod:`repro.sim.units`) and named seeded random streams
 (:mod:`repro.sim.randomness`).
 """
-
-from .engine import (
-    EventHandle,
-    PRIORITY_CONTROL,
-    PRIORITY_NORMAL,
-    SimulationError,
-    Simulator,
-    Timer,
-)
-from .randomness import RandomStreams, lognormal_from_mean_sigma
-from .units import (
-    MICROSECOND,
-    MILLISECOND,
-    NANOSECOND,
-    SECOND,
-    Time,
-    microseconds,
-    milliseconds,
-    nanoseconds,
-    seconds,
-    to_microseconds,
-    to_milliseconds,
-    to_seconds,
-    transmission_delay,
-)
-
-__all__ = [
-    "EventHandle",
-    "PRIORITY_CONTROL",
-    "PRIORITY_NORMAL",
-    "SimulationError",
-    "Simulator",
-    "Timer",
-    "RandomStreams",
-    "lognormal_from_mean_sigma",
-    "MICROSECOND",
-    "MILLISECOND",
-    "NANOSECOND",
-    "SECOND",
-    "Time",
-    "microseconds",
-    "milliseconds",
-    "nanoseconds",
-    "seconds",
-    "to_microseconds",
-    "to_milliseconds",
-    "to_seconds",
-    "transmission_delay",
-]

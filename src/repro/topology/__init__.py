@@ -1,27 +1,1 @@
 """Topology descriptions and builders (fat tree, Leaf-Spine, VL2, Aspen)."""
-
-from .addressing import COVERING_PREFIX, DCN_PREFIX, AddressPlan, assign_addresses
-from .aspen import aspen_tree, expected_aspen_counts
-from .fattree import expected_fat_tree_counts, fat_tree
-from .graph import Link, LinkKind, Node, NodeKind, Topology, TopologyError
-from .leafspine import leaf_spine
-from .vl2 import vl2
-
-__all__ = [
-    "COVERING_PREFIX",
-    "DCN_PREFIX",
-    "AddressPlan",
-    "assign_addresses",
-    "aspen_tree",
-    "expected_aspen_counts",
-    "expected_fat_tree_counts",
-    "fat_tree",
-    "Link",
-    "LinkKind",
-    "Node",
-    "NodeKind",
-    "Topology",
-    "TopologyError",
-    "leaf_spine",
-    "vl2",
-]

@@ -1,40 +1,1 @@
 """Transport layer: UDP probe apps and a compact TCP implementation."""
-
-from .apps import (
-    PacedTcpSender,
-    RequestOutcome,
-    RequestResponseServer,
-    TcpSinkServer,
-    issue_request,
-)
-from .tcp import (
-    FLAG_ACK,
-    FLAG_SYN,
-    TcpConnection,
-    TcpListener,
-    TcpParams,
-    TcpSegment,
-    TcpStack,
-    TcpState,
-)
-from .udp import UdpArrival, UdpDatagram, UdpSender, UdpSink
-
-__all__ = [
-    "PacedTcpSender",
-    "RequestOutcome",
-    "RequestResponseServer",
-    "TcpSinkServer",
-    "issue_request",
-    "FLAG_ACK",
-    "FLAG_SYN",
-    "TcpConnection",
-    "TcpListener",
-    "TcpParams",
-    "TcpSegment",
-    "TcpStack",
-    "TcpState",
-    "UdpArrival",
-    "UdpDatagram",
-    "UdpSender",
-    "UdpSink",
-]

@@ -23,14 +23,3 @@ oracle the ``convergence-agreement`` invariant compares against), so a
 statically refuted property is a real deployment defect, and every
 witness replays under ``CheckedSimulator`` (:mod:`repro.verify.replay`).
 """
-
-from .checks import Finding, VerifyReport, Witness, run_verification
-from .model import StaticNetworkModel
-
-__all__ = [
-    "Finding",
-    "StaticNetworkModel",
-    "VerifyReport",
-    "Witness",
-    "run_verification",
-]

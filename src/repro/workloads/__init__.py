@@ -1,12 +1,1 @@
 """Workloads: partition-aggregate requests and log-normal background flows."""
-
-from .background import SINK_PORT, BackgroundFlow, BackgroundTraffic
-from .partition_aggregate import WORKER_PORT, PartitionAggregateWorkload
-
-__all__ = [
-    "SINK_PORT",
-    "BackgroundFlow",
-    "BackgroundTraffic",
-    "WORKER_PORT",
-    "PartitionAggregateWorkload",
-]

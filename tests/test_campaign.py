@@ -18,21 +18,19 @@ import time
 
 import pytest
 
-from repro.campaign import (
+from repro.campaign.report import CampaignReport, TrialRecord
+from repro.campaign.runner import execute_trial, run_campaign
+from repro.campaign.spec import (
     CampaignError,
-    CampaignReport,
-    TrialRecord,
     TrialSpec,
-    detection_delay_specs,
-    execute_trial,
     grid,
     register_trial,
     registered_kinds,
     resolve_seeds,
-    run_campaign,
 )
 from repro.campaign.sweeps import (
     congestion_specs,
+    detection_delay_specs,
     effective_workers,
     figure_four_specs,
     spf_timer_specs,

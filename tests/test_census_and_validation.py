@@ -15,7 +15,7 @@ from repro.net.fib import FibEntry
 from repro.net.ip import Prefix
 from repro.topology.fattree import fat_tree
 from repro.topology.graph import LinkKind, NodeKind
-from repro.verify import run_verification
+from repro.verify.checks import run_verification
 
 
 @pytest.fixture(scope="module")

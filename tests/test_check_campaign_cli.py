@@ -6,7 +6,9 @@ import json
 
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import TrialSpec
-from repro.check import MUTANTS, execute_check, shrink_config
+from repro.check.execute import execute_check
+from repro.check.mutants import MUTANTS
+from repro.check.shrink import shrink_config
 from repro.check.bundle import write_bundle
 from repro.cli import main
 

@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import (
-    CheckedSimulator,
-    InvariantSuite,
+from repro.check.config import (
+    ConfigError,
     TrialConfig,
-    canonical_violations,
-    execute_check,
+    fast_overrides,
     generate_config,
     quiescence_bound,
+    scenario_labels,
 )
-from repro.check.config import ConfigError, fast_overrides, scenario_labels
-from repro.check.execute import CheckEnv, concretize
+from repro.check.execute import CheckedSimulator, CheckEnv, concretize, execute_check
+from repro.check.invariants import InvariantSuite, canonical_violations
 from repro.core.backup_routes import backup_prefix_chain, ring_neighbors_of
 from repro.core.f2tree import f2tree
 from repro.dataplane.params import NetworkParams

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import ALL_INVARIANTS, MUTANTS, check_mutant
-from repro.check.invariants import FRR_WINDOW
+from repro.check.invariants import ALL_INVARIANTS, FRR_WINDOW
+from repro.check.mutants import MUTANTS, check_mutant
 
 
 def test_every_invariant_has_a_mutant():

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.check import MUTANTS, execute_check, shrink_config
+from repro.check.execute import execute_check
+from repro.check.mutants import MUTANTS
+from repro.check.shrink import shrink_config
 from repro.check.bundle import (
     BundleError,
     bundle_digest,

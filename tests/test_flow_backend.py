@@ -58,7 +58,8 @@ from repro.experiments.recovery import default_failed_links, run_recovery
 from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.fib import FibDelta, FibEntry
 from repro.net.packet import PROTO_UDP
-from repro.obs import EV_FIB_INSTALL, EV_SPF_RUN, EV_SPF_SCHEDULE, Observability
+from repro.obs import Observability
+from repro.obs.trace import EV_FIB_INSTALL, EV_SPF_RUN, EV_SPF_SCHEDULE
 from repro.routing.linkstate import deploy_linkstate
 from repro.routing.spf import compute_routes
 from repro.routing.spf_cache import SpfEngine

@@ -21,7 +21,7 @@ import pathlib
 
 import pytest
 
-from repro.core import rewire_fat_tree_prototype
+from repro.core.f2tree import rewire_fat_tree_prototype
 from repro.experiments import partition_aggregate as fig6
 from repro.experiments import recovery
 from repro.experiments.partition_aggregate import PartitionAggregateConfig

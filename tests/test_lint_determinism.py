@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from repro.lint import DETERMINISM_RULE_IDS, rules_by_id
+from repro.lint.rules import DETERMINISM_RULE_IDS, rules_by_id
 from repro.cli import main
 from repro.lint.engine import lint_paths, lint_source
 

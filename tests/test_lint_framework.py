@@ -11,17 +11,10 @@ import pathlib
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import (
-    DETERMINISM_RULE_IDS,
-    FIXTURES,
-    Finding,
-    REGISTRY,
-    all_rules,
-    lint_paths,
-    lint_source,
-    parse_suppressions,
-    run_selftest,
-)
+from repro.lint.engine import lint_paths, lint_source, parse_suppressions
+from repro.lint.findings import Finding
+from repro.lint.rules import DETERMINISM_RULE_IDS, REGISTRY, all_rules
+from repro.lint.selftest import FIXTURES, run_selftest
 from repro.lint.cli import findings_from_json, report_to_json
 
 REPO = pathlib.Path(__file__).resolve().parent.parent

@@ -22,7 +22,8 @@ from repro.check.mutants import MUTANTS as DYNAMIC_MUTANTS
 from repro.cli import main
 from repro.experiments.common import DEFAULT_WARMUP, build_bundle
 from repro.core.fabrics import build_fabric
-from repro.verify import StaticNetworkModel, run_verification
+from repro.verify.checks import run_verification
+from repro.verify.model import StaticNetworkModel
 from repro.verify.mutants import (
     CHECK_EQUIVALENTS,
     MUTANTS,
