@@ -17,7 +17,7 @@ The subsystem has five moving parts:
 ``mutants``
     Seeded fault mutants — deliberate breakages of the system under
     test — each provably caught by exactly one invariant
-    (:func:`check_mutant`, :func:`run_selftest`).
+    (:func:`~repro.check.mutants.diagonals`, run by :mod:`repro.selftest`).
 ``shrink`` / ``bundle``
     Delta-debugging minimization of a violating event sequence and
     replay bundles that reproduce a violation byte-identically.

@@ -13,9 +13,9 @@ claims live.  This module pins that agreement:
 * :func:`compare_recovery` runs the single-flow recovery experiment on
   both backends and requires the same recovery-time *classification*
   (none / fast-reroute / convergence) and the same final-path outcome;
-* the ``flow-fairshare-corrupted`` seeded mutant proves the harness has
-  teeth: a corrupted fair-share solver must be caught by the probe-count
-  comparison, exactly mirroring the ``spf-engine-corrupted``
+* the seeded flow mutants (:func:`flow_diagonals`) prove the harness
+  has teeth: a corrupted fair-share solver must be caught by the
+  probe-count comparison, exactly mirroring the ``spf-engine-corrupted``
   diagonal of :mod:`repro.check.mutants`.
 
 Known, deliberate differences the comparison must tolerate (DESIGN §11):
@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..dataplane.params import NetworkParams
+from ..selftest import Diagonal, Fired
 from ..topology.graph import Topology
 from ..sim.units import Time
 from .config import TrialConfig
 from .execute import CheckOutcome, execute_check
 from .invariants import canonical_violations
-from .mutants import FaultMutant, MutantResult, _events_config
+from .mutants import FaultMutant, _events_config, fault_diagonal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.recovery import RecoveryResult
@@ -240,7 +241,7 @@ def compare_recovery(
 
 #: seeded mutants whose breakage only the *cross-backend* comparison can
 #: see — they live outside :data:`repro.check.mutants.MUTANTS` because
-#: the single-backend selftest diagonal has no backend-agreement row
+#: their oracle is the ``flow`` differential, not one checked trial
 FLOW_MUTANTS: Dict[str, FaultMutant] = {}
 
 
@@ -317,23 +318,13 @@ _register(FaultMutant(
 ))
 
 
-def check_flow_mutant(name: str) -> MutantResult:
-    """One flow mutant's diagonal: differential baseline clean, mutated
-    differential caught as ``backend-agreement``."""
-    mutant = FLOW_MUTANTS[name]
-    config = mutant.config_factory()
-    baseline = run_differential(config)
-    mutated = run_differential(config, mutant=mutant)
-    return MutantResult(
-        name=name,
-        expected=BACKEND_AGREEMENT,
-        baseline=(
-            () if baseline.ok else (BACKEND_AGREEMENT,) + baseline.kinds
-        ),
-        caught=(BACKEND_AGREEMENT,) if not mutated.ok else (),
-    )
+def flow_diagonals() -> List[Diagonal]:
+    """The ``flow`` oracle's diagonals, in name order."""
+    return [
+        fault_diagonal(FLOW_MUTANTS[name], "flow", _disagreed)
+        for name in sorted(FLOW_MUTANTS)
+    ]
 
 
-def run_flow_selftest() -> List[MutantResult]:
-    """The flow-mutant matrix, in name order."""
-    return [check_flow_mutant(name) for name in sorted(FLOW_MUTANTS)]
+def _disagreed(config: TrialConfig, mutant: Optional[FaultMutant]) -> Fired:
+    return () if run_differential(config, mutant=mutant).ok else (BACKEND_AGREEMENT,)

@@ -1,12 +1,9 @@
 """Seeded fault mutants: the checker's self-test layer.
 
 Each mutant deliberately breaks one mechanism of the system under test
-and names the single invariant that must catch it.  The self-test
-(:func:`run_selftest`) proves the diagonal: the unmutated configuration
-is violation-free, and the mutated run is caught by *exactly* the
-intended invariant — no more, no less.  A checker whose mutants all pass
-this matrix is known to have teeth; a fuzzer that never fires could
-otherwise just be checking nothing.
+and names the single invariant that must catch it, exactly (see
+:mod:`repro.selftest`).  A fuzzer that never fires could otherwise just
+be checking nothing.
 
 The mutants are pure instance patches (FIB withdrawals, bound-method
 overrides on one protocol/link/channel object), so they perturb a single
@@ -16,8 +13,9 @@ trial without monkeypatching any module state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
+from ..selftest import EXACT, Diagonal, Fired
 from ..sim.units import milliseconds
 from ..topology.graph import NodeKind
 from .config import TrialConfig, fast_overrides
@@ -48,22 +46,6 @@ class FaultMutant:
     apply: Callable[[object], None] = field(compare=False)
     #: tie-break handed to ``configure_backup_routes`` at build time
     backup_tie_break: str = "prefix-length"
-
-
-@dataclass(frozen=True)
-class MutantResult:
-    """One row of the self-test matrix."""
-
-    name: str
-    expected: str
-    #: invariants violated by the *unmutated* baseline (must be empty)
-    baseline: Tuple[str, ...]
-    #: invariants violated by the mutated run (must be exactly (expected,))
-    caught: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.baseline and self.caught == (self.expected,)
 
 
 def _scenario_config(topology: str, ports: int, label: str) -> TrialConfig:
@@ -264,43 +246,28 @@ _register(FaultMutant(
 
 # ---------------------------------------------------------------- self-test
 
-_BASELINE_CACHE: Dict[str, Tuple[str, ...]] = {}
+
+def diagonals() -> List[Diagonal]:
+    """The ``check`` oracle's diagonals, in name order."""
+    return [fault_diagonal(MUTANTS[name], "check", _violated) for name in sorted(MUTANTS)]
 
 
-def check_mutant(name: str) -> MutantResult:
-    """Run one mutant's diagonal check (baseline clean, mutant caught)."""
-    mutant = MUTANTS[name]
+def _violated(config: TrialConfig, mutant: Optional[FaultMutant]) -> Fired:
+    return tuple(execute_check(config, mutant=mutant).invariants_violated)
+
+
+def fault_diagonal(
+    mutant: FaultMutant, oracle: str, fired: Callable[[TrialConfig, Optional[FaultMutant]], Fired]
+) -> Diagonal:
+    """``mutant`` as an exact diagonal: ``fired`` runs its config clean
+    (no mutant) and mutated."""
     config = mutant.config_factory()
-    cache_key = config.canonical_json()
-    if cache_key not in _BASELINE_CACHE:
-        baseline = execute_check(config)
-        _BASELINE_CACHE[cache_key] = tuple(baseline.invariants_violated)
-    mutated = execute_check(config, mutant=mutant)
-    return MutantResult(
-        name=name,
+    return Diagonal(
+        name=mutant.name,
+        oracle=oracle,
         expected=mutant.invariant,
-        baseline=_BASELINE_CACHE[cache_key],
-        caught=tuple(mutated.invariants_violated),
+        match=EXACT,
+        baseline=config.canonical_json(),
+        clean=lambda: fired(config, None),
+        mutated=lambda: fired(config, mutant),
     )
-
-
-def run_selftest() -> List[MutantResult]:
-    """The full mutant matrix, in name order."""
-    return [check_mutant(name) for name in sorted(MUTANTS)]
-
-
-def render_selftest(results: List[MutantResult]) -> str:
-    lines = [
-        f"{'mutant':<26} {'expected invariant':<24} {'caught':<34} verdict",
-    ]
-    for result in results:
-        caught = ",".join(result.caught) or "(none)"
-        verdict = "ok" if result.ok else (
-            f"FAIL (baseline: {','.join(result.baseline) or 'clean'})"
-        )
-        lines.append(
-            f"{result.name:<26} {result.expected:<24} {caught:<34} {verdict}"
-        )
-    passed = sum(1 for r in results if r.ok)
-    lines.append(f"{passed}/{len(results)} mutants caught by exactly their invariant")
-    return "\n".join(lines)

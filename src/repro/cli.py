@@ -587,8 +587,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .campaign.spec import TrialSpec
     from .check.bundle import BundleError, replay_bundle, write_bundle
     from .check.config import TrialConfig
-    from .check.mutants import render_selftest, run_selftest
     from .check.shrink import shrink_config
+
+    if args.selftest:
+        from .check.differential import flow_diagonals
+        from .check.mutants import diagonals
+        from .selftest import run_cli
+
+        others = {"--replay": args.replay, "--differential": args.differential}
+        return run_cli(lambda: diagonals() + flow_diagonals(), args.json, others)
 
     if args.replay is not None:
         try:
@@ -598,12 +605,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return 2
         print(detail)
         return 0 if reproduced else 1
-    if args.selftest:
-        from .check.differential import run_flow_selftest
-
-        results = run_selftest() + run_flow_selftest()
-        print(render_selftest(results))
-        return 0 if all(r.ok for r in results) else 1
 
     if args.differential is not None:
         specs = [
@@ -690,11 +691,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify.checks import run_verification
 
     if args.selftest:
-        from .verify.mutants import render_selftest, run_selftest
+        from .selftest import run_cli
+        from .verify.mutants import diagonals
 
-        results = run_selftest(max_failures=args.max_failures)
-        print(render_selftest(results))
-        return 0 if all(r.ok for r in results) else 1
+        others = {"--mutate": args.mutate, "--out": args.out}
+        return run_cli(lambda: diagonals(args.max_failures), args.json, others)
     try:
         if args.mutate is not None:
             from .verify.mutants import MUTANTS, run_mutant

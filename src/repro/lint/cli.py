@@ -3,7 +3,7 @@
 Shares the 0/1/2 exit-code convention of every other operational
 subcommand: 0 = clean (or selftest diagonal fully proven), 1 =
 findings (or a selftest miss), 2 = usage error (missing target path,
-unparseable source).
+unparseable source, ``--selftest`` beside a path or ``--list``).
 """
 
 from __future__ import annotations
@@ -93,15 +93,15 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute ``repro lint`` for parsed ``args``; returns the exit code."""
+    if args.selftest:
+        from ..selftest import run_cli
+        from .selftest import diagonals
+
+        others = {"paths": args.paths or None, "--list": args.list_rules or None}
+        return run_cli(diagonals, args.json, others)
     if args.list_rules:
         print(render_catalog())
         return 0
-    if args.selftest:
-        from .selftest import render_selftest, run_selftest
-
-        results = run_selftest()
-        print(render_selftest(results))
-        return 0 if all(r.ok for r in results) else 1
 
     targets = list(args.paths) or default_targets()
     if not targets:

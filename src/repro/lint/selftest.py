@@ -1,23 +1,18 @@
 """Seeded-violation corpus: the analyzer's own falsifiability proof.
 
-Following the PR 3/4 convention (``repro check --selftest`` seeds fault
-mutants, ``repro verify --selftest`` seeds wiring defects), the lint
-ships one minimal fixture per rule.  ``run_selftest`` proves the
-diagonal: every fixture must be caught by **exactly** its rule — firing
-nothing means the rule has no teeth; firing extra rules means fixtures
-(and by extension real findings) are not attributable.  An analyzer that
-passes this matrix is known to detect what it claims and nothing else.
-
-Each fixture also carries a ``clean`` twin — the minimal compliant
-rewrite — which must produce no findings at all, so the matrix pins
-both the positive and the negative edge of every rule.
+One minimal fixture per rule must fire exactly that rule, and its
+``clean`` twin, the minimal compliant rewrite, must fire nothing (see
+:mod:`repro.selftest`), so the matrix pins both the positive and the
+negative edge of every rule.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..selftest import EXACT, Diagonal, Fired
 from .engine import lint_source
 
 #: path label placing fixtures inside the repro source scope
@@ -149,55 +144,22 @@ FIXTURES: Tuple[Fixture, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SelftestResult:
-    """One row of the diagonal matrix."""
-
-    name: str
-    expected: str
-    #: rule ids fired by the seeded violation (must be exactly (expected,))
-    caught: Tuple[str, ...]
-    #: rule ids fired by the compliant twin (must be empty)
-    baseline: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.baseline and self.caught == (self.expected,)
-
-
-def run_selftest() -> List[SelftestResult]:
-    """Lint every fixture (and its clean twin) with the full rule set."""
-    results: List[SelftestResult] = []
-    for fixture in FIXTURES:
-        caught = tuple(
-            sorted({f.rule for f in lint_source(fixture.source, fixture.path)})
+def diagonals() -> List[Diagonal]:
+    """The ``lint`` oracle's diagonals, in fixture order: the clean twin
+    fires nothing and the fixture fires exactly its rule."""
+    return [
+        Diagonal(
+            name=fixture.rule,
+            oracle="lint",
+            expected=fixture.rule,
+            match=EXACT,
+            baseline=fixture.rule,
+            clean=functools.partial(_fired, fixture.clean, fixture.path),
+            mutated=functools.partial(_fired, fixture.source, fixture.path),
         )
-        baseline = tuple(
-            sorted({f.rule for f in lint_source(fixture.clean, fixture.path)})
-        )
-        results.append(
-            SelftestResult(
-                name=fixture.rule,
-                expected=fixture.rule,
-                caught=caught,
-                baseline=baseline,
-            )
-        )
-    return results
+        for fixture in FIXTURES
+    ]
 
 
-def render_selftest(results: List[SelftestResult]) -> str:
-    """ASCII diagonal: one row per fixture, PASS only on exact catches."""
-    lines = ["repro lint --selftest — seeded-violation diagonal"]
-    for result in results:
-        verdict = "PASS" if result.ok else "FAIL"
-        caught = ", ".join(result.caught) or "(nothing)"
-        lines.append(f"  {verdict}  {result.name:<20} caught: {caught}")
-        if result.baseline:
-            lines.append(
-                f"        clean twin unexpectedly fired: "
-                f"{', '.join(result.baseline)}"
-            )
-    passed = sum(1 for r in results if r.ok)
-    lines.append(f"{passed}/{len(results)} fixtures caught exactly")
-    return "\n".join(lines)
+def _fired(source: str, path: str) -> Fired:
+    return tuple(sorted({f.rule for f in lint_source(source, path)}))

@@ -1,11 +1,9 @@
 """Seeded defects for the static verifier: its self-test layer.
 
-The dynamic fuzzer (:mod:`repro.check.mutants`) proves its invariants
-have teeth by showing each seeded fault is caught.  This module is the
-same diagonal for the *static* verifier: every mutant breaks one wiring
-or FIB mechanism, names the check that must refute it, and — where the
-defect manifests as a forwarding fault at all — carries the dynamic
-patch that lets its witness replay under ``CheckedSimulator``
+Every mutant breaks one wiring or FIB mechanism, names the check that
+must refute it (see :mod:`repro.selftest`), and — where the defect
+manifests as a forwarding fault at all — carries the dynamic patch that
+lets its witness replay under ``CheckedSimulator``
 (:mod:`repro.verify.replay`).
 
 Three mutants are the static twins of ``repro.check`` fault mutants
@@ -17,13 +15,15 @@ is lost — the whole point of the subsystem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..check.mutants import _invert_fib_tie_break, _withdraw_static_routes
 from ..core.fabrics import build_fabric
 from ..net.fib import FibEntry
 from ..net.ip import Prefix
+from ..selftest import INCLUDES, Diagonal
 from ..topology.graph import Link, LinkKind, NodeKind, Topology
 from .checks import (
     COVERAGE,
@@ -31,7 +31,6 @@ from .checks import (
     PREFIX_SOUNDNESS,
     SEV_ERROR,
     WIRING,
-    Finding,
     VerifyReport,
     run_verification,
 )
@@ -68,32 +67,6 @@ class VerifyMutant:
     apply_dynamic: Optional[Callable[[object], None]] = field(
         default=None, compare=False
     )
-    #: name of the ``repro.check`` fault mutant this is the twin of
-    check_equivalent: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class VerifyMutantResult:
-    """One row of the verifier's self-test matrix."""
-
-    name: str
-    expected: str
-    #: checks refuted on the *unmutated* build (must be empty)
-    baseline: Tuple[str, ...]
-    #: checks refuted on the mutated build (must include ``expected``)
-    caught: Tuple[str, ...]
-    #: whether the first error witness replayed dynamically
-    #: (None: the defect has no forwarding witness — census-only)
-    replayed: Optional[bool] = None
-    replay_detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.baseline
-            and self.expected in self.caught
-            and self.replayed is not False
-        )
 
 
 # ------------------------------------------------------------ FIB mutations
@@ -217,7 +190,6 @@ _register(VerifyMutant(
                 "downward failures have no fall-through",
     mutate_model=_model_withdraw_statics,
     apply_dynamic=_withdraw_static_routes,
-    check_equivalent="backup-routes-disabled",
 ))
 
 _register(VerifyMutant(
@@ -226,7 +198,6 @@ _register(VerifyMutant(
     description="backups installed as one /16 ECMP group instead of the "
                 "/16-right + /15-left rule; two failures ping-pong the ring",
     tie_break="none",
-    check_equivalent="backup-tiebreak-none",
 ))
 
 _register(VerifyMutant(
@@ -236,7 +207,6 @@ _register(VerifyMutant(
                 "short statics shadow every learned route",
     shortest_first=True,
     apply_dynamic=_invert_fib_tie_break,
-    check_equivalent="fib-tiebreak-inverted",
 ))
 
 _register(VerifyMutant(
@@ -281,9 +251,9 @@ _register(VerifyMutant(
 ))
 
 #: repro.check fault mutant name -> static twin in this registry.  The
-#: other three check mutants (lsa-flood-dropped, detection-disabled,
-#: channel-leak) break protocol *behaviour*, which no static model of
-#: installed state can, or should, see.
+#: other four check mutants (lsa-flood-dropped, detection-disabled,
+#: channel-leak, spf-engine-corrupted) break protocol *behaviour*, which
+#: no static model of installed state can, or should, see.
 CHECK_EQUIVALENTS: Dict[str, str] = {
     "backup-routes-disabled": "statics-withdrawn",
     "backup-tiebreak-none": "backup-tiebreak-none",
@@ -292,8 +262,6 @@ CHECK_EQUIVALENTS: Dict[str, str] = {
 
 
 # ---------------------------------------------------------------- self-test
-
-_BASELINE_CACHE: Dict[Tuple[str, int, int], Tuple[str, ...]] = {}
 
 
 def build_mutant_topology(mutant: VerifyMutant) -> Topology:
@@ -316,85 +284,37 @@ def run_mutant(
     )
 
 
-def first_witness(report: VerifyReport) -> Optional[Finding]:
-    """The first error finding carrying a concrete failure-set witness."""
-    for finding in report.findings:
-        if finding.severity == SEV_ERROR and finding.witness is not None:
-            return finding
-    return None
+def diagonals(max_failures: int = 2) -> List[Diagonal]:
+    """The ``verify`` oracle's diagonals, in name order."""
+    return [_diagonal(MUTANTS[name], max_failures) for name in sorted(MUTANTS)]
 
 
-def check_mutant(
-    name: str, max_failures: int = 2, replay: bool = True
-) -> VerifyMutantResult:
-    """One mutant's diagonal: baseline certifies, mutant is refuted by
-    (at least) the expected check, and the witness — if the defect has
-    one — replays under ``CheckedSimulator``."""
-    mutant = MUTANTS[name]
-    baseline_key = (mutant.family, mutant.ports, max_failures)
-    if baseline_key not in _BASELINE_CACHE:
-        clean = run_verification(
-            build_fabric(mutant.family, mutant.ports),
-            max_failures=max_failures,
-        )
-        _BASELINE_CACHE[baseline_key] = tuple(clean.refuted_checks())
-    report = run_mutant(mutant, max_failures=max_failures)
+def _diagonal(mutant: VerifyMutant, max_failures: int) -> Diagonal:
+    # one verification feeds both the refuted checks and the replay
+    report = functools.cache(lambda: run_mutant(mutant, max_failures))
 
-    replayed: Optional[bool] = None
-    replay_detail = ""
-    witnessed = first_witness(report)
-    if replay and witnessed is not None and witnessed.witness is not None:
-        from .replay import replay_witness
+    def replay() -> Optional[bool]:
+        """Whether the first error witness reproduces under
+        ``CheckedSimulator`` (None: no error carries a witness)."""
+        for finding in report().findings:
+            if finding.severity == SEV_ERROR and finding.witness is not None:
+                from .replay import replay_witness
 
-        outcome = replay_witness(
-            build_mutant_topology(mutant),
-            witnessed.witness,
-            tie_break=mutant.tie_break,
-            apply_dynamic=mutant.apply_dynamic,
-        )
-        replayed = outcome.reproduced
-        replay_detail = outcome.detail
-    return VerifyMutantResult(
-        name=name,
+                return replay_witness(
+                    build_mutant_topology(mutant), finding.witness,
+                    tie_break=mutant.tie_break, apply_dynamic=mutant.apply_dynamic,
+                )
+        return None
+
+    return Diagonal(
+        name=mutant.name,
+        oracle="verify",
         expected=mutant.check,
-        baseline=_BASELINE_CACHE[baseline_key],
-        caught=tuple(report.refuted_checks()),
-        replayed=replayed,
-        replay_detail=replay_detail,
+        match=INCLUDES,
+        baseline=f"{mutant.family}/{mutant.ports}/{max_failures}",
+        clean=lambda: tuple(run_verification(
+            build_fabric(mutant.family, mutant.ports), max_failures=max_failures
+        ).refuted_checks()),
+        mutated=lambda: tuple(report().refuted_checks()),
+        replay=replay,
     )
-
-
-def run_selftest(
-    max_failures: int = 2, replay: bool = True
-) -> List[VerifyMutantResult]:
-    """The full mutant matrix, in name order."""
-    return [
-        check_mutant(name, max_failures=max_failures, replay=replay)
-        for name in sorted(MUTANTS)
-    ]
-
-
-def render_selftest(results: List[VerifyMutantResult]) -> str:
-    lines = [
-        f"{'mutant':<24} {'expected check':<18} {'refuted':<34} "
-        f"{'replay':<10} verdict",
-    ]
-    for result in results:
-        caught = ",".join(result.caught) or "(none)"
-        replay = (
-            "n/a" if result.replayed is None
-            else "ok" if result.replayed
-            else "FAILED"
-        )
-        verdict = "ok" if result.ok else (
-            f"FAIL (baseline: {','.join(result.baseline) or 'clean'})"
-        )
-        lines.append(
-            f"{result.name:<24} {result.expected:<18} {caught:<34} "
-            f"{replay:<10} {verdict}"
-        )
-    passed = sum(1 for r in results if r.ok)
-    lines.append(
-        f"{passed}/{len(results)} mutants refuted by their expected check"
-    )
-    return "\n".join(lines)

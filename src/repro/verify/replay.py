@@ -17,9 +17,8 @@ misbehaves, not just the verifier's abstraction of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, List, Optional, TYPE_CHECKING, Tuple
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from ..net.forwarding import LOOP, forwarding_graph, live_match, scan
 from ..net.ip import Prefix
@@ -39,18 +38,8 @@ _WARMUP = milliseconds(500)
 _FAILURE_OFFSET = milliseconds(100)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    """Outcome of replaying one witness dynamically."""
-
-    reproduced: bool
-    detail: str
-    #: engine-audit violations seen during the replay (must stay empty)
-    timing_violations: int = 0
-
-
-def _observe(network: "Network", witness: Witness) -> Tuple[bool, str]:
-    """(reproduced, detail) of ``witness`` on the live forwarding state."""
+def _observe(network: "Network", witness: Witness) -> bool:
+    """Whether ``witness`` shows on the live forwarding state."""
     address = Prefix(witness.subnet).address(2)
     edges, delivers = forwarding_graph(
         (switch.name, live_match(
@@ -58,27 +47,19 @@ def _observe(network: "Network", witness: Witness) -> Tuple[bool, str]:
         ))
         for switch in network.switches()
     )
-    toward = f"toward {witness.destination}"
     if witness.kind == LOOP:
         loops = (
             defect for defect in scan(edges.get, sorted(edges), delivers)
             if defect.kind == LOOP
         )
-        for loop in islice(loops, _MAX_LOOPS):
-            if set(witness.nodes).intersection(loop.nodes):
-                return True, (
-                    f"live forwarding cycle {'->'.join(loop.nodes)} {toward} "
-                    f"(predicted {list(witness.nodes)})"
-                )
-        return False, f"no live cycle touching {list(witness.nodes)} {toward}"
+        return any(
+            set(witness.nodes).intersection(loop.nodes)
+            for loop in islice(loops, _MAX_LOOPS)
+        )
     # blackhole: the witness switch must be unable to reach delivery
-    if witness.at not in edges:
-        return True, f"{witness.at} has no live route {toward}"
-    if delivers.isdisjoint(reachable(
+    return witness.at not in edges or delivers.isdisjoint(reachable(
         witness.at, lambda node: [nh for nh, _ in edges.get(node, ())]
-    )):
-        return True, f"every live walk from {witness.at} {toward} dead-ends"
-    return False, f"packets from {witness.at} still reach {witness.destination}"
+    ))
 
 
 def replay_witness(
@@ -86,8 +67,9 @@ def replay_witness(
     witness: Witness,
     tie_break: str = "prefix-length",
     apply_dynamic: Optional[Callable[[object], None]] = None,
-) -> ReplayResult:
-    """Reproduce one static counterexample under ``CheckedSimulator``.
+) -> bool:
+    """Whether one static counterexample reproduces under
+    ``CheckedSimulator`` with the engine's timing audit clean.
 
     ``topo`` must be the same (mutated) topology the verifier refuted;
     ``apply_dynamic`` is the bundle patch matching any model-level FIB
@@ -120,11 +102,10 @@ def replay_witness(
     else:
         observe_at = _WARMUP + milliseconds(2)
 
-    observations: List[Tuple[bool, str]] = []
+    observations: List[bool] = []
     sim.schedule_at(
         observe_at, lambda: observations.append(_observe(bundle.network, witness)),
         priority=PRIORITY_CHECK,
     )
     sim.run(until=observe_at + milliseconds(1))
-    reproduced, detail = observations[0]
-    return ReplayResult(reproduced, detail, len(sim.timing_violations))
+    return observations[0] and not sim.timing_violations

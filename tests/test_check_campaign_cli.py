@@ -102,3 +102,10 @@ class TestCheckCli:
 
     def test_zero_trials_is_an_error(self, capsys):
         assert main(["check", "--trials", "0"]) == 2
+
+    def test_selftest_with_another_mode_exits_two(self, tmp_path, capsys):
+        for extra in (["--replay", str(tmp_path / "b.json")], ["--differential", "1"]):
+            assert main(["check", "--selftest", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"

@@ -37,8 +37,8 @@ from repro.check.differential import (
     FLOW_MUTANTS,
     classify_recovery_time,
     compare_recovery,
+    flow_diagonals,
     run_differential,
-    run_flow_selftest,
 )
 from repro.check.execute import execute_check, snapshot_fibs
 from repro.core.backup_routes import configure_backup_routes
@@ -63,6 +63,7 @@ from repro.obs.trace import EV_FIB_INSTALL, EV_SPF_RUN, EV_SPF_SCHEDULE
 from repro.routing.linkstate import deploy_linkstate
 from repro.routing.spf import compute_routes
 from repro.routing.spf_cache import SpfEngine
+from repro.selftest import run
 from repro.sim.engine import Simulator
 from repro.sim.flow import FluidTrafficModel
 from repro.sim.flow.warmstart import (
@@ -563,7 +564,7 @@ def test_flow_scale_trial_matches_the_fluid_recovery_bundle():
 
 
 def test_flow_fairshare_mutant_is_caught_by_agreement():
-    results = run_flow_selftest()
+    results = run(flow_diagonals())
     assert [r.name for r in results] == sorted(FLOW_MUTANTS)
     for result in results:
         assert result.baseline == (), (

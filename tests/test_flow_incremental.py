@@ -31,13 +31,14 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.check.differential import FLOW_MUTANTS, run_flow_selftest
+from repro.check.differential import FLOW_MUTANTS, flow_diagonals
 from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
 from repro.experiments.partition_aggregate import (
     PartitionAggregateConfig,
     run_flow_partition_aggregate,
 )
+from repro.selftest import run
 from repro.sim.engine import Simulator
 from repro.sim.flow import fairshare, model as flow_model
 from repro.sim.flow.model import FluidTrafficModel
@@ -299,6 +300,6 @@ def test_flow_selftest_catches_both_solver_mutants():
     assert {"flow-fairshare-corrupted", "fairshare-vector-corrupted"} <= set(
         FLOW_MUTANTS
     )
-    results = {result.name: result for result in run_flow_selftest()}
+    results = {result.name: result for result in run(flow_diagonals())}
     for name in ("flow-fairshare-corrupted", "fairshare-vector-corrupted"):
         assert results[name].ok, results[name]

@@ -33,6 +33,7 @@ TOOLING = (
     "repro.check",
     "repro.verify",
     "repro.lint",
+    "repro.selftest",
     "repro.analysis",
     "repro.cli",
     "repro.bench",
@@ -108,8 +109,8 @@ def test_every_campaign_trial_kind_resolves_through_the_spec():
 
 def test_check_mutants_are_complete_in_a_fresh_process():
     names = fresh(
-        "import json\nfrom repro.check.mutants import MUTANTS\n"
-        "print(json.dumps(sorted(MUTANTS)))"
+        "import json\nfrom repro.check.mutants import diagonals\n"
+        "print(json.dumps([d.name for d in diagonals()]))"
     )
     assert names == [
         "backup-routes-disabled", "backup-tiebreak-none", "channel-leak",

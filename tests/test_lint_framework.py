@@ -14,8 +14,9 @@ from repro.cli import main as repro_main
 from repro.lint.engine import lint_paths, lint_source, parse_suppressions
 from repro.lint.findings import Finding
 from repro.lint.rules import DETERMINISM_RULE_IDS, REGISTRY, all_rules
-from repro.lint.selftest import FIXTURES, run_selftest
+from repro.lint.selftest import FIXTURES, diagonals
 from repro.lint.cli import findings_from_json, report_to_json
+from repro.selftest import run
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -279,7 +280,7 @@ class TestSelftestDiagonal:
         assert sorted(f.rule for f in FIXTURES) == sorted(REGISTRY)
 
     def test_diagonal_catches_exactly(self):
-        for result in run_selftest():
+        for result in run(diagonals()):
             assert result.ok, (
                 f"{result.name}: caught {result.caught}, "
                 f"clean twin fired {result.baseline}"
@@ -337,6 +338,13 @@ class TestCli:
         assert repro_main(["lint", "--selftest"]) == 0
         out = capsys.readouterr().out
         assert "diagonal" in out and "FAIL" not in out
+
+    def test_selftest_with_a_path_or_list_exits_two(self, tmp_path, capsys):
+        for extra, named in (([str(tmp_path)], "paths"), (["--list"], "--list")):
+            assert repro_main(["lint", "--selftest", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"--selftest cannot be combined with {named}\n"
 
     def test_list_prints_catalog(self, capsys):
         assert repro_main(["lint", "--list"]) == 0

@@ -19,18 +19,15 @@ import pytest
 
 from repro.check.execute import snapshot_fibs
 from repro.check.mutants import MUTANTS as DYNAMIC_MUTANTS
+from repro.check.mutants import diagonals as dynamic_diagonals
 from repro.cli import main
 from repro.experiments.common import DEFAULT_WARMUP, build_bundle
 from repro.core.fabrics import build_fabric
-from repro.verify.checks import run_verification
+from repro.selftest import run
+from repro.verify.checks import SEV_ERROR, run_verification
 from repro.verify.model import StaticNetworkModel
-from repro.verify.mutants import (
-    CHECK_EQUIVALENTS,
-    MUTANTS,
-    check_mutant,
-    run_mutant,
-    run_selftest,
-)
+from repro.verify.mutants import CHECK_EQUIVALENTS, MUTANTS, diagonals, run_mutant
+from repro.verify.replay import replay_witness
 
 # ------------------------------------------------------------ certification
 
@@ -197,9 +194,15 @@ REPLAYABLE = {
 }
 
 
+def diagonal_result(name, oracle_diagonals):
+    """The harness's row for the one named diagonal."""
+    (result,) = run(d for d in oracle_diagonals if d.name == name)
+    return result
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_refuted_by_expected_check(name):
-    result = check_mutant(name, max_failures=2)
+    result = diagonal_result(name, diagonals(max_failures=2))
     assert result.baseline == (), (
         f"baseline for {name} must certify, refuted: {result.baseline}"
     )
@@ -207,9 +210,7 @@ def test_mutant_refuted_by_expected_check(name):
         f"{name} must be refuted by {result.expected!r}, got {result.caught}"
     )
     if name in REPLAYABLE:
-        assert result.replayed is True, (
-            f"{name}: witness must replay dynamically: {result.replay_detail}"
-        )
+        assert result.replayed is True, f"{name}: witness must replay dynamically"
     else:
         assert result.replayed is None
     assert result.ok
@@ -220,23 +221,33 @@ def test_mutant_refuted_by_expected_check(name):
 
 
 def test_selftest_matrix_all_green():
-    results = run_selftest(max_failures=2)
+    results = run(diagonals(max_failures=2))
     assert sorted(r.name for r in results) == sorted(MUTANTS)
     assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("name", ["statics-withdrawn", "backup-tiebreak-none"])
+def test_a_witness_does_not_replay_on_the_clean_build(name):
+    """The replay has teeth: a mutant's black hole or ring loop does not
+    show on the unmutated f2tree, whose backups and tie-break hold."""
+    witness = next(
+        finding.witness for finding in run_mutant(MUTANTS[name]).findings
+        if finding.severity == SEV_ERROR and finding.witness is not None
+    )
+    assert replay_witness(build_fabric("f2tree", 6), witness) is False
 
 
 # -------------------------------------------------- bridge to the dyn fuzzer
 
 @pytest.mark.parametrize("dynamic_name", sorted(CHECK_EQUIVALENTS))
 def test_dynamic_fault_has_a_static_twin(dynamic_name):
-    """Every FIB/wiring fault the fuzzer catches dynamically (covered
-    exhaustively by test_check_mutants.py) is refuted statically by its
-    twin — the differential-oracle half owned by this module."""
-    assert dynamic_name in DYNAMIC_MUTANTS
-    twin = CHECK_EQUIVALENTS[dynamic_name]
-    result = check_mutant(twin, max_failures=2)
-    assert result.ok
-    assert result.expected in result.caught
+    """Both halves of a twin hold: the fuzzer catches the FIB/wiring
+    fault dynamically by exactly its invariant, and the verifier refutes
+    its twin statically, before any packet is lost."""
+    dynamic = diagonal_result(dynamic_name, dynamic_diagonals())
+    assert dynamic.ok and dynamic.caught == (dynamic.expected,)
+    static = diagonal_result(CHECK_EQUIVALENTS[dynamic_name], diagonals())
+    assert static.ok and static.expected in static.caught
 
 
 def test_behavioural_faults_have_no_static_twin():
@@ -273,6 +284,14 @@ class TestCliExitCodes:
     def test_unknown_mutant_exits_two(self, capsys):
         assert main(["verify", "--mutate", "no-such-defect"]) == 2
         assert "unknown mutant" in capsys.readouterr().err
+
+    def test_selftest_with_mutate_or_out_exits_two(self, tmp_path, capsys):
+        for extra in (["--mutate", "ring-link-cut"], ["--out", str(tmp_path / "r.json")]):
+            assert main(["verify", "--selftest", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_json_report_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
