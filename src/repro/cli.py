@@ -582,6 +582,18 @@ def _run_sweep(args: argparse.Namespace, telemetry: bool) -> int:
     return 0 if not report.failed else 1
 
 
+def _unread_options(args: argparse.Namespace, read: Sequence[str]) -> Dict[str, object]:
+    """Every option of the subcommand but ``read``, as ``--flag: value``
+    when the command line moved it off the subparser's own default,
+    else ``--flag: None`` (what ``selftest.run_cli`` reads as not given)."""
+    defaults = vars(build_parser().parse_args([args.command]))
+    return {
+        "--" + dest.replace("_", "-"): None if value == defaults[dest] else value
+        for dest, value in vars(args).items()
+        if dest not in ("command", "selftest", "json", *read)
+    }
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from .campaign.runner import run_campaign
     from .campaign.spec import TrialSpec
@@ -594,7 +606,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         from .check.mutants import diagonals
         from .selftest import run_cli
 
-        others = {"--replay": args.replay, "--differential": args.differential}
+        others = _unread_options(args, read=())
         return run_cli(lambda: diagonals() + flow_diagonals(), args.json, others)
 
     if args.replay is not None:
@@ -694,8 +706,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         from .selftest import run_cli
         from .verify.mutants import diagonals
 
-        others = {"--mutate": args.mutate, "--out": args.out}
-        return run_cli(lambda: diagonals(args.max_failures), args.json, others)
+        others = _unread_options(args, read=("max_failures",))
+        # backup-tiebreak-none's ring loop needs two failures to show
+        k = args.max_failures
+        others["--max-failures below 2"] = k if k < 2 else None
+        return run_cli(lambda: diagonals(k), args.json, others)
     try:
         if args.mutate is not None:
             from .verify.mutants import MUTANTS, run_mutant

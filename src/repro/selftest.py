@@ -104,7 +104,8 @@ def run_cli(
     diagonals: Callable[[], List[Diagonal]], as_json: bool, others: Mapping[str, object]
 ) -> int:
     """A ``--selftest`` flag: 0 every row holds, 1 one fails, 2 one of
-    the ``others`` modes (flag: value, None when not given) was given."""
+    the ``others`` options (flag: value, None when not given or left at
+    its default) was given."""
     given = [flag for flag, value in others.items() if value is not None]
     if given:
         print(f"--selftest cannot be combined with {', '.join(given)}", file=sys.stderr)

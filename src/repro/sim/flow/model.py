@@ -43,7 +43,8 @@ on solver state that persists between recomputes:
   incidence row is built per *path resolution*, not per solve.
 * Active flows are kept in sorted-name order (the solver's canonical
   row order), and one pass per recompute integrates each reliable flow
-  to ``now`` and derives the demand cap the solver would see.
+  to ``now`` and either retires it (past its stop, nothing left to
+  drain) or derives the demand cap the solver would see.
 * If no solver input moved — no live path changed, no cap flipped
   between paced and draining, no solved flow departed — the recompute
   ends there without a solve.  Otherwise it runs **one full solve**
@@ -169,6 +170,7 @@ class FluidFlow:
     #: ``inf`` while a reliable flow drains its backlog elastically
     cap: float = field(init=False)
     active: bool = False
+    #: end of the timeline: when the flow retired, else ``finalize()``
     closed_at: Optional[Time] = None
 
     def __post_init__(self) -> None:
@@ -488,26 +490,27 @@ class FluidTrafficModel:
         self._recompute()
 
     def _on_stop(self, flow: FluidFlow) -> None:
-        """The application stops offering; a reliable flow with backlog
-        stays active until it drains."""
+        """The application stops offering.  A CBR flow retires; a
+        reliable one is left to the recompute, which retires it once
+        nothing is left to drain."""
         if not flow.active:
             return
         if flow.spec.reliable:
-            self._advance(flow, self.sim.now)
-            if flow.backlog > 0.5:
-                # the offer rate drops to 0 here, so the drain
-                # prediction (if any) must be redone even if the
-                # fair-share rate does not move
-                self._drain_dirty.add(flow.spec.name)
-                self._recompute()
-                return
-        self._deactivate(flow)
+            # the offer rate drops to 0 here, so the drain prediction
+            # (if any) must be redone even if the fair-share rate does
+            # not move
+            self._drain_dirty.add(flow.spec.name)
+        else:
+            self._retire(flow)
+        self._recompute()
 
-    def _deactivate(self, flow: FluidFlow) -> None:
-        if not flow.active:
-            return
-        self._advance(flow, self.sim.now)
+    def _retire(self, flow: FluidFlow) -> None:
+        """Take a finished flow out of every recompute structure and
+        close its timeline at ``now``."""
+        now = self.sim.now
+        self._advance(flow, now)
         flow.active = False
+        flow.closed_at = now
         name = flow.spec.name
         del self._active[name]
         del self._order[bisect_left(self._order, name)]
@@ -523,7 +526,6 @@ class FluidTrafficModel:
         handle = self._drain_handles.pop(name, None)
         if handle is not None:
             handle.cancel()  # type: ignore[attr-defined]
-        self._recompute()
 
     # ----------------------------------------------------------- recompute
 
@@ -613,25 +615,30 @@ class FluidTrafficModel:
         docstring / DESIGN §13)."""
         now = self.sim.now
         self.recomputes += 1
-        moved = self._refresh_paths(now) or self._solved_departed
-        self._solved_departed = False
-        # reliable flows' demand caps depend on their backlog at `now`:
-        # backlogged (or past their stop) they drain elastically
+        # a reliable flow past its stop with nothing left to drain has
+        # finished: it retires here, before any path is re-resolved.
+        # The others' demand caps depend on their backlog at `now`
+        # (backlogged, they drain elastically); a cap flip moves the
+        # solve if the cached path is live, and a path that changes
+        # liveness when re-resolved below moves it there.
+        moved = False
         active = self._active
         cache = self._path_cache
-        for name in self._reliable:
+        for name in tuple(self._reliable):
             flow = active[name]
             self._advance(flow, now)
             spec = flow.spec
-            cap = (
-                math.inf if flow.backlog > 0.5 or now >= spec.stop
-                else spec.demand
-            )
+            if flow.backlog <= 0.5 and now >= spec.stop:
+                self._retire(flow)
+                continue
+            cap = math.inf if flow.backlog > 0.5 else spec.demand
             if cap != flow.cap:
                 flow.cap = cap
-                if cache[name].links is not None:
+                cached = cache.get(name)
+                if cached is not None and cached.links is not None:
                     moved = True
-        if moved:
+        if self._refresh_paths(now) or moved or self._solved_departed:
+            self._solved_departed = False
             self._solve(now)
         self._schedule_drains(now)
 
@@ -717,23 +724,20 @@ class FluidTrafficModel:
 
     def _on_drained(self, flow: FluidFlow) -> None:
         self._drain_handles.pop(flow.spec.name, None)
-        if not flow.active:
-            return
-        if self.sim.now >= flow.spec.stop:
-            self._deactivate(flow)
-        else:
+        if flow.active:
             self._recompute()
 
     # ------------------------------------------------------------ epilogue
 
     def finalize(self) -> None:
-        """Close every flow's timeline at the current instant; flows'
-        analytic outputs (arrivals, deliveries) become readable."""
+        """Close every still-open flow's timeline at the current instant
+        (a retired flow's closed when it finished); flows' analytic
+        outputs (arrivals, deliveries) become readable."""
         now = self.sim.now
         for name in sorted(self.flows):
             flow = self.flows[name]
-            self._advance(flow, now)
-            if flow.closed_at is None or flow.closed_at < now:
+            if flow.closed_at is None:
+                self._advance(flow, now)
                 flow.closed_at = now
 
     def stats(self) -> Dict[str, int]:

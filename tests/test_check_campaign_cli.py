@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import TrialSpec
 from repro.check.execute import execute_check
@@ -109,3 +111,14 @@ class TestCheckCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--backend", "flow"], ["--out", "elsewhere"], ["--trials", "3"],
+        ["--seed", "2"], ["--workers", "2"], ["--timeout", "5"],
+    ], ids=lambda extra: extra[0])
+    def test_selftest_with_an_option_it_does_not_read_exits_two(self, extra, capsys):
+        # an option moved off its default must not be dropped silently
+        assert main(["check", "--selftest", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"

@@ -293,6 +293,27 @@ class TestCliExitCodes:
             assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--topology", "fat-tree"], ["--ports", "6"], ["--across-ports", "1"],
+        ["--samples", "5"], ["--seed", "2"], ["--tie-break", "none"],
+    ], ids=lambda extra: extra[0])
+    def test_selftest_with_an_option_it_does_not_read_exits_two(self, extra, capsys):
+        assert main(["verify", "--selftest", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--selftest cannot be combined with {extra[0]}\n"
+
+    def test_selftest_below_two_failures_exits_two(self, capsys):
+        # backup-tiebreak-none's ring loop needs two failures to show,
+        # so a correct verifier would fail its row at k = 1
+        for k in ("1", "0"):
+            assert main(["verify", "--selftest", "--max-failures", k]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "--selftest cannot be combined with --max-failures below 2\n"
+            )
+
     def test_json_report_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", "--topology", "f2tree", "--ports", "6",
