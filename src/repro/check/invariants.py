@@ -60,7 +60,7 @@ from ..net.fib import Fib, FibEntry
 from ..net.forwarding import LOOP, Defect, forwarding_graph, live_match, scan
 from ..net.packet import PROTO_UDP, Packet
 from ..routing.lsdb import Lsa, Lsdb
-from ..routing.spf_cache import compute_routes_cached
+from ..routing.spf_cache import SpfEngine
 from ..sim.units import Time
 from ..topology.graph import NodeKind, reachable
 
@@ -132,6 +132,12 @@ class InvariantSuite:
         self.env = env
         self.violations: List[Violation] = []
         self.checks_run: Dict[str, int] = {}
+        #: the convergence-agreement oracle's route computers, one per
+        #: switch: tables of its own, none shared with the protocol
+        self._oracle_engines = {
+            switch.name: SpfEngine(switch.name)
+            for switch in env.network.switches()
+        }
         topo = env.topo
         self._dests: List[Tuple[str, object]] = []
         for tor in topo.nodes_of_kind(NodeKind.TOR, NodeKind.LEAF):
@@ -403,7 +409,7 @@ class InvariantSuite:
             # memoized: the oracle LSDB is rebuilt per check but its
             # fingerprint repeats between topology events, so quiescent
             # stretches of a fuzz trial are one SPF per switch total
-            expected = compute_routes_cached(switch.name, oracle)
+            expected = self._oracle_engines[switch.name].routes(oracle)
             actual = protocol.route_table
             if actual == expected:
                 continue

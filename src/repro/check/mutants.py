@@ -143,8 +143,8 @@ def _corrupt_spf_engine(bundle: Any) -> None:
     answers with has its ECMP route sets truncated to a single (valid
     shortest-path) member.  The truncation keeps forwarding loop-free and
     live — only the convergence-agreement differential can see it.  It
-    is made *in a copy*: the engine's table is the shared memo's own
-    object, the very one the global oracle reads."""
+    is made *in a copy*: the engine's table is its memo's own object,
+    which a later revisit of the same database hands back."""
     for protocol in bundle.protocols.values():
         engine = protocol._spf_engine
 

@@ -39,7 +39,7 @@ from ..sim.units import Time, milliseconds
 from .linkstate import switch_roster
 from .lsdb import Lsa, Lsdb
 from .spf import RouteTable
-from .spf_cache import compute_routes_cached
+from .spf_cache import SpfEngine
 
 #: FIB entry source tag for controller-installed routes.
 SOURCE = "centralized"
@@ -82,6 +82,8 @@ class CentralizedController:
         self.control = control or ControllerParams()
         self.stats = ControllerStats()
         self._agents: Dict[str, "CentralizedAgent"] = {}
+        #: one route computer per switch, each memoizing its own tables
+        self._engines: Dict[str, SpfEngine] = {}
         #: the controller's believed adjacency: switch -> set of neighbors
         self._adjacency: Dict[str, Set[str]] = {}
         #: prefixes attached to each switch
@@ -94,6 +96,7 @@ class CentralizedController:
     def register(self, agent: "CentralizedAgent", neighbors: Sequence[str],
                  attached: Sequence[Prefix]) -> None:
         self._agents[agent.name] = agent
+        self._engines[agent.name] = SpfEngine(agent.name)
         self._adjacency[agent.name] = set(neighbors)
         self._attached[agent.name] = tuple(attached)
 
@@ -133,8 +136,8 @@ class CentralizedController:
     def _compute_tables(self) -> Dict[str, RouteTable]:
         db = self._global_lsdb()
         # memoized: repeated recomputations over an unchanged detected
-        # graph (report churn that cancels out) reuse the shared cache
-        return {name: compute_routes_cached(name, db) for name in self._agents}
+        # graph (report churn that cancels out) reuse the engines' tables
+        return {name: engine.routes(db) for name, engine in self._engines.items()}
 
     def _recompute(self) -> None:
         if not self._dirty:

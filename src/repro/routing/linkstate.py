@@ -105,8 +105,8 @@ class LinkStateProtocol:
         self.stats = ProtocolStats()
         #: logical (deterministic, per-instance) SPF cache accounting
         self.spf_cache_stats = SpfCacheStats()
-        #: per-instance route computer over the shared (origin,
-        #: fingerprint) memo; warm start swaps in the batch oracle's
+        #: per-instance route computer with its own fingerprint memo;
+        #: warm start swaps in the batch oracle's
         self._spf_engine = SpfEngine(self.name)
         self._seq = 0
         # SPF throttle state
@@ -271,17 +271,17 @@ class LinkStateProtocol:
         self._last_spf_at = self.sim.now
         self._hold_expiry = self.sim.now + self._hold_current
         # memoized: seq-only LSA refreshes under a failure storm hit the
-        # shared cache (the fingerprint ignores sequence numbers); the
+        # engine's memo (the fingerprint ignores sequence numbers); the
         # per-instance stats count *logical* reuse — noted here, outside
-        # the cache, so it is deterministic regardless of how warm the
-        # shared cache happens to be (or whether it has been swapped out)
+        # any engine, so it is the same whichever engine answers (or
+        # whether its memo has been bypassed)
         fingerprint = self.lsdb.fingerprint()
         cached = self.spf_cache_stats.note((self.name, fingerprint))
         # the transition is classified here, once, whatever engine then
         # computes the table: a pure function of this instance's
         # fingerprint sequence, so the traced delta is too
         previous, self._fingerprint = self._fingerprint, fingerprint
-        delta = classify_transition(previous, fingerprint).kind
+        delta = classify_transition(previous, fingerprint)
         self._pending_routes = self._spf_engine.compute(self.lsdb, delta)
         obs.metrics.counter(
             "spf.cache.hits" if cached else "spf.cache.misses"

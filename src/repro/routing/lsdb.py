@@ -5,24 +5,22 @@ its attached ("stub") prefixes — a ToR's host subnet, plus the router's /32
 loopback.  Sequence numbers provide freshness, exactly like OSPF router
 LSAs (we skip aging/MaxAge: simulated experiments are shorter than any
 refresh interval).  :meth:`Lsdb.fingerprint` digests a database's
-routing-relevant content and :func:`graph_info` indexes that digest (the
-two-way graph, who advertises what) for whoever diffs or flattens it.
+routing-relevant content; :meth:`Fingerprint.changes_to` reads where two
+digests differ, and :func:`graph_info` indexes one digest (the two-way
+graph, who advertises what) for the batch kernel to flatten.
 
 A database is a shared, never-mutated *base* read through its own
 *overlay*: a warm-started fabric holds one base, not V copies of V LSAs,
-and a flood writes only the LSAs in flight into each overlay.
+and a flood writes only the LSAs in flight into each overlay.  Nothing
+here outlives the databases of one trial: no index is memoized.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..net.ip import Prefix
-
-#: an undirected two-way edge, endpoints sorted
-Edge = Tuple[str, str]
 
 #: one origin's routing-relevant content: ``(origin, neighbors, prefixes)``
 Entry = Tuple[str, Tuple[str, ...], Tuple[Prefix, ...]]
@@ -49,37 +47,10 @@ class _Base(Dict[str, Lsa]):
     """origin -> LSA, shared by every database loaded from one reference
     and never mutated once built."""
 
-    __slots__ = ("content_hash", "_sorted")
+    __slots__ = ()
 
-    def __init__(self, lsas: Iterable[Lsa] = (), content_hash: int = 0) -> None:
+    def __init__(self, lsas: Iterable[Lsa] = ()) -> None:
         super().__init__((lsa.origin, lsa) for lsa in lsas)
-        self.content_hash = content_hash
-        #: the sorted entries, built on the first cross-base comparison
-        self._sorted: Optional[Tuple[Entry, ...]] = None
-
-    def sorted_entries(self) -> Tuple[Entry, ...]:
-        entries = self._sorted
-        if entries is None:
-            entries = self._sorted = tuple(sorted(
-                (origin, lsa.neighbors, lsa.prefixes) for origin, lsa in self.items()
-            ))
-        return entries
-
-    def same_content(self, other: "_Base") -> bool:
-        """Whether both bases hold the same routing-relevant content:
-        decided by a full comparison once per pair of equal bases, which
-        then share one sorted tuple, so later calls are identity checks."""
-        if self is other:
-            return True
-        if self.content_hash != other.content_hash:
-            return False
-        mine, theirs = self.sorted_entries(), other.sorted_entries()
-        if mine is theirs:
-            return True
-        if mine != theirs:
-            return False
-        other._sorted = mine
-        return True
 
 
 _EMPTY = _Base()
@@ -91,11 +62,9 @@ class Fingerprint:
 
     Equal exactly when the sorted entries are, whatever the bases.  The
     differences from a base are canonical for its content, so views of
-    one base — or of two bases with the same content, as two trials'
-    warm starts of one fabric are — compare only their differences;
-    views of two different bases compare their full content.  The hash,
-    a sum of entry hashes, depends on content alone.  Iteration yields
-    the sorted entries.
+    one base compare only their differences; views of two different
+    bases compare their full content.  The hash, a sum of entry hashes,
+    depends on content alone.  Iteration yields the sorted entries.
     """
 
     __slots__ = ("_base", "_diff", "_hash")
@@ -115,9 +84,33 @@ class Fingerprint:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        if self._base.same_content(other._base):
+        if self._base is other._base:
             return self._diff == other._diff
         return tuple(self) == tuple(other)
+
+    def changes_to(
+        self, other: "Fingerprint"
+    ) -> Tuple[Set[str], Callable[[str], Optional[Entry]], Callable[[str], Optional[Entry]]]:
+        """Where ``other`` differs from this digest: the origins whose
+        entries differ (present on one side only included), and an entry
+        lookup for each side (None: that side lacks the origin).
+
+        Over one base only the two sets of differences are read, so the
+        cost is O(Δ); over two bases the full contents are.
+        """
+        base = self._base
+        if base is other._base:
+            mine = {entry[0]: entry for entry in self._diff}
+            theirs = {entry[0]: entry for entry in other._diff}
+        else:
+            base = _EMPTY
+            mine = {entry[0]: entry for entry in self}
+            theirs = {entry[0]: entry for entry in other}
+        changed = {
+            origin for origin, entry in mine.items() if theirs.get(origin) != entry
+        }
+        changed.update(theirs.keys() - mine.keys())
+        return changed, _lookup(mine, base), _lookup(theirs, base)
 
     def __iter__(self) -> Iterator[Entry]:
         changed = {entry[0]: entry for entry in self._diff}
@@ -133,6 +126,22 @@ class Fingerprint:
         # content only: str hashes differ between interpreter processes,
         # so a pickled hash would poison lookups in the one that loads it
         return (_content_fingerprint, (tuple(self),))
+
+
+def _lookup(
+    changed: Dict[str, Entry], base: _Base
+) -> Callable[[str], Optional[Entry]]:
+    """origin -> entry over ``base`` with ``changed`` substituted."""
+
+    def entry(origin: str) -> Optional[Entry]:
+        found = changed.get(origin)
+        if found is None:
+            lsa = base.get(origin)
+            if lsa is not None:
+                found = (origin, lsa.neighbors, lsa.prefixes)
+        return found
+
+    return entry
 
 
 def _content_fingerprint(entries: Tuple[Entry, ...]) -> Fingerprint:
@@ -194,7 +203,7 @@ class Lsdb:
         if self._overlay or self._base:
             raise ValueError("Lsdb.load needs an empty database")
         if reference._overlay:
-            reference._base = _Base(reference.all(), reference._hash)
+            reference._base = _Base(reference.all())
             reference._overlay, reference._diff = {}, {}
             reference._fingerprint = None
         self._base = reference._base
@@ -208,10 +217,11 @@ class Lsdb:
         LSA's neighbors and prefixes — never its sequence number — so the
         fingerprint deliberately omits ``seq``.  Two databases with equal
         fingerprints yield identical route tables for every origin, which
-        is what lets the SPF cache share results across seq-only
-        refreshes, switches, and trials.  Built on first use after a
-        content change, in O(Δ) for Δ entries that differ from the base;
-        a seq-only refresh keeps the object, so downstream caches hit.
+        is what lets an SPF engine reuse a table across seq-only
+        refreshes and flaps that return to earlier content.  Built on
+        first use after a content change, in O(Δ) for Δ entries that
+        differ from the base; a seq-only refresh keeps the object, so
+        downstream caches hit.
         """
         fp = self._fingerprint
         if fp is None:
@@ -248,7 +258,8 @@ class Lsdb:
 
 @dataclass(frozen=True)
 class GraphInfo:
-    """Routing-relevant content of one fingerprint, indexed for diffing."""
+    """Routing-relevant content of one fingerprint, indexed for the batch
+    kernel."""
 
     #: node -> sorted two-way neighbors (every origin is a key)
     adjacency: Dict[str, Tuple[str, ...]]
@@ -256,52 +267,30 @@ class GraphInfo:
     prefixes: Dict[str, Tuple[Prefix, ...]]
     #: prefix -> sorted advertising origins
     advertisers: Dict[Prefix, Tuple[str, ...]]
-    #: the two-way edge set
-    edges: FrozenSet[Edge]
-
-
-#: bounded memo for :func:`graph_info` — fingerprints repeat heavily
-#: (every switch of a fabric shares the flooded database content)
-_GRAPH_MEMO: "OrderedDict[Fingerprint, GraphInfo]" = OrderedDict()
-_GRAPH_MEMO_MAX = 128
 
 
 def graph_info(fingerprint: Fingerprint) -> GraphInfo:
-    """Index one fingerprint's content (memoized)."""
-    memo = _GRAPH_MEMO
-    info = memo.get(fingerprint)
-    if info is not None:
-        memo.move_to_end(fingerprint)
-        return info
+    """Index one fingerprint's content."""
     declared: Dict[str, Tuple[str, ...]] = {}
     prefixes: Dict[str, Tuple[Prefix, ...]] = {}
     for origin, neighbors, prefs in fingerprint:
         declared[origin] = neighbors
         prefixes[origin] = prefs
-    adjacency: Dict[str, Tuple[str, ...]] = {}
-    edges: List[Edge] = []
-    for origin, neighbors, _prefs in fingerprint:
-        two_way = tuple(sorted(
+    adjacency = {
+        origin: tuple(sorted(
             {peer for peer in neighbors if origin in declared.get(peer, ())}
         ))
-        adjacency[origin] = two_way
-        for peer in two_way:
-            if origin < peer:
-                edges.append((origin, peer))
+        for origin, neighbors in declared.items()
+    }
     advertisers: Dict[Prefix, List[str]] = {}
-    for origin, _neighbors, prefs in fingerprint:
+    for origin, prefs in prefixes.items():
         for prefix in prefs:
             advertisers.setdefault(prefix, []).append(origin)
-    info = GraphInfo(
+    return GraphInfo(
         adjacency=adjacency,
         prefixes=prefixes,
         advertisers={
             prefix: tuple(sorted(origins))
             for prefix, origins in advertisers.items()
         },
-        edges=frozenset(edges),
     )
-    memo[fingerprint] = info
-    if len(memo) > _GRAPH_MEMO_MAX:
-        memo.popitem(last=False)
-    return info

@@ -297,8 +297,7 @@ def _disable_all_caches(monkeypatch):
     from repro.dataplane.node import NetworkNode, SwitchNode
     from repro.routing.linkstate import LinkStateProtocol
     from repro.routing.spf import compute_routes
-    import repro.check.invariants
-    import repro.routing.spf_cache
+    from repro.routing.spf_cache import SpfEngine
     import repro.dataplane.link
     import repro.net.ecmp
 
@@ -355,15 +354,13 @@ def _disable_all_caches(monkeypatch):
         repro.dataplane.link, "transmission_delay",
         repro.dataplane.link.transmission_delay.__wrapped__,
     )
-    # the protocol's SPF stack and the convergence-agreement oracle:
-    # bypass the shared SpfCache entirely (every computation is a fresh
-    # Dijkstra).  The engine's logical delta classification still runs,
-    # so EV_SPF_RUN trace attributes are untouched.
+    # the protocol's SPF engines and the convergence-agreement oracle's:
+    # bypass every engine's table memo (every computation is a fresh
+    # Dijkstra).  The protocol's delta classification still runs, so
+    # EV_SPF_RUN trace attributes are untouched.
     monkeypatch.setattr(
-        repro.routing.spf_cache, "compute_routes_cached", compute_routes
-    )
-    monkeypatch.setattr(
-        repro.check.invariants, "compute_routes_cached", compute_routes
+        SpfEngine, "routes",
+        lambda engine, lsdb: compute_routes(engine.origin, lsdb),
     )
 
 

@@ -18,9 +18,18 @@ from repro.dataplane.network import Network
 from repro.dataplane.params import NetworkParams
 from repro.failures.injector import FailureEvent, schedule_failures
 from repro.net.ip import Prefix
-from repro.routing.lsdb import Lsa, Lsdb
+from repro.routing.lsdb import Lsa, Lsdb, graph_info
 from repro.routing.spf import compute_routes
-from repro.routing.spf_cache import SpfCacheStats
+from repro.routing.spf_cache import (
+    COSMETIC,
+    INITIAL,
+    LINK_DOWN,
+    LINK_UP,
+    REFRESH,
+    STRUCTURAL,
+    SpfCacheStats,
+    classify_transition,
+)
 from repro.sim.engine import Simulator
 from repro.sim.flow.warmstart import warm_start_linkstate
 from repro.sim.units import milliseconds, seconds
@@ -39,8 +48,7 @@ def lsa(origin, neighbors, prefixes=(), seq=1):
 def assert_meets_plain_tuple(db, rebuilt):
     """A fingerprint meets an equal-content fingerprint of another
     database — rebuilt by inserts, or a view loaded over another base —
-    in any dict or set, so ``graph_info`` / ``SpfCache`` keys built
-    either way meet; iterated, it is the plain sorted tuple."""
+    in any dict or set, so memo keys built either way meet; iterated, it is the plain sorted tuple."""
     patched, fresh = db.fingerprint(), rebuilt.fingerprint()
     plain = tuple(fresh)
     assert tuple(patched) == plain == tuple(sorted(plain))
@@ -328,35 +336,128 @@ def test_warm_start_shares_one_base_and_floods_into_overlays():
         assert hash(db.fingerprint()) == hash(cold.fingerprint())
 
 
-def test_equal_content_bases_compare_by_differences(monkeypatch):
+def test_equal_content_bases_compare_by_differences():
     """Two warm starts of one fabric are two bases with the same content:
-    their views after the same failure are equal, and deciding that
-    materializes no fingerprint, however often the memos compare them
-    (a second trial in one process used to sort both full contents on
-    every SPF-memo hit)."""
-    import repro.routing.lsdb as lsdb_module
-
-    iterated = []
-    iterate = lsdb_module.Fingerprint.__iter__
-
-    def counting(fingerprint):
-        iterated.append(fingerprint)
-        return iterate(fingerprint)
-
+    their views after the same failure compare equal and hash equal, and
+    both differ from the unfailed view, whichever base is asked first."""
     first, second = (_fail_one_link_after_warm_start(8) for _ in range(2))
     unfailed = next(_fail_one_link_after_warm_start(8))["agg-1-0"].lsdb.fingerprint()
     next(first), next(second)
     fp_a = next(first)["agg-1-0"].lsdb.fingerprint()
     fp_b = next(second)["agg-1-0"].lsdb.fingerprint()
     assert fp_a._base is not fp_b._base and fp_a._diff
-    monkeypatch.setattr(lsdb_module.Fingerprint, "__iter__", counting)
-    for _ in range(50):
-        assert fp_a == fp_b and fp_b == fp_a and hash(fp_a) == hash(fp_b)
-        assert {fp_a: "a"}[fp_b] == "a"
-        assert fp_a != unfailed
-    assert iterated == []
-    monkeypatch.undo()
+    assert fp_a == fp_b and fp_b == fp_a and hash(fp_a) == hash(fp_b)
+    assert {fp_a: "a"}[fp_b] == "a"
+    assert fp_a != unfailed and unfailed != fp_b
     assert tuple(fp_a) == tuple(fp_b) != tuple(unfailed)
+
+
+def _reference_kind(old_fp, new_fp):
+    """The transition kind as first defined: both fingerprints indexed
+    in full by ``graph_info``, then their two-way edge sets diffed."""
+    if old_fp is None:
+        return INITIAL
+    if old_fp == new_fp:
+        return REFRESH
+    old_info, new_info = graph_info(old_fp), graph_info(new_fp)
+    if old_info.prefixes != new_info.prefixes:
+        return STRUCTURAL
+
+    def edges(info):
+        return {
+            (origin, peer)
+            for origin, peers in info.adjacency.items()
+            for peer in peers if origin < peer
+        }
+
+    old_edges, new_edges = edges(old_info), edges(new_info)
+    diff = old_edges ^ new_edges
+    if not diff:
+        return COSMETIC
+    if len(diff) > 1:
+        return STRUCTURAL
+    return LINK_UP if diff <= new_edges else LINK_DOWN
+
+
+#: one churn step: (kind, origin, peer, pick) — a two-sided link flip,
+#: a one-sided (half-learned) flip, a batch of flips, a prefix toggle,
+#: a revert to the loaded content, a seq-only refresh, or a new origin
+_CHURN_STEP = st.tuples(
+    st.sampled_from(["flip", "half", "batch", "advertise", "revert", "refresh", "new"]),
+    st.sampled_from(_ORIGINS),
+    st.sampled_from(_ORIGINS),
+    st.integers(0, 10_000),
+)
+
+
+def _toggle(neighbors, peer):
+    return tuple(sorted(set(neighbors).symmetric_difference({peer})))
+
+
+def _content_of(db, origin):
+    held = db.get(origin)
+    return ((), ()) if held is None else (held.neighbors, held.prefixes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_ORIGINS), _CONTENT, min_size=1),
+    st.lists(_CHURN_STEP, min_size=1, max_size=20),
+)
+def test_classifier_differential_under_churn(initial, steps):
+    """``classify_transition`` reads only the changed entries; it equals
+    the full-index reference on every transition of a cold-built
+    database (empty base) and a warm one (``Lsdb.load``) fed the same
+    LSAs, across the two bases, and from the first state to the last."""
+    reference, cold = Lsdb(), Lsdb()
+    for origin, (neighbors, prefixes) in initial.items():
+        for db in (reference, cold):
+            db.insert(Lsa(origin, 1, neighbors, prefixes))
+    warm = Lsdb()
+    warm.load(reference)
+    dbs = (cold, warm)
+    start = [db.fingerprint() for db in dbs]
+    for fp in start:
+        assert classify_transition(None, fp) == INITIAL
+    fresh_origins = (f"n{i}" for i in itertools.count())
+    for kind, origin, peer, pick in steps:
+        current = cold.get(origin)
+        if current is None:  # an origin the database lacks: the step adds it
+            current = Lsa(origin, 0, (), ())
+        content = {origin: (current.neighbors, current.prefixes)}
+        if kind == "flip" or kind == "batch":
+            pairs = [(origin, peer)]
+            if kind == "batch":
+                pairs.append((origin, _ORIGINS[pick % len(_ORIGINS)]))
+            for a, b in pairs:
+                for x, y in ((a, b), (b, a)):
+                    entry = content.get(x) or _content_of(cold, x)
+                    content[x] = (_toggle(entry[0], y), entry[1])
+        elif kind == "half":
+            content[origin] = (_toggle(current.neighbors, peer), current.prefixes)
+        elif kind == "advertise":
+            prefix = _PREFIX_POOL[pick % len(_PREFIX_POOL)]
+            prefixes = tuple(sorted(set(current.prefixes) ^ {prefix}))
+            content[origin] = (current.neighbors, prefixes)
+        elif kind == "revert" and origin in initial:
+            content[origin] = initial[origin]
+        elif kind == "new":
+            content = {next(fresh_origins): ((origin,), ())}
+        before = [db.fingerprint() for db in dbs]
+        for node, (neighbors, prefixes) in content.items():
+            held = cold.get(node)
+            seq = (held.seq if held else 0) + 1
+            for db in dbs:
+                assert db.insert(Lsa(node, seq, neighbors, prefixes))
+        after = [db.fingerprint() for db in dbs]
+        pairs = [
+            *zip(before, after),    # one step, over each base
+            (before[0], after[1]),  # one step, across the two bases
+            (start[1], after[1]),   # everything since the load
+        ]
+        kinds = [classify_transition(old, new) for old, new in pairs]
+        assert kinds == [_reference_kind(old, new) for old, new in pairs]
+        assert kinds[0] == kinds[1] == kinds[2]
 
 
 def test_spf_cache_stats_note_sequence():

@@ -36,12 +36,7 @@ from repro.net.ip import Prefix
 from repro.routing.lsdb import Lsa, Lsdb
 from repro.routing.spf import compute_routes
 from repro.routing.spf_batch import batch_compute_routes
-from repro.routing.spf_cache import (
-    INITIAL,
-    REFRESH,
-    SpfEngine,
-    compute_routes_cached,
-)
+from repro.routing.spf_cache import INITIAL, REFRESH, SpfEngine
 from repro.sim.flow.warmstart import BatchRouteOracle, OracleSpfEngine
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
@@ -63,10 +58,11 @@ WIDE_TOPOLOGIES = [
 
 
 def per_origin_routes(lsdb):
-    """Every origin's table the slow way: one memoized per-origin SPF
-    each — what the packet backend and the controller compute with."""
+    """Every origin's table the slow way: one per-origin SPF engine
+    each, the path the packet backend and the controller compute
+    through."""
     origins = sorted(lsa.origin for lsa in lsdb.all())
-    return {origin: compute_routes_cached(origin, lsdb) for origin in origins}
+    return {origin: SpfEngine(origin).routes(lsdb) for origin in origins}
 
 
 #: the three ways to get every origin's table at once.  The ids are the

@@ -1,9 +1,9 @@
 """The per-origin SPF engine against both whole-table computers.
 
-Routes are computed two ways — per-origin Dijkstra behind the
-``(origin, fingerprint)`` memo (:mod:`repro.routing.spf_cache`) and one
-batch solve per database (:mod:`repro.routing.spf_batch`) — and each is
-the other's differential oracle.  This file pins the per-origin side at
+Routes are computed two ways — per-origin Dijkstra behind each engine's
+own fingerprint memo (:mod:`repro.routing.spf_cache`) and one batch
+solve per database (:mod:`repro.routing.spf_batch`) — and each is the
+other's differential oracle.  This file pins the per-origin side at
 three levels (its name and test ids predate the deletion of single-edge
 SPF patching; they are the suite's floor ids):
 
@@ -18,8 +18,8 @@ SPF patching; they are the suite's floor ids):
    transition, an engine handed ``refresh`` or ``cosmetic`` hands back
    the table object already held, and the taxonomy does not depend on
    how the table was computed (it feeds byte-identical traces).
-3. **Whole-system traces** — a full recovery check trial with the memo
-   disabled everywhere produces a byte-identical obs trace: no
+3. **Whole-system traces** — a full recovery check trial with every
+   engine's memo bypassed produces a byte-identical obs trace: no
    observable behaviour depends on it.
 """
 
@@ -42,11 +42,10 @@ from repro.routing.spf_cache import (
     LINK_UP,
     REFRESH,
     STRUCTURAL,
-    SpfCache,
-    SpfDelta,
     SpfEngine,
     classify_transition,
 )
+from repro.topology.addressing import assign_addresses
 from repro.topology.fattree import fat_tree
 from repro.topology.leafspine import leaf_spine
 from repro.topology.vl2 import vl2
@@ -70,6 +69,7 @@ def _environment(family: str):
     if env is not None:
         return env
     topo = _FAMILIES[family]()
+    assign_addresses(topo)  # the ToR subnets every table routes to
     switches = sorted(n.name for n in topo.switches())
     adjacency = {name: set() for name in switches}
     for link in topo.links.values():
@@ -105,17 +105,24 @@ def _lsdb(env, down: set, extra_prefixes: dict, seq: int) -> Lsdb:
     return db
 
 
-def _assert_equals_oracle(engines, cache, previous, db, context):
+def _assert_equals_oracle(engines, previous, db, context):
     """Every engine fed ``db`` as the protocol feeds it (the transition
     from ``previous`` classified first) answers the oracle's table."""
     batch = batch_compute_routes(db)
-    kind = classify_transition(previous, db.fingerprint()).kind
+    kind = classify_transition(previous, db.fingerprint())
     for name, engine in engines.items():
         oracle = compute_routes(name, db)
         assert engine.compute(db, kind) == oracle, (context, name, kind)
         assert batch[name] == oracle, (context, name)
-        assert cache.compute(name, db) == oracle, (context, name)
+        assert engine.routes(db) == oracle, (context, name)
     return db.fingerprint()
+
+
+def _bypass_engine_memos(patches):
+    """Every engine computes each table afresh: its memo is never read."""
+    patches.setattr(
+        SpfEngine, "routes", lambda engine, lsdb: compute_routes(engine.origin, lsdb)
+    )
 
 
 # ------------------------------------------ 1. three-way equality under churn
@@ -141,13 +148,12 @@ _STEP = st.one_of(
 def test_incremental_equals_full_spf_under_churn(family, steps):
     env = _environment(family)
     engines = {s: SpfEngine(s) for s in env["switches"]}
-    cache = SpfCache()
     seq = itertools.count(1)
     down: set = set()
     extra: dict = {}
 
     db = _lsdb(env, down, extra, next(seq))
-    seen = _assert_equals_oracle(engines, cache, None, db, (family, "initial"))
+    seen = _assert_equals_oracle(engines, None, db, (family, "initial"))
 
     for index, step in enumerate(steps):
         if step[0] == "flip":
@@ -165,21 +171,27 @@ def test_incremental_equals_full_spf_under_churn(family, steps):
             else:
                 extra[name] = (Prefix(0x0B000000 + (step[1] % 200) * 256, 24),)
         db = _lsdb(env, down, extra, next(seq))
-        seen = _assert_equals_oracle(engines, cache, seen, db, (family, index, step))
+        seen = _assert_equals_oracle(engines, seen, db, (family, index, step))
 
 
 def test_cache_eviction_keeps_results_correct():
-    """A tiny cache evicts almost everything; results stay exact."""
-    env = _environment("leaf-spine")
-    cache = SpfCache(max_entries=3)
+    """An engine keeps every table it computed for its lifetime: a flap
+    that returns to earlier content (A→B→A) gets back the very table
+    object computed for A, still equal to a fresh computation."""
+    env = _environment("fat-tree")
+    engines = {name: SpfEngine(name) for name in env["switches"]}
     seq = itertools.count(1)
-    down: set = set()
-    for edge in env["edges"][:5]:
-        down.symmetric_difference_update({edge})
+    edge = env["edges"][0]
+    states = [set(), {edge}, set()]
+    tables = []
+    for down in states:
         db = _lsdb(env, down, {}, next(seq))
+        tables.append({name: engine.routes(db) for name, engine in engines.items()})
         for name in env["switches"]:
-            assert cache.compute(name, db) == compute_routes(name, db)
-    assert len(cache) <= 3
+            assert tables[-1][name] == compute_routes(name, db)
+    first, _, revisited = tables
+    assert all(revisited[name] is first[name] for name in env["switches"])
+    assert any(tables[1][name] != first[name] for name in env["switches"])
 
 
 # --------------------------------------------------------- 2. classification
@@ -195,19 +207,19 @@ def test_classification_taxonomy():
     edge = env["edges"][0]
 
     # seq-only refresh: identical fingerprint
-    assert classify_transition(base, base).kind == REFRESH
+    assert classify_transition(base, base) == REFRESH
     # single link down / back up
     one_down = _fingerprint(env, {edge}, {})
-    assert classify_transition(base, one_down) == SpfDelta(LINK_DOWN, edge)
-    assert classify_transition(one_down, base) == SpfDelta(LINK_UP, edge)
+    assert classify_transition(base, one_down) == LINK_DOWN
+    assert classify_transition(one_down, base) == LINK_UP
     # two links at once: structural
     two_down = _fingerprint(env, set(env["edges"][:2]), {})
-    assert classify_transition(base, two_down).kind == STRUCTURAL
+    assert classify_transition(base, two_down) == STRUCTURAL
     # advertisement change: structural
     advertised = _fingerprint(
         env, set(), {env["switches"][0]: (Prefix(0x0B000000, 24),)}
     )
-    assert classify_transition(base, advertised).kind == STRUCTURAL
+    assert classify_transition(base, advertised) == STRUCTURAL
 
 
 def test_cosmetic_transition_detected():
@@ -230,14 +242,12 @@ def test_cosmetic_transition_detected():
 
     half = drop(base, a, b, seq=2)        # a withdrew b: two-way edge gone
     both = drop(half.fingerprint(), b, a, seq=3)  # b catches up: no-op graph
-    assert classify_transition(base, half.fingerprint()) == \
-        SpfDelta(LINK_DOWN, (a, b))
-    delta = classify_transition(half.fingerprint(), both.fingerprint())
-    assert delta.kind == COSMETIC
+    assert classify_transition(base, half.fingerprint()) == LINK_DOWN
+    assert classify_transition(half.fingerprint(), both.fingerprint()) == COSMETIC
 
     origin = env["switches"][0]
     engine = SpfEngine(origin)
-    assert classify_transition(None, base).kind == INITIAL
+    assert classify_transition(None, base) == INITIAL
     engine.compute(db, INITIAL)
     mid = engine.compute(half, LINK_DOWN)
     final = engine.compute(both, COSMETIC)
@@ -246,12 +256,13 @@ def test_cosmetic_transition_detected():
 
 
 def test_report_taxonomy_is_execution_independent(monkeypatch):
-    """The ``(delta, edge)`` sequence — it feeds byte-identical traces —
-    and the tables are the same with the shared memo cold, warm, or
-    swapped for plain ``compute_routes``."""
+    """The transition kinds — they feed byte-identical traces — and the
+    tables are the same with an engine's memo cold, warm, or bypassed
+    for plain ``compute_routes``."""
     import repro.routing.spf_cache as spf_cache_module
 
     env = _environment("fat-tree")
+    origin = env["switches"][0]
     seq = itertools.count(1)
     scripts = []
     down: set = set()
@@ -261,25 +272,33 @@ def test_report_taxonomy_is_execution_independent(monkeypatch):
     scripts.append(_lsdb(env, down, {}, next(seq)))  # seq-only refresh
     scripts.append(_lsdb(env, set(), {}, next(seq)))  # four links back up
 
-    def run(compute):
-        monkeypatch.setattr(spf_cache_module, "compute_routes_cached", compute)
-        engine = SpfEngine(env["switches"][0])
+    def run(engine):
         out, previous = [], None
         for db in scripts:
-            delta = classify_transition(previous, db.fingerprint())
+            kind = classify_transition(previous, db.fingerprint())
             previous = db.fingerprint()
-            out.append((engine.compute(db, delta.kind), delta.kind, delta.edge))
+            out.append((engine.compute(db, kind), kind))
         return out
 
-    memo = SpfCache()
-    cold, warm = run(memo.compute), run(memo.compute)
-    assert memo.hits == memo.misses > 0  # the second pass computed nothing
-    assert cold == warm == run(compute_routes)
-    assert [(kind, edge) for _, kind, edge in cold] == [
-        (INITIAL, None),
-        *((LINK_DOWN, edge) for edge in env["edges"][1:4]),
-        (REFRESH, None),
-        (STRUCTURAL, None),
+    computed = []
+
+    def counting(name, lsdb):
+        computed.append(name)
+        return compute_routes(name, lsdb)
+
+    engine = SpfEngine(origin)
+    with monkeypatch.context() as patches:
+        patches.setattr(spf_cache_module, "compute_routes", counting)
+        cold = run(engine)
+        misses = len(computed)
+        warm = run(engine)
+    assert misses > 0 and len(computed) == misses  # the warm pass computed nothing
+    with monkeypatch.context() as patches:
+        _bypass_engine_memos(patches)
+        bypassed = run(SpfEngine(origin))
+    assert cold == warm == bypassed
+    assert [kind for _, kind in cold] == [
+        INITIAL, LINK_DOWN, LINK_DOWN, LINK_DOWN, REFRESH, STRUCTURAL,
     ]
 
 
@@ -299,17 +318,14 @@ def test_engine_refresh_reuses_state():
     lsa = half.get(a)
     half.insert(Lsa(a, 4, tuple(p for p in lsa.neighbors if p != b), lsa.prefixes))
     both = _lsdb(env, {(a, b)}, {}, 5)
-    deltas, previous = [], None
+    kinds, previous = [], None
     for db in (db1, db2, half, both):
-        deltas.append(classify_transition(previous, db.fingerprint()))
+        kinds.append(classify_transition(previous, db.fingerprint()))
         previous = db.fingerprint()
-    assert [delta.kind for delta in deltas] == [
-        INITIAL, REFRESH, LINK_DOWN, COSMETIC,
-    ]
-    assert deltas[2].edge == (a, b)
+    assert kinds == [INITIAL, REFRESH, LINK_DOWN, COSMETIC]
     first, second, third, fourth = (
-        engine.compute(db, delta.kind)
-        for db, delta in zip((db1, db2, half, both), deltas)
+        engine.compute(db, kind)
+        for db, kind in zip((db1, db2, half, both), kinds)
     )
     assert first is second  # the exact same table object is reused
     assert third is fourth
@@ -322,8 +338,8 @@ def test_engine_refresh_reuses_state():
 def test_recovery_trace_identical_with_incremental_disabled(monkeypatch):
     """A full recovery trial must emit the byte-identical obs trace, the
     same violations, and the same stats whether SPF answers come from
-    the shared memo or every one is a fresh Dijkstra (protocol engines
-    *and* the convergence-agreement oracle)."""
+    the engines' memos or every one is a fresh Dijkstra (protocol
+    engines *and* the convergence-agreement oracle's)."""
     from repro.check.config import TrialConfig, fast_overrides
     from repro.check.execute import execute_check
     from repro.sim.units import milliseconds
@@ -335,15 +351,7 @@ def test_recovery_trace_identical_with_incremental_disabled(monkeypatch):
     fast = execute_check(config, traced=True)
 
     with monkeypatch.context() as patches:
-        import repro.check.invariants
-        import repro.routing.spf_cache as spf_cache_module
-
-        patches.setattr(
-            spf_cache_module, "compute_routes_cached", compute_routes
-        )
-        patches.setattr(
-            repro.check.invariants, "compute_routes_cached", compute_routes
-        )
+        _bypass_engine_memos(patches)
         slow = execute_check(config, traced=True)
 
     assert fast.violations == slow.violations == []
